@@ -122,7 +122,7 @@ class AttestationMesh:
             msg_id=0, src=caller_id, dst=target.enclave_id, kind="attest_handshake",
             payload={}, send_time=sim.now,
         )
-        return any(rule.matches(probe, sim.now) for rule in sim.net.drop_rules)
+        return sim.net._drop_rule_for(probe, sim.now) is not None
 
     # -- enlistment --------------------------------------------------------
 

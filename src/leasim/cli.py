@@ -5,8 +5,8 @@
     leasim replay --scenario ...               run twice, demand identical digests
     leasim estimate --scenario ...             closed-form schedule estimate
 
-Exit codes: 0 success, 1 failed checks or unfair verdicts requested via
---expect, 2 bad input.
+Exit codes: 0 success, 1 a failed invariant check (verify) or diverging
+digests (replay), 2 a scenario that is missing or fails the schema.
 """
 from __future__ import annotations
 

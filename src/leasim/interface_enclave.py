@@ -19,7 +19,6 @@ from .coins import rate_floor
 from .simnet import Message, Session, Simulation
 
 NONCE_TIMEOUT = 5.0
-GATE_HEADER_BASE = "from_height"
 
 RESOLVED = ("confirmed", "reverted", "timeout", "failed",
             "skipped_inconsistent", "skipped_unreachable", "cancelled")
@@ -691,7 +690,7 @@ class InterfaceEnclave:
             self._maybe_terminate(sim, campaign)
             return
         campaign.status = "stopping"
-        for enclave in set(s.service_enclave for s in campaign.slots.values()):
+        for enclave in sorted({s.service_enclave for s in campaign.slots.values()}):
             sim.send(self.actor_id, enclave, "cancel_campaign",
                      {"campaign_id": campaign.campaign_id},
                      session=self._session_for(sim, enclave),

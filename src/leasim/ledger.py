@@ -48,6 +48,10 @@ class InvalidTransaction(LedgerError):
         self.cause = cause
 
 
+class UnknownInput(InvalidTransaction):
+    """A spent note is not on the chain yet; its parent may still land."""
+
+
 class MalformedChain(LedgerError):
     pass
 
@@ -195,7 +199,7 @@ class Chain:
         tx_heights = dict(self._tx_heights)
         height = self.tip.height + 1
         for tx in txs:
-            self._validate_tx(tx, note_index, spent, tx_heights)
+            self._validate_tx_static(tx, note_index, spent, tx_heights)
             for note, _ in tx.outputs:
                 note_index[note.note_id] = (note, height)
             for note_id in tx.inputs:
@@ -243,9 +247,6 @@ class Chain:
                 tx_heights[tx.tx_id] = block.header.height
         return cls(difficulty_bits, tuple(blocks), note_index, spent, tx_heights, issuance)
 
-    def _validate_tx(self, tx, note_index, spent, tx_heights) -> None:
-        self._validate_tx_static(tx, note_index, spent, tx_heights)
-
     @staticmethod
     def _validate_tx_static(tx: Transaction, note_index, spent, tx_heights) -> None:
         if tx.tx_id in tx_heights:
@@ -255,7 +256,7 @@ class Chain:
         in_value = 0
         for note_id in tx.inputs:
             if note_id not in note_index:
-                raise InvalidTransaction(tx.tx_id, f"unknown input {note_id}")
+                raise UnknownInput(tx.tx_id, f"unknown input {note_id}")
             if note_id in spent:
                 raise InvalidTransaction(tx.tx_id, f"double spend of {note_id}")
             note, _ = note_index[note_id]
@@ -471,9 +472,9 @@ class Mempool:
                 tx = self.pending[tx_id]
                 try:
                     Chain._validate_tx_static(tx, note_index, spent, tx_heights)
+                except UnknownInput:
+                    continue  # parent not landed yet; keep pending
                 except InvalidTransaction as exc:
-                    if "unknown input" in exc.cause:
-                        continue  # parent not landed yet; keep pending
                     del self.pending[tx_id]
                     self.rejected.append((tx_id, exc.cause))
                     continue

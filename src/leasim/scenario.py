@@ -95,7 +95,6 @@ class EconomicsSpec:
 @dataclass
 class LatencySpec:
     model: str = "fixed"  # fixed | normal
-    profile: str = "pipeline"  # pipeline | snark_only (reserved)
 
 
 @dataclass

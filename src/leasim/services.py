@@ -75,11 +75,9 @@ class SocialService:
 
     PIPELINE_LENGTH = 5
 
-    def __init__(self, service_id: str, *, collusion: bool = False,
-                 verification_account: bool = True):
+    def __init__(self, service_id: str, *, collusion: bool = False):
         self.service_id = service_id
         self.collusion = collusion
-        self.verification_account = verification_account
         self.accounts: dict[str, str] = {}
         self.ghosts: set[str] = set()
         self.items: dict[str, ItemState] = {}

@@ -135,18 +135,42 @@ class EventLog:
         return hashlib.sha256(self.text().encode()).hexdigest()
 
 
+def _file_by_cut(buckets: dict, rule) -> None:
+    """File ``rule`` in the bucket of the cut point it is scoped to.
+
+    A wildcard rule (``cut_point=None``) goes into every bucket, and a bucket
+    made later starts with a copy of the wildcards, so bucket ``c`` holds, in
+    install order, every rule that can match a message at cut point ``c``.
+    Bucket ``None`` holds the wildcards only.
+    """
+    cut = rule.cut_point
+    if cut is None:
+        for bucket in buckets.values():
+            bucket.append(rule)
+        return
+    if cut not in buckets:
+        buckets[cut] = list(buckets[None])
+    buckets[cut].append(rule)
+
+
 class HostControl:
     """The infrastructure maintainer's entire power surface.
 
     Only drop/delay/kill/eclipse: no payload inspection, no enclave state
     mutation. Anything else the host "does" in a scenario must be expressed
     through these.
+
+    ``drop_rules``/``delay_rules`` list the rules in install order. Rules are
+    also indexed by cut point, so a message is checked only against the rules
+    that can match it; install them through ``set_cut``/``add_delay``.
     """
 
     def __init__(self, sim: Simulation) -> None:
         self._sim = sim
         self.drop_rules: list[DropRule] = []
         self.delay_rules: list[DelayRule] = []
+        self._drops_at: dict[int | None, list[DropRule]] = {None: []}
+        self._delays_at: dict[int | None, list[DelayRule]] = {None: []}
         self.killed: dict[str, tuple[float, str]] = {}  # actor_id -> (time, rule_id)
         self.eclipse_feeds: dict[str, object] = {}  # owner_id -> chain supplier
         self._rule_seq = 0
@@ -160,6 +184,7 @@ class HostControl:
             rule_id=self._next_rule_id("cut"), owner=owner, cut_point=cut_point, **scope
         )
         self.drop_rules.append(rule)
+        _file_by_cut(self._drops_at, rule)
         self._sim.log.emit(
             self._sim.now, owner, "rule_set", rule=rule.rule_id,
             cut=cut_point if cut_point is not None else "-", match=rule.kind or "-",
@@ -175,6 +200,7 @@ class HostControl:
             rule_id=self._next_rule_id("delay"), owner=owner, extra=extra, **scope
         )
         self.delay_rules.append(rule)
+        _file_by_cut(self._delays_at, rule)
         self._sim.log.emit(
             self._sim.now, owner, "rule_set", rule=rule.rule_id, delay=f"{extra:.6f}"
         )
@@ -199,6 +225,20 @@ class HostControl:
 
     def is_killed(self, actor_id: str) -> bool:
         return actor_id in self.killed
+
+    def _drop_rule_for(self, msg: Message, now: float) -> DropRule | None:
+        """The first rule, in install order, that drops ``msg`` at ``now``."""
+        for rule in self._drops_at.get(msg.cut_point, self._drops_at[None]):
+            if rule.matches(msg, now):
+                return rule
+        return None
+
+    def _delayed(self, msg: Message, latency: float) -> float:
+        """``latency`` plus every matching delay rule's extra, in install order."""
+        for rule in self._delays_at.get(msg.cut_point, self._delays_at[None]):
+            if rule.matches(msg):
+                latency += rule.extra
+        return latency
 
 
 class Simulation:
@@ -293,17 +333,12 @@ class Simulation:
             rule_id = self.net.killed[src][1]
             self.log.emit(self.now, src, f"send_blocked:{kind}", rule=rule_id, **ids)
             return msg
-        for rule in self.net.drop_rules:
-            if rule.matches(msg, self.now):
-                self.dropped.append((msg, rule.rule_id, rule.owner))
-                self.log.emit(
-                    self.now, src, f"drop:{kind}", rule=rule.rule_id, by=rule.owner, **ids
-                )
-                return msg
-        total_latency = latency
-        for delay_rule in self.net.delay_rules:
-            if delay_rule.matches(msg):
-                total_latency += delay_rule.extra
+        rule = self.net._drop_rule_for(msg, self.now)
+        if rule is not None:
+            self.dropped.append((msg, rule.rule_id, rule.owner))
+            self.log.emit(self.now, src, f"drop:{kind}", rule=rule.rule_id, by=rule.owner, **ids)
+            return msg
+        total_latency = self.net._delayed(msg, latency)
         self.log.emit(self.now, src, f"send:{kind}", **ids)
         self.schedule(total_latency, lambda: self._deliver(msg))
         return msg

@@ -6,10 +6,16 @@ Worlds are cached per scenario so several tests can share one run.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
+import yaml
 
+import leasim
 from leasim.report import build_report, report_digest, verify_world
 from leasim.runner import run_scenario
 from leasim.scenario import load_scenario
@@ -260,6 +266,40 @@ class TestCrashRecovery:
         assert verdicts["owners"]["o1"]["verdict"] == "fair"
 
 
+class TestCrossProcessDeterminism:
+    """String hashes differ per process, so nothing may iterate a set of ids."""
+
+    DIGESTS = (
+        "import sys\n"
+        "from leasim.report import build_report, report_digest\n"
+        "from leasim.runner import run_scenario\n"
+        "from leasim.scenario import load_scenario\n"
+        "world = run_scenario(load_scenario(sys.argv[1]))\n"
+        "print(world.sim.log.digest(), report_digest(build_report(world)))\n"
+    )
+
+    def test_stopped_campaign_digests_ignore_hash_seed(self, tmp_path):
+        path = resources.files("leasim") / "scenarios" / "crash_payment.yaml"
+        raw = yaml.safe_load(path.read_text())
+        raw["topology"]["service_enclaves"] = 3
+        raw["host"]["kills"][0]["at"] = 101.0  # after the first of three settlements
+        scenario = tmp_path / "crash_three_service_enclaves.yaml"
+        scenario.write_text(yaml.safe_dump(raw))
+        src = str(Path(leasim.__file__).resolve().parent.parent)
+
+        def digests(hash_seed: str) -> str:
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            done = subprocess.run([sys.executable, "-c", self.DIGESTS, str(scenario)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        world = run_scenario(load_scenario(str(scenario)))
+        cancels = [line for line in world.sim.log.lines if "kind=send:cancel_campaign" in line]
+        assert len({line.split(" dst=")[1].split()[0] for line in cancels}) == 3
+        assert digests("1") == digests("2")
+
+
 class TestDistributed:
     def test_remote_owners_reach_primary_via_gossip(self):
         world = world_for("distributed")
@@ -306,3 +346,19 @@ class TestInvariantsEverywhere:
             digests.add((world.sim.log.digest(),
                          report_digest(build_report(world))))
         assert len(digests) == 1
+
+
+class TestEventKindsDocumented:
+    FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name.removesuffix(".yaml")
+        for p in (resources.files("leasim") / "scenarios").iterdir() if p.name.endswith(".yaml")))
+    def test_every_event_kind_is_named_in_formats_doc(self, name):
+        doc = self.FORMATS.read_text()
+        kinds = {line.split(" kind=", 1)[1].split(" ", 1)[0]
+                 for line in world_for(name).sim.log.lines}
+        # message events are documented by prefix, as `drop:<msg kind>`
+        named = {k.split(":")[0] + ":<msg kind>" if ":" in k else k for k in kinds}
+        undocumented = sorted(k for k in named if f"`{k}`" not in doc)
+        assert not undocumented

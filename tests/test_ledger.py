@@ -256,6 +256,28 @@ class TestSubmitAndMempool:
         assert included == [tx1.tx_id]
         assert [r[0] for r in pool.rejected] == [tx2.tx_id]
 
+    def test_orphan_child_stays_pending_while_double_spend_is_rejected(self):
+        chain = mk_chain(DIFF, {"a": 100})
+        landed = spend(chain, "a", [("b", 100, "change")])
+        chain = chain.append_block([landed])
+        rival = ledger.make_transaction(list(landed.inputs), [("c", 100, "change")], {"a"})
+        parent = spend(chain, "b", [("mid", 100, "change")])  # not submitted yet
+        child = ledger.make_transaction(
+            [parent.outputs[0][0].note_id], [("far", 100, "change")], {"mid"}
+        )
+        with pytest.raises(ledger.UnknownInput):
+            chain.append_block([child])
+        pool = ledger.Mempool()
+        pool.submit(child, chain)
+        pool.submit(rival, chain)
+        chain, included = pool.assemble(chain)
+        assert included == []
+        assert list(pool.pending) == [child.tx_id]
+        assert pool.rejected == [(rival.tx_id, f"double spend of {landed.inputs[0]}")]
+        pool.submit(parent, chain)
+        chain, included = pool.assemble(chain)
+        assert included == [parent.tx_id, child.tx_id] and not pool.pending
+
 
 class TestObserver:
     def test_non_party_sees_existence_and_output_count_only(self, base_chain):

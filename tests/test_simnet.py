@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
 from leasim import simnet
+from leasim.attestation import AttestationMesh, EnclaveIdentity, Measurement, Unreachable
 
 
 class Recorder:
@@ -160,6 +162,117 @@ class TestDelayRules:
 
         assert run(None) == "ok"
         assert run("delay") == run("drop") == "timeout"
+
+
+class TestRuleIndex:
+    """Rules are bucketed by cut point; matching must equal an install-order scan."""
+
+    def test_interleaved_rules_attribute_first_match_in_install_order(self):
+        sim, _ = mk_sim()
+        cut2, cut5 = simnet.CUT_OWNER_CHAIN, simnet.CUT_REWARD_COPY
+        sim.net.set_cut(cut5, owner_id="o1", owner="early5")
+        sim.net.set_cut(kind="x", owner="wild")  # joins the cut-5 bucket after early5
+        sim.net.set_cut(cut2, owner="late2")  # cut-2 bucket starts with the wildcard
+        sim.net.set_cut(cut5, owner="late5")
+        sent = [
+            (cut5, "x", "o1", "early5"),
+            (cut5, "x", "o2", "wild"),
+            (cut5, "y", "o2", "late5"),
+            (cut2, "x", "o1", "wild"),
+            (cut2, "y", "o1", "late2"),
+            (None, "x", "o1", "wild"),
+        ]
+        for cut, kind, owner_id, _ in sent:
+            sim.send("a", "b", kind, {}, cut_point=cut, owner_id=owner_id)
+        sim.send("a", "b", "y", {})  # no cut point, no wildcard for kind y
+        assert [by for _msg, _rule, by in sim.dropped] == [by for *_, by in sent]
+
+    def test_random_rule_sets_agree_with_install_order_scan(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            sim, _ = mk_sim()
+            for _ in range(rng.randrange(1, 12)):
+                sim.net.set_cut(
+                    rng.choice([None, *simnet.CUT_POINTS]),
+                    kind=rng.choice([None, "x", "y"]),
+                    owner_id=rng.choice([None, "o1", "o2"]),
+                )
+            for _ in range(30):
+                cut = rng.choice([None, *simnet.CUT_POINTS])
+                msg = sim.send("a", "b", rng.choice(["x", "y"]), {}, cut_point=cut,
+                               owner_id=rng.choice([None, "o1", "o2"]))
+                first = next((r for r in sim.net.drop_rules if r.matches(msg, sim.now)), None)
+                dropped = sim.dropped and sim.dropped[-1][0] is msg
+                assert (sim.dropped[-1][1] if dropped else None) == (
+                    first.rule_id if first else None)
+
+    def test_rule_installed_mid_run_applies_to_later_sends(self):
+        sim, recs = mk_sim()
+        cut = simnet.CUT_REWARD_COPY
+        sim.net.set_cut(cut, owner_id="other")  # the cut-5 bucket exists already
+        sim.schedule_at(1.0, lambda: sim.net.set_cut(cut, kind="tx_copy", owner="mid5"))
+        sim.schedule_at(2.0, lambda: sim.net.set_cut(kind="z", owner="midwild"))
+        for t in (0.5, 1.5, 2.5):
+            sim.schedule_at(t, lambda t=t: sim.send("a", "b", "tx_copy", {"t": t}, cut_point=cut))
+            sim.schedule_at(t, lambda t=t: sim.send("a", "b", "z", {"t": t}, cut_point=cut))
+        sim.run()
+        assert [(k, p["t"]) for _, k, p in recs["b"].inbox] == [
+            ("tx_copy", 0.5), ("z", 0.5), ("z", 1.5)]
+        assert [by for *_, by in sim.dropped] == ["mid5", "mid5", "midwild"]
+
+    def test_clear_cut_and_window_hold_for_cut_scoped_rules(self):
+        sim, recs = mk_sim()
+        cut = simnet.CUT_DEPOSIT_COPY
+        cleared = sim.net.set_cut(cut, owner="cleared")
+        sim.net.set_cut(cut, from_time=1.0, until_time=2.0)
+        sim.net.clear_cut(cleared)
+        for n, t in enumerate((0.5, 1.5, 2.5)):
+            sim.schedule_at(t, lambda n=n: sim.send("a", "b", "tx_copy", {"n": n}, cut_point=cut))
+        sim.run()
+        assert [p["n"] for _, _, p in recs["b"].inbox] == [0, 2]
+        assert "cleared" not in {by for *_, by in sim.dropped}
+
+    def test_delay_rules_at_a_cut_point_add_up(self):
+        sim, recs = mk_sim()
+        sim.net.add_delay(1.0, cut_point=simnet.CUT_DEPOSIT_COPY)
+        sim.net.add_delay(0.5, kind="tx_copy")
+        sim.net.add_delay(2.0, cut_point=simnet.CUT_REWARD_COPY)
+        sim.net.add_delay(0.25, cut_point=simnet.CUT_DEPOSIT_COPY, dst="b")
+        sim.send("a", "b", "tx_copy", {"c": 4}, latency=1.0, cut_point=simnet.CUT_DEPOSIT_COPY)
+        sim.send("a", "b", "tx_copy", {"c": 5}, latency=1.0, cut_point=simnet.CUT_REWARD_COPY)
+        sim.send("a", "b", "tx_copy", {"c": 0}, latency=1.0)
+        sim.run()
+        assert sorted((p["c"], t) for t, _, p in recs["b"].inbox) == [
+            (0, 1.5), (4, 2.75), (5, 3.5)]
+
+    def test_attest_handshake_cut_reads_the_wildcard_bucket(self):
+        good = Measurement("m")
+        target = EnclaveIdentity("svc", "service", good, "pk", "host")
+        sim, _ = mk_sim()
+        mesh = AttestationMesh({good})
+        sim.net.set_cut(simnet.CUT_OWNER_CHAIN, kind="attest_handshake", dst="svc")
+        assert mesh.attest(sim, "iface", good, target).established
+        sim.net.set_cut(kind="attest_handshake", dst="svc")
+        with pytest.raises(Unreachable):
+            mesh.attest(sim, "iface", good, target)
+
+    def test_send_checks_only_rules_at_its_cut_point(self, monkeypatch):
+        checked = []
+        matches = simnet.DropRule.matches
+
+        def counting(rule, msg, now):
+            checked.append((rule.rule_id, msg.cut_point))
+            return matches(rule, msg, now)
+
+        monkeypatch.setattr(simnet.DropRule, "matches", counting)
+        sim, recs = mk_sim()
+        sim.net.set_cut(simnet.CUT_REWARD_COPY, owner_id="o1")
+        wild = sim.net.set_cut(kind="never")
+        sim.send("a", "b", "chain_view", {}, cut_point=simnet.CUT_OWNER_CHAIN, owner_id="o1")
+        sim.send("a", "b", "poll", {})
+        sim.run()
+        assert len(recs["b"].inbox) == 2
+        assert checked == [(wild.rule_id, simnet.CUT_OWNER_CHAIN), (wild.rule_id, None)]
 
 
 class TestKillAndTimers:
