@@ -425,7 +425,9 @@ class InterfaceEnclave:
         )
         n = min(campaign.count, len(compliant))
         chosen, campaign.spares = compliant[:n], compliant[n:]
-        self._split_funds(sim, campaign)
+        # one share per payment enclave, but no share that no slot draws on:
+        # its funds would sit idle while the slots' shares fall short
+        self._split_funds(sim, campaign, self.payment_enclaves[:max(n, 1)])
         for owner_id, price in chosen:
             self._add_slot(sim, campaign, owner_id, price)
         campaign.status = "running"
@@ -434,12 +436,13 @@ class InterfaceEnclave:
         if n == 0:
             self._maybe_start_payment_phase(sim, campaign)
 
-    def _split_funds(self, sim: Simulation, campaign: Campaign) -> None:
+    def _split_funds(self, sim: Simulation, campaign: Campaign,
+                     payment_ids: list[str]) -> None:
         note = next(
             note for note, kind in campaign.funding_tx.outputs
             if note.owner_address == campaign.escrow_address and kind == "funding"
         )
-        values = split_values(campaign.total, len(self.payment_enclaves))
+        values = split_values(campaign.total, len(payment_ids))
         outputs = [
             (f"share:{campaign.campaign_id}:{i}", value, "change")
             for i, value in enumerate(values)
@@ -449,7 +452,7 @@ class InterfaceEnclave:
             memo=f"split:{campaign.campaign_id}",
         )
         sim.send(self.actor_id, self.node_id, "tx_broadcast", {"tx": split_tx})
-        for i, payment_id in enumerate(self.payment_enclaves):
+        for i, payment_id in enumerate(payment_ids):
             share_note = split_tx.outputs[i][0]
             campaign.shares[i] = ShareInfo(
                 index=i, payment_id=payment_id, address=share_note.owner_address,
@@ -483,7 +486,7 @@ class InterfaceEnclave:
         index = campaign.slot_seq
         campaign.slot_seq += 1
         share_index = (replacing.share_index if replacing is not None
-                       else index % len(self.payment_enclaves))
+                       else index % len(campaign.shares))
         enclave = (replacing.service_enclave if replacing is not None
                    else self.service_enclaves[index % len(self.service_enclaves)])
         slot = Slot(

@@ -286,7 +286,7 @@ def _judge_renter(world: World, renter_id: str, campaigns: list[dict]) -> dict:
             if landed_back < intended_back:
                 suppressors = _suppressors_for(
                     world, campaign_id=campaign["campaign_id"],
-                ) | _suppressors_for(world, kinds=("tx_broadcast",))
+                )
                 if suppressors and suppressors <= {actor_id}:
                     self_harm = True
                     evidence.append(

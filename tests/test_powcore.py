@@ -1,15 +1,23 @@
-"""Hash kernel: backend equivalence and an independent digest oracle."""
+"""Hash kernel: known answers, brute-force search and an independent digest oracle."""
 from __future__ import annotations
 
 import hashlib
 
-from leasim import _powcore_py, powcore
+import pytest
+from hypothesis import given, strategies as st
+
+from leasim import powcore
 
 
 def oracle_digest(height: int, prev: bytes, payload: bytes, nonce: int) -> bytes:
     """Independent recomputation of the documented 80-byte preimage layout."""
     preimage = height.to_bytes(8, "big") + prev + payload + nonce.to_bytes(8, "big")
     return hashlib.sha256(preimage).digest()
+
+
+def oracle_clears(digest: bytes, bits: int) -> bool:
+    """The target as an integer: the first `bits` bits of the digest are zero."""
+    return bits <= 0 or int.from_bytes(digest, "big") >> (256 - bits) == 0
 
 
 def test_header_digest_matches_oracle():
@@ -20,16 +28,53 @@ def test_header_digest_matches_oracle():
         )
 
 
-def test_backends_agree_bit_exactly():
-    """Compiled and pure backends must return the same nonce and digest."""
-    prev, payload = b"\x00" * 32, b"\x11" * 32
-    for bits in (0, 4, 8, 12):
-        for height in (0, 5):
-            got_active = powcore.mine_nonce(height, prev, payload, bits)
-            got_pure = _powcore_py.mine_nonce(height, prev, payload, bits)
-            assert got_active == got_pure
-            nonce, digest = got_active
-            assert digest == oracle_digest(height, prev, payload, nonce)
+# (nonce, digest) of a 6-block chain: prev starts at H("kat-genesis"), block h
+# carries payload H("kat-payload-<h>") and links to the digest before it.
+KNOWN_CHAIN = {
+    12: [
+        (8141, "0003190b4ca8139e3ec6ead983c422cca784a63eab7f6d6bf9f0c380238f0b8b"),
+        (2084, "000c14031def0d79157b5d2400368f6fe583af41cc31489606c38e80bdffea52"),
+        (1479, "00048440d67b3ef9924516a61f7d9da17322ba55b71127280383f93d5485f158"),
+        (1644, "0006f89670f6b32fdcc13a11ed54bd1eb150b9264f2ee8ce946c3c38f1fab6b5"),
+        (816, "00080410169fcb90c27e131d7b3def9df7ba34346d2c164eab184b99572393e9"),
+        (4626, "000c9f1e42da8600bda62d066146b41a016b7e2dca32c3f01408f5acc34a75f3"),
+    ],
+    16: [
+        (262374, "0000ce7b9fcf913aae2ab14d0c7794084c4e0bbcd9900cb99a84c0f8186edca5"),
+        (4528, "00004032e4a6c8158aacd1742ec842af060220b725d685f5febbdcc4812ba719"),
+        (19248, "00007ce44cf283ed9d843f685e0ed341845c9b7b30caf4fd7da9fe49f993e119"),
+        (2761, "0000b758e479ef9955b9c1ffbef7ff322fc2cde947a18279a6d3ad7450912621"),
+        (174366, "000027523aca724c1bbd85d34110a67f76f537e1d308479b58799a5630d1056e"),
+        (2380, "00000010d528369f2843cbe05bcfadf2177f3b05e3c96de8cbf54de9794eb18a"),
+    ],
+}
+
+
+@pytest.mark.parametrize("bits", sorted(KNOWN_CHAIN))
+def test_known_answer_chain(bits):
+    prev = hashlib.sha256(b"kat-genesis").digest()
+    got = []
+    for height in range(len(KNOWN_CHAIN[bits])):
+        payload = hashlib.sha256(b"kat-payload-%d" % height).digest()
+        nonce, prev = powcore.mine_nonce(height, prev, payload, bits)
+        got.append((nonce, prev.hex()))
+    assert got == KNOWN_CHAIN[bits]
+
+
+def test_mined_nonce_matches_brute_force():
+    """The kernel's answer is the first nonce the oracle accepts, at bit counts
+    on both sides of a byte boundary and answers on both sides of 256."""
+    answers = []
+    for bits in (1, 7, 8, 9, 12):
+        for height in range(6):
+            prev, payload = bytes([height]) * 32, b"\x5a" * 32
+            nonce = 0
+            while not oracle_clears(oracle_digest(height, prev, payload, nonce), bits):
+                nonce += 1
+            assert powcore.mine_nonce(height, prev, payload, bits) == (
+                nonce, oracle_digest(height, prev, payload, nonce))
+            answers.append(nonce)
+    assert min(answers) == 0 and max(answers) >= 256
 
 
 def test_mined_nonce_is_smallest():
@@ -46,6 +91,22 @@ def test_meets_target_is_leading_zero_bits():
     # 0x000016d2... has 19 leading zero bits
     for bits, expect in [(0, True), (12, True), (19, True), (20, False), (32, False)]:
         assert powcore.meets_target(digest, bits) is expect
+
+
+_bits = st.shared(st.integers(0, 32), key="bits")
+# Random digests with 0-40 leading zero bits, so both outcomes are common,
+# and the two digests on either side of the drawn target's bound.
+_digests = st.one_of(
+    st.builds(lambda value, zeros: (value >> zeros).to_bytes(32, "big"),
+              st.integers(0, 2**256 - 1), st.integers(0, 40)),
+    st.builds(lambda bits, below: ((1 << (256 - max(bits, 1))) - below).to_bytes(32, "big"),
+              _bits, st.integers(0, 1)),
+)
+
+
+@given(digest=_digests, bits=_bits)
+def test_meets_target_matches_integer_shift(digest, bits):
+    assert powcore.meets_target(digest, bits) is oracle_clears(digest, bits)
 
 
 def test_zero_difficulty_accepts_nonce_zero():
