@@ -299,7 +299,6 @@ class InterfaceEnclave:
         if record is not None:
             record.last_poll = sim.now
             record.endpoint = msg.payload.get("endpoint", record.endpoint)
-            sim.send(self.actor_id, msg.src, "poll_ack", {"owner_id": record.owner_id})
 
     # ------------------------------------------------------------------
     # quoting and selection

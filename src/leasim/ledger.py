@@ -324,6 +324,14 @@ class Chain:
     def balance(self, address: str) -> int:
         return sum(note.value for note in self.unspent_notes(address))
 
+    def balances(self) -> dict[str, int]:
+        """Every address's ``balance``, from one pass over the unspent notes."""
+        out: dict[str, int] = {}
+        for note_id, (note, _) in self._note_index.items():
+            if note_id not in self._spent:
+                out[note.owner_address] = out.get(note.owner_address, 0) + note.value
+        return out
+
     def burned_total(self) -> int:
         return self.balance(BURN_ADDRESS)
 

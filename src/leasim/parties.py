@@ -46,18 +46,6 @@ class OwnerActor:
         chain = self.chain_supplier()
         return [h for h in chain.headers() if h.height >= from_height]
 
-    def start_polling(self, sim: Simulation, iface_id: str, endpoint: str,
-                      interval: float, active) -> None:
-        """Liveness pings; `active()` going false ends the loop."""
-
-        def tick() -> None:
-            sim.send(self.actor_id, iface_id, "poll",
-                     {"owner_id": self.owner_id, "endpoint": endpoint})
-            if active():
-                sim.schedule_for(self.actor_id, interval, tick)
-
-        tick()
-
     # -- message handling --------------------------------------------------
 
     def receive(self, msg: Message, sim: Simulation) -> None:

@@ -167,8 +167,8 @@ def _campaign_entry(world: World, campaign) -> dict:
     }
 
 
-def _party_balances(world: World) -> dict[str, dict[str, int]]:
-    chain = world.node.chain
+def _party_balances(world: World, held: dict[str, int]) -> dict[str, dict[str, int]]:
+    """Start, end and delta per party; ``held`` is ``Chain.balances()``."""
     start = {f"renter:{r.renter_id}": r.balance for r in world.spec.renters}
     parties = dict.fromkeys(start, 0) | {
         f"owner:{o.owner_id}": 0 for o in world.spec.owners
@@ -177,7 +177,7 @@ def _party_balances(world: World) -> dict[str, dict[str, int]]:
     out = {}
     for address in sorted(parties):
         s = start.get(address, 0)
-        e = chain.balance(address)
+        e = held.get(address, 0)
         out[address] = {"start": s, "end": e, "delta": e - s}
     return out
 
@@ -358,12 +358,9 @@ def build_report(world: World) -> dict:
     campaigns = [_campaign_entry(world, c)
                  for c in sorted(world.all_campaigns(),
                                  key=lambda c: c.campaign_id)]
-    balances = _party_balances(world)
-    burned = chain.burned_total()
-    final_total = sum(
-        note.value for note, _h in chain._note_index.values()
-        if chain.is_unspent(note.note_id)
-    )
+    held = chain.balances()
+    balances = _party_balances(world, held)
+    final_total = sum(held.values())
     verdicts = {
         "owners": {
             o.owner_id: _judge_owner(world, o.owner_id, campaigns)
@@ -390,7 +387,7 @@ def build_report(world: World) -> dict:
         "conservation": {
             "issuance": chain.issuance,
             "unspent_total": final_total,
-            "burn_address": chain.balance(BURN_ADDRESS),
+            "burn_address": held.get(BURN_ADDRESS, 0),
             "ok": final_total == chain.issuance,
         },
         "drops": _drop_summary(world),

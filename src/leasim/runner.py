@@ -287,6 +287,7 @@ def _owner_home(world: World, ospec) -> InterfaceGroup:
 
 def _enroll_and_schedule(world: World) -> None:
     spec, sim = world.spec, world.sim
+    pollers = []
     for ospec in spec.owners:
         owner = world.owners[ospec.owner_id]
         group = _owner_home(world, ospec)
@@ -317,23 +318,42 @@ def _enroll_and_schedule(world: World) -> None:
             session=session,
         )
         if ospec.polls:
-            interval = spec.timing.poll_interval / 2
-
-            def kick(o=owner, i=iface_id, e=ospec.endpoint, iv=interval):
-                o.start_polling(sim, i, e, iv,
-                                active=lambda: not world.node.stopped)
-
-            sim.schedule(POLL_AT, kick)
+            pollers.append((owner.actor_id, iface_id,
+                            {"owner_id": ospec.owner_id, "endpoint": ospec.endpoint}))
         if ospec.profile == "cuts_responses":
             # the owner suppresses their own chain answers; attribution is theirs
             sim.net.set_cut(CUT_OWNER_CHAIN, owner=owner.actor_id,
                             owner_id=ospec.owner_id)
 
+    if pollers:
+        _schedule_polls(world, pollers)
     for renter in world.renters.values():
         sim.schedule(CAMPAIGNS_AT, lambda r=renter: r.start(sim))
 
     if spec.topology.mode == "distributed" and spec.topology.edges:
         _schedule_gossip(world)
+
+
+def _schedule_polls(world: World, pollers: list[tuple[str, str, dict]]) -> None:
+    """One liveness sweep per world: from POLL_AT and every poll_interval / 2
+    until mining stops, each polling owner sends ``poll`` to its home
+    interface, in enrollment order. Polls get no reply.
+
+    Later rounds skip owners the host has killed; the first round does not,
+    so a killed owner's first poll is logged as blocked.
+    """
+    sim = world.sim
+    interval = world.spec.timing.poll_interval / 2
+    killed = sim.net.killed
+
+    def sweep(skip_killed: bool = True) -> None:
+        for actor_id, iface_id, payload in pollers:
+            if not (skip_killed and actor_id in killed):
+                sim.send(actor_id, iface_id, "poll", payload)
+        if not world.node.stopped:
+            sim.schedule(interval, sweep)
+
+    sim.schedule(POLL_AT, lambda: sweep(skip_killed=False))
 
 
 def _schedule_gossip(world: World) -> None:

@@ -122,17 +122,20 @@ class EventLog:
 
     def __init__(self) -> None:
         self.lines: list[str] = []
+        self._digest = (-1, "")  # (len(lines) when hashed, hex digest)
 
     def emit(self, time: float, actor: str, kind: str, **ids) -> None:
-        parts = [f"t={time:.6f}", f"actor={actor}", f"kind={kind}"]
-        parts.extend(f"{key}={value}" for key, value in ids.items())
-        self.lines.append(" ".join(parts))
+        pairs = "".join([f" {key}={value}" for key, value in ids.items()])
+        self.lines.append(f"t={time:.6f} actor={actor} kind={kind}{pairs}")
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.text().encode()).hexdigest()
+        """SHA-256 of ``text()``, hashed again only after the log has grown."""
+        if self._digest[0] != len(self.lines):
+            self._digest = (len(self.lines), hashlib.sha256(self.text().encode()).hexdigest())
+        return self._digest[1]
 
 
 def _file_by_cut(buckets: dict, rule) -> None:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import leasim
 from leasim.report import build_report, report_digest, verify_world
-from leasim.runner import estimate_schedule, run_scenario
+from leasim.runner import POLL_AT, estimate_schedule, run_scenario
 from leasim.scenario import load_scenario, parse_scenario
 
 _worlds: dict[str, object] = {}
@@ -426,12 +426,92 @@ class TestInvariantsEverywhere:
         assert len(digests) == 1
 
 
+BUNDLED = sorted(p.name.removesuffix(".yaml")
+                 for p in (resources.files("leasim") / "scenarios").iterdir()
+                 if p.name.endswith(".yaml"))
+
+
+def poll_events(world, fate: str = "send") -> list[tuple[str, str]]:
+    """(time as logged, actor) of every ``<fate>:poll`` line, in log order."""
+    out = []
+    for line in world.sim.log.lines:
+        t, actor, kind = line.split(" ", 3)[:3]
+        if kind == f"kind={fate}:poll":
+            out.append((t[2:], actor[6:]))
+    return out
+
+
+class TestOwnerPolls:
+    """One sweep timer sends every owner's one-way liveness poll."""
+
+    @staticmethod
+    def baseline() -> dict:
+        path = resources.files("leasim") / "scenarios" / "baseline.yaml"
+        return yaml.safe_load(path.read_text())
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_no_poll_ack(self, name):
+        assert not any("poll_ack" in line for line in world_for(name).sim.log.lines)
+
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    def test_rounds_every_half_interval_in_enrollment_order(self, name):
+        world = world_for(name)
+        pollers = [f"owner:{o.owner_id}" for o in world.spec.owners if o.polls]
+        # a run whose campaign never ends is cut off by the horizon instead
+        stops = [float(line.split(" ", 1)[0][2:]) for line in world.sim.log.lines
+                 if " kind=mining_stopped " in line]
+        stopped_at = stops[0] if stops else world.spec.timing.horizon
+        expected, at = [], POLL_AT
+        while at <= world.spec.timing.horizon:
+            expected += [(f"{at:.6f}", actor) for actor in pollers]
+            if at > stopped_at:
+                break
+            at += world.spec.timing.poll_interval / 2
+        assert poll_events(world) == expected
+
+    def test_owner_with_polls_false_sends_none(self):
+        raw = self.baseline()
+        raw["owners"][1]["polls"] = False
+        world = run_scenario(parse_scenario(raw))
+        actors = {actor for _t, actor in poll_events(world)}
+        assert actors == {"owner:o1", "owner:o3"}
+        assert not any("owner:o2" in line and ":poll " in line for line in world.sim.log.lines)
+
+    def test_host_cut_poll_makes_owner_stale(self):
+        raw = self.baseline()
+        raw["renters"][0]["campaigns"][0]["count"] = 2
+        assert {s.owner_id for s in only_campaign(
+            run_scenario(parse_scenario(raw))).slots.values()} == {"o1", "o2"}
+
+        raw["host"] = {"cuts": [{"kind": "poll", "src": "owner:o2"}]}
+        world = run_scenario(parse_scenario(raw))
+        assert {s.owner_id for s in only_campaign(world).slots.values()} == {"o1", "o3"}
+        iface = world.ifaces[world.primary_iface]
+        assert [owner for owner, _price in iface.compliant_accounts(
+            world.sim, "social", "upvote", "item1", 0.0)] == ["o1", "o3"]
+        assert {actor for _t, actor in poll_events(world)} == {"owner:o1", "owner:o3"}
+        poll_drops = [d for d in build_report(world)["drops"] if d["kind"] == "poll"]
+        assert poll_drops
+        assert {(d["by"], d["src"]) for d in poll_drops} == {("host", "owner:o2")}
+
+    @pytest.mark.parametrize("kill_at", [0.1, 40.0])
+    def test_killed_owner_stops_polling(self, kill_at):
+        raw = self.baseline()
+        raw["host"] = {"kills": [{"actor": "owner:o2", "at": kill_at}]}
+        world = run_scenario(parse_scenario(raw))
+        sent = [float(t) for t, actor in poll_events(world) if actor == "owner:o2"]
+        assert all(t < kill_at for t in sent)
+        blocked = poll_events(world, "send_blocked")
+        # the first round is not guarded: an owner killed before it is blocked once
+        assert blocked == ([(f"{POLL_AT:.6f}", "owner:o2")] if kill_at < POLL_AT else [])
+        others = [t for t, actor in poll_events(world) if actor == "owner:o1"]
+        assert len(others) > len(sent) + 1
+
+
 class TestEventKindsDocumented:
     FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 
-    @pytest.mark.parametrize("name", sorted(
-        p.name.removesuffix(".yaml")
-        for p in (resources.files("leasim") / "scenarios").iterdir() if p.name.endswith(".yaml")))
+    @pytest.mark.parametrize("name", BUNDLED)
     def test_every_event_kind_is_named_in_formats_doc(self, name):
         doc = self.FORMATS.read_text()
         kinds = {line.split(" kind=", 1)[1].split(" ", 1)[0]

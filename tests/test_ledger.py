@@ -107,6 +107,19 @@ class TestConservation:
         total = sum(chain.balance(addr) for addr in ("a", "b", "c", ledger.BURN_ADDRESS))
         assert total == chain.issuance == 100
 
+    def test_balances_match_per_address_balance(self):
+        chain = mk_chain(DIFF, {"a": 70, "b": 30})
+        tx1 = spend(chain, "a", [("c", 50, "change"), ("a", 15, "change"),
+                                 (ledger.BURN_ADDRESS, 5, "burn")])
+        chain = chain.append_block([tx1])
+        tx2 = spend(chain, "c", [("b", 50, "change")])
+        chain = chain.append_block([tx2])
+        held = chain.balances()
+        assert held == {"a": 15, "b": 80, ledger.BURN_ADDRESS: 5}
+        assert held == {addr: chain.balance(addr)
+                        for addr in ("a", "b", ledger.BURN_ADDRESS)}
+        assert chain.balance("c") == 0 and "c" not in held
+
 
 class TestConfirmations:
     def test_tip_block_has_one_confirmation(self, base_chain):

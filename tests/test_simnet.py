@@ -340,3 +340,18 @@ class TestEventLog:
         sim.send("a", "b", "ping", {})
         sim.run()
         assert sim.log.digest() == hashlib.sha256(sim.log.text().encode()).hexdigest()
+
+    def test_digest_follows_further_emits(self):
+        log = simnet.EventLog()
+        assert log.digest() == hashlib.sha256(b"\n").hexdigest()
+        for n in range(3):
+            log.emit(float(n), "a", "tick", n=n)
+            assert log.digest() == hashlib.sha256(log.text().encode()).hexdigest()
+            assert log.digest() == log.digest()
+
+    def test_line_keeps_detail_order(self):
+        log = simnet.EventLog()
+        log.emit(1.5, "a", "k", zeta=2, alpha="x")
+        log.emit(0.0, "b", "bare")
+        assert log.lines == ["t=1.500000 actor=a kind=k zeta=2 alpha=x",
+                             "t=0.000000 actor=b kind=bare"]
