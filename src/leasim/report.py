@@ -31,18 +31,24 @@ def _owner_username(world: World, owner_id: str, service_id: str) -> str | None:
     return cred[0] if cred else None
 
 
-def _ground_truth(world: World, slot) -> dict:
-    """What the service itself says happened, independent of any enclave."""
+def _ground_truth(world: World, slot, logged: dict) -> dict:
+    """What the service itself says happened, independent of any enclave.
+
+    ``logged`` maps (service, item) to the set of (user, kind) pairs in the
+    item's private log; it is filled as items are first asked about, so each
+    log is read once per report.
+    """
     backend = world.services.get(slot.service_id)
     username = _owner_username(world, slot.owner_id, slot.service_id)
     if backend is None or username is None:
         return {"performed": False, "public_effect": False}
     if hasattr(backend, "public_effect_exists"):  # social
-        item = backend.items.get(slot.action_target)
-        performed = item is not None and any(
-            user == username and kind == slot.action_kind
-            for user, kind in item.private_log
-        )
+        key = (slot.service_id, slot.action_target)
+        done = logged.get(key)
+        if done is None:
+            item = backend.items.get(slot.action_target)
+            done = logged[key] = set(item.private_log) if item is not None else set()
+        performed = (username, slot.action_kind) in done
         effect = backend.public_effect_exists(username, slot.action_target,
                                               slot.action_kind)
         return {"performed": performed, "public_effect": effect}
@@ -50,8 +56,8 @@ def _ground_truth(world: World, slot) -> dict:
     return {"performed": performed, "public_effect": backend.counted(username)}
 
 
-def _slot_entry(world: World, campaign, slot) -> dict:
-    truth = _ground_truth(world, slot)
+def _slot_entry(world: World, campaign, slot, logged: dict) -> dict:
+    truth = _ground_truth(world, slot, logged)
     return {
         "slot_id": slot.slot_id,
         "index": slot.index,
@@ -81,11 +87,11 @@ def _slot_burns(slot) -> bool:
     return InterfaceEnclave._burns(slot)
 
 
-def _campaign_entry(world: World, campaign) -> dict:
+def _campaign_entry(world: World, campaign, logged: dict) -> dict:
     from .interface_enclave import InterfaceEnclave
 
     slots = [
-        _slot_entry(world, campaign, s)
+        _slot_entry(world, campaign, s, logged)
         for s in sorted(campaign.slots.values(), key=lambda s: s.index)
     ]
 
@@ -213,48 +219,46 @@ def _suppressors_for(world: World, *, campaign_id=None, owner_id=None,
     return found
 
 
-def _judge_owner(world: World, owner_id: str, campaigns: list[dict]) -> dict:
+def _judge_owner(world: World, owner_id: str, owned: list[tuple[dict, dict]]) -> dict:
+    """Verdict for one owner from its (campaign, slot) entries, in report order."""
     evidence = []
     harmed = advantaged = False
     self_harm = False
     actor_id = f"owner:{owner_id}"
-    for campaign in campaigns:
-        for slot in campaign["slots"]:
-            if slot["owner_id"] != owner_id:
-                continue
-            truth = slot["ground_truth"]
-            paid = slot["settlement"]["landed"]
-            if truth["public_effect"] and not paid:
-                suppressors = _suppressors_for(
-                    world, campaign_id=campaign["campaign_id"], owner_id=owner_id,
-                ) | _suppressors_for(
-                    world, campaign_id=campaign["campaign_id"],
-                    kinds=("tx_broadcast", "tx_copy", "svc_confirm"),
-                )
-                if suppressors and suppressors <= {actor_id}:
-                    self_harm = True
-                    evidence.append(
-                        f"{slot['slot_id']}: account acted, unpaid; "
-                        f"losses self-inflicted"
-                    )
-                else:
-                    harmed = True
-                    if not campaign["funding"]["landed"]:
-                        by = f"renter:{campaign['renter_id']} (forged funding)"
-                    else:
-                        by = ",".join(sorted(suppressors)) or "host"
-                    evidence.append(
-                        f"{slot['slot_id']}: account acted ({slot['action']}), "
-                        f"reward {fmt(slot['reward'])} never landed (by {by})"
-                    )
-            elif paid and not truth["performed"]:
-                advantaged = True
+    for campaign, slot in owned:
+        truth = slot["ground_truth"]
+        paid = slot["settlement"]["landed"]
+        if truth["public_effect"] and not paid:
+            suppressors = _suppressors_for(
+                world, campaign_id=campaign["campaign_id"], owner_id=owner_id,
+            ) | _suppressors_for(
+                world, campaign_id=campaign["campaign_id"],
+                kinds=("tx_broadcast", "tx_copy", "svc_confirm"),
+            )
+            if suppressors and suppressors <= {actor_id}:
+                self_harm = True
                 evidence.append(
-                    f"{slot['slot_id']}: paid {fmt(slot['reward'])} "
-                    f"without the account acting"
+                    f"{slot['slot_id']}: account acted, unpaid; "
+                    f"losses self-inflicted"
                 )
-            elif paid:
-                evidence.append(f"{slot['slot_id']}: acted and paid in full")
+            else:
+                harmed = True
+                if not campaign["funding"]["landed"]:
+                    by = f"renter:{campaign['renter_id']} (forged funding)"
+                else:
+                    by = ",".join(sorted(suppressors)) or "host"
+                evidence.append(
+                    f"{slot['slot_id']}: account acted ({slot['action']}), "
+                    f"reward {fmt(slot['reward'])} never landed (by {by})"
+                )
+        elif paid and not truth["performed"]:
+            advantaged = True
+            evidence.append(
+                f"{slot['slot_id']}: paid {fmt(slot['reward'])} "
+                f"without the account acting"
+            )
+        elif paid:
+            evidence.append(f"{slot['slot_id']}: acted and paid in full")
     verdict = "harmed" if harmed else "advantaged" if advantaged else "fair"
     if verdict == "fair" and self_harm:
         evidence.append("self_harm: suppression rules belonged to this owner")
@@ -355,15 +359,20 @@ def _judge_maintainer(world: World, campaigns: list[dict]) -> dict:
 
 def build_report(world: World) -> dict:
     chain = world.node.chain
-    campaigns = [_campaign_entry(world, c)
+    logged: dict = {}
+    campaigns = [_campaign_entry(world, c, logged)
                  for c in sorted(world.all_campaigns(),
                                  key=lambda c: c.campaign_id)]
+    owned: dict[str, list[tuple[dict, dict]]] = {}
+    for campaign in campaigns:
+        for slot in campaign["slots"]:
+            owned.setdefault(slot["owner_id"], []).append((campaign, slot))
     held = chain.balances()
     balances = _party_balances(world, held)
     final_total = sum(held.values())
     verdicts = {
         "owners": {
-            o.owner_id: _judge_owner(world, o.owner_id, campaigns)
+            o.owner_id: _judge_owner(world, o.owner_id, owned.get(o.owner_id, []))
             for o in world.spec.owners
         },
         "renters": {
@@ -606,10 +615,16 @@ def _check_linear_share_chains(world: World) -> tuple[bool, str]:
 
 
 def _check_secret_taint(world: World) -> tuple[bool, str]:
+    # Many messages share one payload object (every poll of an owner), so each
+    # is scanned once; the messages keep the payloads, and so their ids, alive.
+    clean: set[int] = set()
     scanned = 0
     for msg in world.sim.delivered + [m for m, _r, _o in world.sim.dropped]:
         scanned += 1
         opaque = msg.session is not None and msg.session.established
-        if not opaque and contains_secret(msg.payload):
+        if opaque or id(msg.payload) in clean:
+            continue
+        if contains_secret(msg.payload):
             return False, f"secret in cleartext {msg.kind} {msg.src}->{msg.dst}"
+        clean.add(id(msg.payload))
     return True, f"{scanned} messages scanned, secrets only on attested channels"

@@ -19,6 +19,10 @@ from .gossip import MODES
 from .parties import OWNER_PROFILES
 from .simnet import CUT_POINTS
 
+# libyaml's safe loader, when PyYAML was built with it: it builds the same
+# objects as yaml.SafeLoader about ten times faster on large scenario files.
+SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class SchemaError(Exception):
     def __init__(self, field_path: str, cause: str):
@@ -297,7 +301,7 @@ def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioSpec:
 def load_scenario(path: str | Path, seed_override: int | None = None) -> ScenarioSpec:
     text = Path(path).read_text()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaError(str(path), f"not valid YAML: {exc}") from None
     spec = parse_scenario(raw, source=Path(path).stem)

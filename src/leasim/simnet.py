@@ -48,7 +48,7 @@ class Session:
     established: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     msg_id: int
     src: str
@@ -245,7 +245,13 @@ class HostControl:
 
 
 class Simulation:
-    """Discrete-event core: virtual clock, actor registry, network delivery."""
+    """Discrete-event core: virtual clock, actor registry, network delivery.
+
+    The queue holds ``(when, seq, fn, arg)``: a timer runs ``fn()`` (its
+    ``arg`` is None) and a delivery runs ``fn(msg)``. ``seq`` advances once
+    per scheduled item, so items due at the same instant run in the order
+    they were scheduled.
+    """
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -254,9 +260,11 @@ class Simulation:
         self.log = EventLog()
         self.actors: dict[str, object] = {}
         self.net = HostControl(self)
-        self._queue: list[tuple[float, int, object]] = []
+        self._queue: list[tuple[float, int, object, Message | None]] = []
         self._seq = 0
         self._msg_seq = 0
+        self._stamp_at: float | None = None  # the sim.now that _stamp_text shows
+        self._stamp_text = ""
         self.dropped: list[tuple[Message, str, str]] = []  # (msg, rule_id, rule_owner)
         self.delivered: list[Message] = []
 
@@ -269,7 +277,7 @@ class Simulation:
         if when < self.now:
             raise ValueError("cannot schedule into the past")
         self._seq += 1
-        heapq.heappush(self._queue, (when, self._seq, fn))
+        heapq.heappush(self._queue, (when, self._seq, fn, None))
 
     def schedule_for(self, actor_id: str, delay: float, fn) -> None:
         """Timer owned by an actor: silently skipped if the actor was killed."""
@@ -281,13 +289,16 @@ class Simulation:
         self.schedule(delay, guarded)
 
     def run(self, until: float | None = None) -> None:
-        while self._queue:
-            when, _, fn = self._queue[0]
-            if until is not None and when > until:
+        queue, pop = self._queue, heapq.heappop
+        while queue:
+            if until is not None and queue[0][0] > until:
                 break
-            heapq.heappop(self._queue)
+            when, _, fn, arg = pop(queue)
             self.now = when
-            fn()
+            if arg is None:
+                fn()
+            else:
+                fn(arg)
 
     # -- actors and messages ----------------------------------------------
 
@@ -295,6 +306,17 @@ class Simulation:
         if actor_id in self.actors:
             raise ValueError(f"duplicate actor id {actor_id}")
         self.actors[actor_id] = actor
+
+    def _stamp(self) -> str:
+        """``t=<now> actor=``, the start of an event line at ``self.now``.
+
+        Formatted once per virtual instant: many messages share one.
+        """
+        now = self.now
+        if now != self._stamp_at:
+            self._stamp_at = now
+            self._stamp_text = f"t={now:.6f} actor="
+        return self._stamp_text
 
     def send(
         self,
@@ -310,55 +332,60 @@ class Simulation:
         owner_id: str | None = None,
         step: int | None = None,
     ) -> Message:
-        """Schedule delivery unless a drop rule fires; drops are attributed."""
+        """Schedule delivery unless a drop rule fires; drops are attributed.
+
+        Message lines are the hottest in the log, so they are written here
+        and in ``_deliver`` straight into ``log.lines``, in the format
+        ``EventLog.emit`` gives them (details as in docs/formats.md).
+        """
         self._msg_seq += 1
-        msg = Message(
-            msg_id=self._msg_seq,
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            send_time=self.now,
-            session=session,
-            cut_point=cut_point,
-            campaign_id=campaign_id,
-            owner_id=owner_id,
-            step=step,
-        )
-        ids = dict(msg=msg.msg_id, src=src, dst=dst)
+        now = self.now
+        msg = Message(self._msg_seq, src, dst, kind, payload, now, session,
+                      cut_point, campaign_id, owner_id, step)
+        tail = f" msg={self._msg_seq} src={src} dst={dst}"
         if cut_point is not None:
-            ids["cut"] = cut_point
+            tail += f" cut={cut_point}"
         if campaign_id is not None:
-            ids["campaign"] = campaign_id
+            tail += f" campaign={campaign_id}"
         if owner_id is not None:
-            ids["owner"] = owner_id
-        if self.net.is_killed(src):
-            rule_id = self.net.killed[src][1]
-            self.log.emit(self.now, src, f"send_blocked:{kind}", rule=rule_id, **ids)
+            tail += f" owner={owner_id}"
+        net, lines = self.net, self.log.lines
+        killed = net.killed.get(src)
+        if killed is not None:
+            lines.append(f"{self._stamp()}{src} kind=send_blocked:{kind} rule={killed[1]}{tail}")
             return msg
-        rule = self.net._drop_rule_for(msg, self.now)
-        if rule is not None:
-            self.dropped.append((msg, rule.rule_id, rule.owner))
-            self.log.emit(self.now, src, f"drop:{kind}", rule=rule.rule_id, by=rule.owner, **ids)
-            return msg
-        total_latency = self.net._delayed(msg, latency)
-        self.log.emit(self.now, src, f"send:{kind}", **ids)
-        self.schedule(total_latency, lambda: self._deliver(msg))
+        if net._drops_at.get(cut_point, net._drops_at[None]):
+            rule = net._drop_rule_for(msg, now)
+            if rule is not None:
+                self.dropped.append((msg, rule.rule_id, rule.owner))
+                lines.append(f"{self._stamp()}{src} kind=drop:{kind} rule={rule.rule_id}"
+                             f" by={rule.owner}{tail}")
+                return msg
+        if net._delays_at.get(cut_point, net._delays_at[None]):
+            latency = net._delayed(msg, latency)
+        lines.append(f"{self._stamp()}{src} kind=send:{kind}{tail}")
+        when = now + latency
+        if when < now:
+            raise ValueError("cannot schedule into the past")
+        self._seq += 1
+        heapq.heappush(self._queue, (when, self._seq, self._deliver, msg))
         return msg
 
     def _deliver(self, msg: Message) -> None:
-        if self.net.is_killed(msg.dst):
-            rule_id = self.net.killed[msg.dst][1]
-            self.log.emit(
-                self.now, msg.dst, f"drop_dead:{msg.kind}", msg=msg.msg_id, rule=rule_id
-            )
+        dst = msg.dst
+        lines = self.log.lines
+        killed = self.net.killed.get(dst)
+        if killed is not None:
+            rule_id = killed[1]
+            lines.append(f"{self._stamp()}{dst} kind=drop_dead:{msg.kind}"
+                         f" msg={msg.msg_id} rule={rule_id}")
             self.dropped.append((msg, rule_id, "host"))
             return
-        actor = self.actors.get(msg.dst)
+        actor = self.actors.get(dst)
         if actor is None:
-            self.log.emit(self.now, msg.dst, f"drop_unknown:{msg.kind}", msg=msg.msg_id)
+            lines.append(f"{self._stamp()}{dst} kind=drop_unknown:{msg.kind} msg={msg.msg_id}")
             return
-        self.log.emit(self.now, msg.dst, f"recv:{msg.kind}", msg=msg.msg_id, src=msg.src)
+        lines.append(f"{self._stamp()}{dst} kind=recv:{msg.kind} msg={msg.msg_id} src={msg.src}")
         self.delivered.append(msg)
         actor.receive(msg, self)
 

@@ -17,9 +17,11 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import leasim
+from leasim.attestation import Secret
 from leasim.report import build_report, report_digest, verify_world
 from leasim.runner import POLL_AT, estimate_schedule, run_scenario
-from leasim.scenario import load_scenario, parse_scenario
+from leasim.scenario import SAFE_LOADER, SchemaError, load_scenario, parse_scenario
+from leasim.simnet import Message, Session
 
 _worlds: dict[str, object] = {}
 
@@ -520,3 +522,53 @@ class TestEventKindsDocumented:
         named = {k.split(":")[0] + ":<msg kind>" if ":" in k else k for k in kinds}
         undocumented = sorted(k for k in named if f"`{k}`" not in doc)
         assert not undocumented
+
+
+class TestScenarioLoader:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_parse_alike_under_both_loaders(self, name):
+        text = (resources.files("leasim") / "scenarios" / f"{name}.yaml").read_text()
+        assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text)
+
+    def test_ladder_shape_parses_alike_under_both_loaders(self):
+        text = yaml.safe_dump(ladder_shape(200, 4, 4), sort_keys=False)
+        assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text) == ladder_shape(
+            200, 4, 4)
+
+    def test_malformed_file_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("name: broken\nowners: [o1, {id: o2\n")
+        with pytest.raises(SchemaError, match="not valid YAML"):
+            load_scenario(path)
+
+
+class TestSecretTaint:
+    """verify_world scans each distinct payload once but counts every message."""
+
+    def taint_check(self, world) -> tuple[bool, str]:
+        (check,) = [c for c in verify_world(world) if c[0] == "no_unsessioned_secrets"]
+        return check[1], check[2]
+
+    def test_shared_payload_with_a_secret_fails(self):
+        world = run_scenario(parse_scenario(ladder_shape(2, 1, 1)))
+        ok, why = self.taint_check(world)
+        scanned = len(world.sim.delivered) + len(world.sim.dropped)
+        assert ok and why.startswith(f"{scanned} messages scanned")
+
+        shared = {"login": ["user0", Secret("password", "pw-0")]}
+        session = Session("s-test", "owner:o0", "iface:0")
+        for n, sealed in enumerate([True] * 5 + [False] * 5):
+            world.sim.delivered.append(Message(
+                10_000 + n, "owner:o0", "iface:0", "poll", shared, 0.0,
+                session if sealed else None))
+        ok, why = self.taint_check(world)
+        assert not ok and why == "secret in cleartext poll owner:o0->iface:0"
+
+    def test_shared_clean_payload_counts_every_message(self):
+        world = run_scenario(parse_scenario(ladder_shape(2, 1, 1)))
+        shared = {"endpoint": "home"}
+        before = len(world.sim.delivered) + len(world.sim.dropped)
+        world.sim.delivered += [Message(10_000 + n, "owner:o0", "iface:0", "poll", shared, 0.0)
+                                for n in range(7)]
+        ok, why = self.taint_check(world)
+        assert ok and why.startswith(f"{before + 7} messages scanned")

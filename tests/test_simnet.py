@@ -355,3 +355,135 @@ class TestEventLog:
         log.emit(0.0, "b", "bare")
         assert log.lines == ["t=1.500000 actor=a kind=k zeta=2 alpha=x",
                              "t=0.000000 actor=b kind=bare"]
+
+
+def emitted(time, actor, kind, **details):
+    """The line EventLog.emit writes for these arguments."""
+    log = simnet.EventLog()
+    log.emit(time, actor, kind, **details)
+    return log.lines[0]
+
+
+# (send keyword arguments, the log details they add), in docs/formats.md order
+SCOPES = [
+    ({}, {}),
+    ({"cut_point": 3}, {"cut": 3}),
+    ({"campaign_id": "iface:0:c1", "owner_id": "o7"}, {"campaign": "iface:0:c1", "owner": "o7"}),
+    ({"cut_point": 2, "campaign_id": "iface:0:c1", "owner_id": "o7", "step": 4},
+     {"cut": 2, "campaign": "iface:0:c1", "owner": "o7"}),
+]
+
+
+class TestMessageLines:
+    """Send and delivery write their lines themselves, in emit's format."""
+
+    @pytest.mark.parametrize("scope,ids", SCOPES)
+    def test_send_and_recv(self, scope, ids):
+        sim, _ = mk_sim()
+        sim.send("a", "b", "ping", {}, latency=0.5, **scope)
+        sim.run()
+        assert sim.log.lines == [
+            emitted(0.0, "a", "send:ping", msg=1, src="a", dst="b", **ids),
+            emitted(0.5, "b", "recv:ping", msg=1, src="a"),
+        ]
+
+    @pytest.mark.parametrize("scope,ids", SCOPES)
+    def test_drop_cites_rule_first(self, scope, ids):
+        sim, _ = mk_sim()
+        rule = sim.net.set_cut(owner="adv", kind="ping")
+        sim.send("a", "b", "ping", {}, **scope)
+        assert sim.log.lines[-1] == emitted(
+            0.0, "a", "drop:ping", rule=rule.rule_id, by="adv", msg=1, src="a", dst="b", **ids)
+
+    @pytest.mark.parametrize("scope,ids", SCOPES)
+    def test_killed_sender_is_blocked(self, scope, ids):
+        sim, _ = mk_sim()
+        kill = sim.net.kill_enclave("a", at_time=0.5)
+        sim.schedule_at(1.25, lambda: sim.send("a", "b", "ping", {}, **scope))
+        sim.run()
+        assert sim.log.lines[-1] == emitted(
+            1.25, "a", "send_blocked:ping", rule=kill, msg=1, src="a", dst="b", **ids)
+
+    def test_killed_receiver_drops_dead(self):
+        sim, _ = mk_sim()
+        kill = sim.net.kill_enclave("b", at_time=0.5)
+        sim.send("a", "b", "ping", {}, latency=1.0, **SCOPES[-1][0])
+        sim.run()
+        assert sim.log.lines[-1] == emitted(1.0, "b", "drop_dead:ping", msg=1, rule=kill)
+        assert [(m.msg_id, rule, by) for m, rule, by in sim.dropped] == [(1, kill, "host")]
+
+    def test_unknown_receiver(self):
+        sim, _ = mk_sim()
+        sim.send("a", "nobody", "ping", {}, latency=0.75)
+        sim.run()
+        assert sim.log.lines[-1] == emitted(0.75, "nobody", "drop_unknown:ping", msg=1)
+        assert sim.delivered == [] and sim.dropped == []
+
+    def test_message_fields(self):
+        sim, _ = mk_sim()
+        session = simnet.Session("s1", "a", "b")
+        msg = sim.send("a", "b", "ping", {"x": 1}, session=session, **SCOPES[-1][0])
+        assert msg == simnet.Message(
+            msg_id=1, src="a", dst="b", kind="ping", payload={"x": 1}, send_time=0.0,
+            session=session, cut_point=2, campaign_id="iface:0:c1", owner_id="o7", step=4)
+        assert not hasattr(msg, "__dict__")
+
+
+class TestTimePrefix:
+    def stamps(self, sim):
+        return [line.split(" actor=")[0] for line in sim.log.lines]
+
+    def test_same_and_different_instants(self):
+        sim, _ = mk_sim()
+        sim.send("a", "b", "x", {})  # before run
+        sim.send("a", "b", "y", {})
+        for at in (1.0000004, 1.0000006, 2.5, 2.5):
+            sim.schedule_at(at, lambda: sim.send("a", "b", "z", {}, latency=0.25))
+        sim.run()
+        sends = [s for s, line in zip(self.stamps(sim), sim.log.lines) if "kind=send:" in line]
+        recvs = [s for s, line in zip(self.stamps(sim), sim.log.lines) if "kind=recv:" in line]
+        assert sends == ["t=0.000000", "t=0.000000", "t=1.000000", "t=1.000001",
+                         "t=2.500000", "t=2.500000"]
+        assert recvs == ["t=0.000000", "t=0.000000", "t=1.250000", "t=1.250001",
+                         "t=2.750000", "t=2.750000"]
+
+    def test_follows_now_set_directly(self):
+        sim, _ = mk_sim()
+        sim.send("a", "b", "x", {})
+        sim.now = 3.5
+        sim.send("a", "b", "x", {})
+        sim.now = 0.0
+        sim.send("a", "b", "x", {})
+        assert self.stamps(sim) == ["t=0.000000", "t=3.500000", "t=0.000000"]
+
+
+class TestQueueOrder:
+    def test_timer_and_delivery_at_one_instant_fire_in_seq_order(self):
+        sim = simnet.Simulation(seed=1)
+        order = []
+
+        class Actor:
+            def receive(self, msg, sim):
+                order.append(msg.kind)
+
+        sim.register("a", Actor())
+        sim.register("b", Actor())
+        sim.schedule_at(1.0, lambda: order.append("timer1"))
+        sim.send("a", "b", "m1", {}, latency=1.0)
+        sim.schedule_at(1.0, lambda: order.append("timer2"))
+        sim.send("a", "b", "m2", {}, latency=1.0)
+        sim.schedule_at(0.5, lambda: sim.send("a", "b", "m3", {}, latency=0.5))
+        sim.run()
+        assert order == ["timer1", "m1", "timer2", "m2", "m3"]
+
+    def test_seq_counts_scheduled_items_and_msg_seq_counts_sends(self):
+        sim, _ = mk_sim()
+        sim.net.set_cut(kind="cut")
+        sim.schedule(1.0, lambda: None)
+        sim.schedule_for("a", 2.0, lambda: None)
+        sim.send("a", "b", "ok", {})
+        sim.send("a", "b", "cut", {})
+        sim.send("a", "nobody", "ok", {})
+        assert (sim._seq, sim._msg_seq) == (4, 3)
+        sim.run()
+        assert (sim._seq, sim._msg_seq) == (4, 3)
