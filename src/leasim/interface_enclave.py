@@ -114,15 +114,13 @@ class Campaign:
     spares: list[tuple[str, int]] = field(default_factory=list)  # (owner_id, price)
     shares: dict[int, ShareInfo] = field(default_factory=dict)
     slot_seq: int = 0
+    open_slots: int = 0  # slots whose status is not in RESOLVED
     settle_outstanding: set[str] = field(default_factory=set)
     payment_started: bool = False
     escrow_notes: list[tuple[str, int]] = field(default_factory=list)
     terminal_tx: ledger.Transaction | None = None
     phase_marks: dict[str, float] = field(default_factory=dict)
     deposit_ledger: dict[str, int] = field(default_factory=dict)
-
-    def unresolved(self) -> list[Slot]:
-        return [s for s in self.slots.values() if s.status not in RESOLVED]
 
 
 def quote_funds(prices: list[int], count: int) -> int:
@@ -502,6 +500,7 @@ class InterfaceEnclave:
             service_enclave=enclave,
         )
         campaign.slots[slot.slot_id] = slot
+        campaign.open_slots += 1
         record = self.owners[owner_id]
         cred = record.services[campaign.service_id]
         password = cred["password"]
@@ -539,6 +538,8 @@ class InterfaceEnclave:
         if slot is None or slot.status in RESOLVED:
             return
         slot.status = p["status"]
+        if slot.status in RESOLVED:
+            campaign.open_slots -= 1
         slot.effect_claimed = p.get("performed", False)
         slot.detail = p.get("detail", "")
         # "failed" means the visibility probe found no public effect, so a
@@ -556,7 +557,7 @@ class InterfaceEnclave:
     def _maybe_start_payment_phase(self, sim: Simulation, campaign: Campaign) -> None:
         if campaign.status != "running" or campaign.payment_started:
             return
-        if campaign.unresolved():
+        if campaign.open_slots:
             return
         campaign.payment_started = True
         campaign.phase_marks["service_end"] = sim.now
@@ -700,6 +701,7 @@ class InterfaceEnclave:
         for slot in campaign.slots.values():
             if slot.status not in RESOLVED:
                 slot.status = "cancelled"
+                campaign.open_slots -= 1
         for slot_id in list(campaign.settle_outstanding):
             slot = campaign.slots[slot_id]
             share = campaign.shares[slot.share_index]

@@ -335,9 +335,11 @@ def _enroll_and_schedule(world: World) -> None:
 
 
 def _schedule_polls(world: World, pollers: list[tuple[str, str, dict]]) -> None:
-    """One liveness sweep per world: from POLL_AT and every poll_interval / 2
-    until mining stops, each polling owner sends ``poll`` to its home
-    interface, in enrollment order. Polls get no reply.
+    """One liveness sweep per world: from POLL_AT and every poll_interval / 2,
+    each polling owner sends ``poll`` to its home interface, in enrollment
+    order. Polls get no reply. The sweep stops after the first round at which
+    mining has stopped or slot selection is over (``_selection_open``): after
+    that no interface reads ``last_poll`` again.
 
     Later rounds skip owners the host has killed; the first round does not,
     so a killed owner's first poll is logged as blocked.
@@ -350,7 +352,7 @@ def _schedule_polls(world: World, pollers: list[tuple[str, str, dict]]) -> None:
         for actor_id, iface_id, payload in pollers:
             if not (skip_killed and actor_id in killed):
                 sim.send(actor_id, iface_id, "poll", payload)
-        if not world.node.stopped:
+        if not world.node.stopped and _selection_open(world):
             sim.schedule(interval, sweep)
 
     sim.schedule(POLL_AT, lambda: sweep(skip_killed=False))
@@ -433,6 +435,30 @@ def _campaigns_settled(world: World) -> bool:
                 if campaign is not None and campaign.status == "terminated":
                     outcomes += 1
     return outcomes >= expected
+
+
+def _selection_open(world: World) -> bool:
+    """True while an interface may still call ``compliant_accounts``.
+
+    An interface picks owners at quote time and at launch, and never again:
+    substitutes come from ``campaign.spares``, fixed at launch. So selection
+    is open while a campaign is ``created`` or ``funded``, or while some
+    renter intent has neither a launched campaign (``running``, ``stopping``
+    or ``terminated``) nor a recorded failure. The second half covers a
+    ``quote_request`` still in flight, before its campaign exists.
+    """
+    reached = 0
+    for campaign in world.all_campaigns():
+        if campaign.status in ("created", "funded"):
+            return True
+        reached += 1
+    expected = 0
+    for renter in world.renters.values():
+        expected += len(renter.intents)
+        # a launched campaign is counted above, and an underfunded or failed
+        # start leaves its campaign "created"; only a refused quote is new here
+        reached += sum(1 for res in renter.results if res["kind"] == "quote_failed")
+    return reached < expected
 
 
 # ----------------------------------------------------------------------

@@ -117,12 +117,16 @@ class DelayRule:
         return True
 
 
+_DIGEST_CHUNK = 4096  # lines joined and encoded per hasher update
+
+
 class EventLog:
     """Append-only event log; one line per event, stable field order."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self._digest = (-1, "")  # (len(lines) when hashed, hex digest)
+        self._hasher = hashlib.sha256()  # of the first ``_hashed`` lines, each + "\n"
+        self._hashed = 0
 
     def emit(self, time: float, actor: str, kind: str, **ids) -> None:
         pairs = "".join([f" {key}={value}" for key, value in ids.items()])
@@ -132,10 +136,16 @@ class EventLog:
         return "\n".join(self.lines) + "\n"
 
     def digest(self) -> str:
-        """SHA-256 of ``text()``, hashed again only after the log has grown."""
-        if self._digest[0] != len(self.lines):
-            self._digest = (len(self.lines), hashlib.sha256(self.text().encode()).hexdigest())
-        return self._digest[1]
+        """SHA-256 of ``text()``. Each call hashes only the lines added since
+        the last one, a chunk at a time, so the log's text is never built."""
+        lines = self.lines
+        if not lines:
+            return hashlib.sha256(b"\n").hexdigest()  # text() of an empty log
+        for start in range(self._hashed, len(lines), _DIGEST_CHUNK):
+            chunk = lines[start:start + _DIGEST_CHUNK]
+            self._hasher.update(("\n".join(chunk) + "\n").encode())
+        self._hashed = len(lines)
+        return self._hasher.copy().hexdigest()
 
 
 def _file_by_cut(buckets: dict, rule) -> None:

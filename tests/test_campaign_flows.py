@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import leasim
 from leasim.attestation import Secret
+from leasim.interface_enclave import RESOLVED, InterfaceEnclave
 from leasim.report import build_report, report_digest, verify_world
 from leasim.runner import POLL_AT, estimate_schedule, run_scenario
 from leasim.scenario import SAFE_LOADER, SchemaError, load_scenario, parse_scenario
@@ -346,6 +347,61 @@ class TestScheduleEstimate:
         assert campaign.deposit_ledger["burned"] == 0
 
 
+class TestEventTrafficScaling:
+    def test_events_grow_linearly_with_slots(self):
+        """Guards against per-round traffic that runs for the whole campaign,
+        such as owner polls swept until mining stops, which grows as n**2."""
+        events = {n: len(run_scenario(parse_scenario(ladder_shape(n, 4, 4))).sim.log.lines)
+                  for n in (100, 200)}
+        assert events[200] / events[100] <= 2.1
+
+
+class TestOpenSlotCount:
+    """Campaign.open_slots always equals a scan for unresolved slots."""
+
+    @staticmethod
+    def run_checking_count(raw: dict, monkeypatch) -> tuple[object, list[str]]:
+        """Run ``raw``, comparing the count with a scan after every call of
+        the two handlers that resolve slots; returns the calls checked."""
+        checked = []
+
+        def checking(name: str):
+            real = getattr(InterfaceEnclave, name)
+
+            def wrapper(self, sim, *args):
+                real(self, sim, *args)
+                for campaign in self.campaigns.values():
+                    assert campaign.open_slots == sum(
+                        1 for s in campaign.slots.values() if s.status not in RESOLVED)
+                checked.append(name)
+
+            return wrapper
+
+        for name in ("_on_slot_result", "_stop_campaign"):
+            monkeypatch.setattr(InterfaceEnclave, name, checking(name))
+        world = run_scenario(parse_scenario(raw))
+        assert "_on_slot_result" in checked
+        return world, checked
+
+    def test_after_substitution(self, monkeypatch):
+        path = resources.files("leasim") / "scenarios" / "cut2_owner_skip.yaml"
+        world, _checked = self.run_checking_count(yaml.safe_load(path.read_text()), monkeypatch)
+        campaign = only_campaign(world)
+        assert any(s.substituted_by for s in campaign.slots.values())
+        assert campaign.open_slots == 0 and campaign.payment_started
+
+    def test_after_emergency_stop(self, monkeypatch):
+        raw = ladder_shape(40, 1, 1)
+        # the payment enclave dies during the service phase: its share is
+        # recovered and the campaign stopped with slots still in flight
+        raw["host"] = {"kills": [{"actor": "payenc:0:0", "at": 100.0}]}
+        world, checked = self.run_checking_count(raw, monkeypatch)
+        campaign = only_campaign(world)
+        assert "_stop_campaign" in checked
+        assert "cancelled" in slot_statuses(campaign)
+        assert campaign.open_slots == 0 and campaign.status == "terminated"
+
+
 class TestCrossProcessDeterminism:
     """String hashes differ per process, so nothing may iterate a set of ids."""
 
@@ -455,6 +511,20 @@ class TestOwnerPolls:
     def test_no_poll_ack(self, name):
         assert not any("poll_ack" in line for line in world_for(name).sim.log.lines)
 
+    @staticmethod
+    def selection_closed_at(world) -> float | None:
+        """Virtual time at which the last renter intent was launched or
+        refused, or None while some campaign still waits in created/funded."""
+        campaigns = world.all_campaigns()
+        if any(c.status in ("created", "funded") for c in campaigns):
+            return None
+        launches = [c.phase_marks["service_start"] for c in campaigns]
+        refusals = [float(line.split(" ", 1)[0][2:]) for line in world.sim.log.lines
+                    if " kind=recv:quote_failed " in line]
+        assert len(launches) + len(refusals) == sum(
+            len(r.intents) for r in world.renters.values())
+        return max(launches + refusals)
+
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_rounds_every_half_interval_in_enrollment_order(self, name):
         world = world_for(name)
@@ -463,6 +533,10 @@ class TestOwnerPolls:
         stops = [float(line.split(" ", 1)[0][2:]) for line in world.sim.log.lines
                  if " kind=mining_stopped " in line]
         stopped_at = stops[0] if stops else world.spec.timing.horizon
+        closed_at = self.selection_closed_at(world)
+        if closed_at is not None:
+            stopped_at = min(stopped_at, closed_at)
+        # rounds up to and including the first one after selection closed
         expected, at = [], POLL_AT
         while at <= world.spec.timing.horizon:
             expected += [(f"{at:.6f}", actor) for actor in pollers]
@@ -479,22 +553,52 @@ class TestOwnerPolls:
         assert actors == {"owner:o1", "owner:o3"}
         assert not any("owner:o2" in line and ":poll " in line for line in world.sim.log.lines)
 
-    def test_host_cut_poll_makes_owner_stale(self):
+    @staticmethod
+    def run_recording_selections(raw: dict, monkeypatch) -> tuple[object, list]:
+        """Run ``raw``, recording the owner ids of every compliant_accounts answer."""
+        selections = []
+        real = InterfaceEnclave.compliant_accounts
+
+        def recording(self, sim, *args):
+            out = real(self, sim, *args)
+            selections.append([owner for owner, _price in out])
+            return out
+
+        monkeypatch.setattr(InterfaceEnclave, "compliant_accounts", recording)
+        return run_scenario(parse_scenario(raw)), selections
+
+    def test_host_cut_poll_makes_owner_stale(self, monkeypatch):
         raw = self.baseline()
         raw["renters"][0]["campaigns"][0]["count"] = 2
         assert {s.owner_id for s in only_campaign(
             run_scenario(parse_scenario(raw))).slots.values()} == {"o1", "o2"}
 
         raw["host"] = {"cuts": [{"kind": "poll", "src": "owner:o2"}]}
-        world = run_scenario(parse_scenario(raw))
+        world, selections = self.run_recording_selections(raw, monkeypatch)
         assert {s.owner_id for s in only_campaign(world).slots.values()} == {"o1", "o3"}
-        iface = world.ifaces[world.primary_iface]
-        assert [owner for owner, _price in iface.compliant_accounts(
-            world.sim, "social", "upvote", "item1", 0.0)] == ["o1", "o3"]
+        # the only two selections: at the quote o2 is still fresh from its
+        # enrollment, and by the launch it is stale
+        assert selections == [["o1", "o2", "o3"], ["o1", "o3"]]
         assert {actor for _t, actor in poll_events(world)} == {"owner:o1", "owner:o3"}
         poll_drops = [d for d in build_report(world)["drops"] if d["kind"] == "poll"]
         assert poll_drops
         assert {(d["by"], d["src"]) for d in poll_drops} == {("host", "owner:o2")}
+
+    def test_delayed_quote_request_still_finds_fresh_owners(self, monkeypatch):
+        raw = self.baseline()
+        poll_interval = parse_scenario(raw).timing.poll_interval
+        # the quote arrives long after every owner's last poll would have
+        # gone stale, had the sweep stopped while no campaign existed yet
+        raw["host"] = {"delays": [{"kind": "quote_request", "extra": 2 * poll_interval}]}
+        world, selections = self.run_recording_selections(raw, monkeypatch)
+        (quoted_at,) = [float(line.split(" ", 1)[0][2:]) for line in world.sim.log.lines
+                        if " kind=recv:quote_request " in line]
+        assert quoted_at > POLL_AT + 2 * poll_interval
+        assert selections == [["o1", "o2", "o3"], ["o1", "o2", "o3"]]
+        campaign = only_campaign(world)
+        assert slot_statuses(campaign) == ["confirmed"] * 3
+        assert {actor for _t, actor in poll_events(world)} == {
+            "owner:o1", "owner:o2", "owner:o3"}
 
     @pytest.mark.parametrize("kill_at", [0.1, 40.0])
     def test_killed_owner_stops_polling(self, kill_at):

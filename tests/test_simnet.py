@@ -349,6 +349,29 @@ class TestEventLog:
             assert log.digest() == hashlib.sha256(log.text().encode()).hexdigest()
             assert log.digest() == log.digest()
 
+    def test_digest_mid_run_and_after_more_lines(self):
+        sim, _recs = mk_sim()
+        checks = []
+
+        def check():
+            text_digest = hashlib.sha256(sim.log.text().encode()).hexdigest()
+            checks.append((len(sim.log.lines), sim.log.digest() == text_digest))
+
+        # enough lines that later digests span several hashed chunks
+        sends = simnet._DIGEST_CHUNK * 3 // 2
+        for n in range(sends):
+            sim.schedule(n * 0.01, lambda n=n: sim.send("a", "b", "ping", {"n": n}))
+        for at in (0.005, sends * 0.005 + 0.005):
+            sim.schedule(at, check)
+        sim.run()
+        check()
+        sim.log.emit(sim.now, "a", "tick")
+        check()
+        sizes = [size for size, _same in checks]
+        assert all(same for _size, same in checks)
+        assert sizes == sorted(set(sizes)) and sizes[0] > 0
+        assert sizes[1] > simnet._DIGEST_CHUNK and sizes[-1] > 2 * simnet._DIGEST_CHUNK
+
     def test_line_keeps_detail_order(self):
         log = simnet.EventLog()
         log.emit(1.5, "a", "k", zeta=2, alpha="x")
