@@ -7,15 +7,16 @@ with the interface enclave; the escrow is usable only once the enclave has
 been observed dead, and a swept share is marked so a resurrected enclave can
 never race the recovery.
 
-Secrets (credentials, keys) are taint-tagged with the Secret wrapper; the
-invariant that no secret crosses a non-attested channel is asserted by
-scanning delivered message payloads in tests.
+Secrets (credentials, keys) are taint-tagged with the Secret wrapper (defined
+in simnet, which checks the wire, and re-exported here). The invariant that no
+secret crosses a non-attested channel is ``verify``'s ``no_unsessioned_secrets``:
+the simulation checks each cleartext message as it is delivered or dropped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from leasim.simnet import Message, Session, Simulation
+from leasim.simnet import Message, Secret, Session, Simulation, contains_secret
 
 
 class AttestationError(Exception):
@@ -50,27 +51,6 @@ class EnclaveIdentity:
     measurement: Measurement
     public_key: str
     host_id: str
-
-
-@dataclass(frozen=True)
-class Secret:
-    """Taint tag for credential/key material."""
-
-    label: str
-    value: str
-
-    def __repr__(self) -> str:  # never leak material into logs
-        return f"Secret({self.label})"
-
-
-def contains_secret(obj) -> bool:
-    if isinstance(obj, Secret):
-        return True
-    if isinstance(obj, dict):
-        return any(contains_secret(v) for v in obj.values())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return any(contains_secret(v) for v in obj)
-    return False
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .attestation import contains_secret
 from .coins import fmt
 from .ledger import BURN_ADDRESS
 from .runner import World
@@ -615,16 +614,9 @@ def _check_linear_share_chains(world: World) -> tuple[bool, str]:
 
 
 def _check_secret_taint(world: World) -> tuple[bool, str]:
-    # Many messages share one payload object (every poll of an owner), so each
-    # is scanned once; the messages keep the payloads, and so their ids, alive.
-    clean: set[int] = set()
-    scanned = 0
-    for msg in world.sim.delivered + [m for m, _r, _o in world.sim.dropped]:
-        scanned += 1
-        opaque = msg.session is not None and msg.session.established
-        if opaque or id(msg.payload) in clean:
-            continue
-        if contains_secret(msg.payload):
-            return False, f"secret in cleartext {msg.kind} {msg.src}->{msg.dst}"
-        clean.add(id(msg.payload))
+    # The simulation checked each message as it was delivered or dropped.
+    sim = world.sim
+    if sim.secret_leak is not None:
+        return False, sim.secret_leak
+    scanned = len(sim.delivered) + len(sim.dropped)
     return True, f"{scanned} messages scanned, secrets only on attested channels"

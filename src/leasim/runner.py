@@ -359,7 +359,12 @@ def _schedule_polls(world: World, pollers: list[tuple[str, str, dict]]) -> None:
 
 
 def _schedule_gossip(world: World) -> None:
-    """One-hop owner-record sync along each edge, every gossip_interval."""
+    """One-hop owner-record sync along each edge, every gossip_interval.
+
+    Like the poll sweep, it stops after the first tick at which mining has
+    stopped or slot selection is over: the records and ``last_poll`` marks it
+    carries are read only while selection is open.
+    """
     sim, spec = world.sim, world.spec
 
     def tick() -> None:
@@ -376,7 +381,7 @@ def _schedule_gossip(world: World) -> None:
                     elif record.last_poll > mine.last_poll:
                         mine.last_poll = record.last_poll
                         mine.endpoint = record.endpoint
-        if not world.node.stopped:
+        if not world.node.stopped and _selection_open(world):
             sim.schedule(spec.topology.gossip_interval, tick)
 
     sim.schedule(spec.topology.gossip_interval, tick)

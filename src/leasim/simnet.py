@@ -15,6 +15,11 @@ Cut points 1-5 name the five protocol messages an adversary can sever:
 
 Every drop is logged with the single rule (and owning adversary) that caused
 it, which is what fairness verdicts later cite as evidence.
+
+Credentials and keys travel wrapped in ``Secret``. The simulation checks each
+cleartext message as it is delivered or dropped and keeps the first one that
+carries a Secret (``Simulation.secret_leak``), so no message has to outlive
+its delivery for the report to check that no secret left an attested session.
 """
 from __future__ import annotations
 
@@ -46,6 +51,40 @@ class Session:
     peer_a: str
     peer_b: str
     established: bool = True
+
+
+@dataclass(frozen=True)
+class Secret:
+    """Taint tag for credential/key material."""
+
+    label: str
+    value: str
+
+    def __repr__(self) -> str:  # never leak material into logs
+        return f"Secret({self.label})"
+
+
+# Types contains_secret has met and found it never looks into. Whether it
+# looks into a value depends only on the value's type, so this only grows.
+_LEAF_TYPES: set[type] = set()
+
+
+def contains_secret(obj) -> bool:
+    """Whether ``obj`` is a Secret, or a dict, list, tuple, set or frozenset
+    holding one at any depth. Other objects, dataclasses included, are not
+    looked into."""
+    if isinstance(obj, Secret):
+        return True
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple, set, frozenset)):
+        _LEAF_TYPES.add(type(obj))
+        return False
+    # Payloads are mostly flat: a value of a known leaf type costs no call.
+    for value in obj:
+        if type(value) not in _LEAF_TYPES and contains_secret(value):
+            return True
+    return False
 
 
 @dataclass(slots=True)
@@ -276,7 +315,10 @@ class Simulation:
         self._stamp_at: float | None = None  # the sim.now that _stamp_text shows
         self._stamp_text = ""
         self.dropped: list[tuple[Message, str, str]] = []  # (msg, rule_id, rule_owner)
-        self.delivered: list[Message] = []
+        # msg_ids of delivered messages; a Message is freed once its handler returns
+        self.delivered: list[int] = []
+        # the first cleartext message seen carrying a Secret, as verify reports it
+        self.secret_leak: str | None = None
 
     # -- scheduling --------------------------------------------------------
 
@@ -328,6 +370,12 @@ class Simulation:
             self._stamp_text = f"t={now:.6f} actor="
         return self._stamp_text
 
+    def _check_cleartext(self, msg: Message) -> None:
+        """Record ``msg`` as the leak if the host can read a Secret in it.
+        Called as each message is delivered or dropped."""
+        if self.secret_leak is None and contains_secret(self.host_visible_payload(msg)):
+            self.secret_leak = f"secret in cleartext {msg.kind} {msg.src}->{msg.dst}"
+
     def send(
         self,
         src: str,
@@ -367,6 +415,7 @@ class Simulation:
         if net._drops_at.get(cut_point, net._drops_at[None]):
             rule = net._drop_rule_for(msg, now)
             if rule is not None:
+                self._check_cleartext(msg)
                 self.dropped.append((msg, rule.rule_id, rule.owner))
                 lines.append(f"{self._stamp()}{src} kind=drop:{kind} rule={rule.rule_id}"
                              f" by={rule.owner}{tail}")
@@ -389,6 +438,7 @@ class Simulation:
             rule_id = killed[1]
             lines.append(f"{self._stamp()}{dst} kind=drop_dead:{msg.kind}"
                          f" msg={msg.msg_id} rule={rule_id}")
+            self._check_cleartext(msg)
             self.dropped.append((msg, rule_id, "host"))
             return
         actor = self.actors.get(dst)
@@ -396,7 +446,8 @@ class Simulation:
             lines.append(f"{self._stamp()}{dst} kind=drop_unknown:{msg.kind} msg={msg.msg_id}")
             return
         lines.append(f"{self._stamp()}{dst} kind=recv:{msg.kind} msg={msg.msg_id} src={msg.src}")
-        self.delivered.append(msg)
+        self._check_cleartext(msg)
+        self.delivered.append(msg.msg_id)
         actor.receive(msg, self)
 
     def host_visible_payload(self, msg: Message) -> dict | None:

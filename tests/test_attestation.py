@@ -1,10 +1,14 @@
 """Attestation mesh: measurement gating, enlistment, key escrow rules."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leasim import attestation as att
 from leasim import simnet
+from leasim.ledger import BlockHeader
 
 GOOD = att.Measurement("m-good")
 EVIL = att.Measurement("m-evil")
@@ -110,6 +114,56 @@ class TestEscrow:
             mesh.authorize_recovery(sim, "iface", "pay")
 
 
+def reference_contains_secret(obj) -> bool:
+    """``contains_secret`` as a plain recursive walk, the oracle for its fast path."""
+    if isinstance(obj, att.Secret):
+        return True
+    if isinstance(obj, dict):
+        return any(reference_contains_secret(v) for v in obj.values())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return any(reference_contains_secret(v) for v in obj)
+    return False
+
+
+class SubSecret(att.Secret):
+    pass
+
+
+class SubDict(dict):
+    pass
+
+
+class SubList(list):
+    pass
+
+
+@dataclass(frozen=True)
+class Holder:
+    """An object that holds a Secret but is not a container."""
+
+    inner: object
+
+
+HEADER = BlockHeader(1, b"\0" * 32, b"\1" * 32, 7, b"\2" * 32)
+_TEXT = st.text(max_size=3)
+_SECRETS = st.one_of(st.builds(att.Secret, _TEXT, _TEXT), st.builds(SubSecret, _TEXT, _TEXT))
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), _TEXT, _SECRETS,
+    st.just(HEADER), st.builds(Holder, _SECRETS),
+)
+HASHABLE = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3).map(tuple), st.frozensets(inner, max_size=3)), max_leaves=8)
+VALUES = st.recursive(HASHABLE, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.lists(inner, max_size=4).map(SubList),
+    st.dictionaries(_TEXT, inner, max_size=4),
+    st.dictionaries(_TEXT, inner, max_size=4).map(SubDict),
+    st.sets(HASHABLE, max_size=3),
+    st.frozensets(HASHABLE, max_size=3),
+), max_leaves=20)
+
+
 class TestSecretTaint:
     def test_secret_repr_hides_material(self):
         s = att.Secret("owner1:password", "hunter2")
@@ -119,3 +173,15 @@ class TestSecretTaint:
         s = att.Secret("cred", "x")
         assert att.contains_secret({"a": [1, {"b": (s,)}]})
         assert not att.contains_secret({"a": [1, {"b": "just strings"}]})
+
+    def test_objects_are_not_looked_into(self):
+        s = att.Secret("cred", "x")
+        assert not att.contains_secret(Holder(s))
+        assert not att.contains_secret(HEADER)
+        assert not att.contains_secret({"h": HEADER, "w": [Holder(s), (Holder(s),)]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(LEAVES, HASHABLE, VALUES))
+    def test_matches_the_recursive_walk(self, value):
+        assert att.contains_secret(value) == reference_contains_secret(value)
+

@@ -6,6 +6,7 @@ Worlds are cached per scenario so several tests can share one run.
 """
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -17,12 +18,13 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import leasim
+from leasim import runner
 from leasim.attestation import Secret
 from leasim.interface_enclave import RESOLVED, InterfaceEnclave
 from leasim.report import build_report, report_digest, verify_world
-from leasim.runner import POLL_AT, estimate_schedule, run_scenario
+from leasim.runner import POLL_AT, build_world, estimate_schedule, run_scenario
 from leasim.scenario import SAFE_LOADER, SchemaError, load_scenario, parse_scenario
-from leasim.simnet import Message, Session
+from leasim.simnet import Message, Session, Simulation
 
 _worlds: dict[str, object] = {}
 
@@ -356,6 +358,21 @@ class TestEventTrafficScaling:
         assert events[200] / events[100] <= 2.1
 
 
+class TestDeliveredMessagesFreed:
+    def test_only_dropped_messages_outlive_the_run(self):
+        """A delivered Message is freed once its handler returns; only
+        ``sim.dropped``, which the report's blame reads, keeps Messages."""
+
+        def live_messages() -> int:
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is Message)
+
+        before = live_messages()
+        world = run_scenario(parse_scenario(ladder_shape(200, 4, 4)))
+        assert len(world.sim.delivered) > 10_000
+        assert live_messages() - before <= len(world.sim.dropped)
+
+
 class TestOpenSlotCount:
     """Campaign.open_slots always equals a scan for unresolved slots."""
 
@@ -444,6 +461,33 @@ class TestDistributed:
         assert "gossip_owner" in world.sim.log.text()
         # records enrolled at b became selectable at a
         assert {"o1", "o2", "o3"} <= set(world.groups["a"].enclave.owners)
+
+    def test_gossip_stops_with_slot_selection(self, monkeypatch):
+        """No gossip tick runs after the first one that finds mining stopped
+        or slot selection over, and the records it syncs are unchanged."""
+        ticks: list[bool] = []  # per tick: was selection over when it ended?
+        world = None
+        schedule = Simulation.schedule
+
+        def recording(sim, delay, fn):
+            if fn.__qualname__ == "_schedule_gossip.<locals>.tick":
+                def tick(fn=fn):
+                    fn()
+                    ticks.append(world.node.stopped or not runner._selection_open(world))
+                return schedule(sim, delay, tick)
+            return schedule(sim, delay, fn)
+
+        monkeypatch.setattr(Simulation, "schedule", recording)
+        path = resources.files("leasim") / "scenarios" / "distributed.yaml"
+        spec = load_scenario(str(path))
+        world = build_world(spec)
+        world.sim.run(until=spec.timing.horizon)
+        assert len(ticks) > 100 and ticks == [False] * (len(ticks) - 1) + [True]
+        assert [line for line in world.sim.log.lines if "kind=gossip_owner" in line] == [
+            "t=0.250000 actor=iface:b kind=gossip_owner owner=o1 via=iface:a",
+            "t=0.250000 actor=iface:a kind=gossip_owner owner=o2 via=iface:b",
+            "t=0.250000 actor=iface:a kind=gossip_owner owner=o3 via=iface:b",
+        ]
 
 
 class TestP2P:
@@ -646,12 +690,42 @@ class TestScenarioLoader:
             load_scenario(path)
 
 
+class _Probe:
+    """An actor that accepts any message and keeps nothing."""
+
+    def receive(self, msg, sim):
+        pass
+
+
 class TestSecretTaint:
-    """verify_world scans each distinct payload once but counts every message."""
+    """verify_world names the first cleartext message that carried a Secret,
+    delivered or dropped, and counts every delivered and dropped message."""
 
     def taint_check(self, world) -> tuple[bool, str]:
         (check,) = [c for c in verify_world(world) if c[0] == "no_unsessioned_secrets"]
         return check[1], check[2]
+
+    @staticmethod
+    def run_with(script):
+        """Run a 2-slot honest ladder with an extra ``probe`` actor, after
+        ``script(sim)`` has installed rules and scheduled extra traffic."""
+        spec = parse_scenario(ladder_shape(2, 1, 1))
+        world = build_world(spec)
+        world.sim.register("probe", _Probe())
+        script(world.sim)
+        world.sim.run(until=spec.timing.horizon)
+        return world
+
+    @staticmethod
+    def fates(world, kind: str | None = None) -> list[str]:
+        """The fates (send, recv, drop, drop_dead, ...) logged for every
+        message, or for the messages of one ``kind``, in log order."""
+        out = []
+        for line in world.sim.log.lines:
+            fate, sep, msg_kind = line.split(" ", 3)[2][5:].partition(":")
+            if sep and kind in (None, msg_kind):
+                out.append(fate)
+        return out
 
     def test_shared_payload_with_a_secret_fails(self):
         world = run_scenario(parse_scenario(ladder_shape(2, 1, 1)))
@@ -660,13 +734,52 @@ class TestSecretTaint:
         assert ok and why.startswith(f"{scanned} messages scanned")
 
         shared = {"login": ["user0", Secret("password", "pw-0")]}
-        session = Session("s-test", "owner:o0", "iface:0")
-        for n, sealed in enumerate([True] * 5 + [False] * 5):
-            world.sim.delivered.append(Message(
-                10_000 + n, "owner:o0", "iface:0", "poll", shared, 0.0,
-                session if sealed else None))
+        session = Session("s-test", "owner:o0", "probe")
+
+        def send_all(sim):
+            for n, sealed in enumerate([True] * 5 + [False] * 5):
+                sim.send("owner:o0", "probe", f"m{n}", shared,
+                         session=session if sealed else None, latency=0.5)
+
+        world = self.run_with(lambda sim: sim.schedule_at(1.0, lambda: send_all(sim)))
+        assert [self.fates(world, f"m{n}") for n in range(10)] == [["send", "recv"]] * 10
         ok, why = self.taint_check(world)
-        assert not ok and why == "secret in cleartext poll owner:o0->iface:0"
+        assert not ok and why == "secret in cleartext m5 owner:o0->probe"
+
+    def test_secret_dropped_by_a_host_rule_fails(self):
+        def script(sim):
+            sim.net.set_cut(kind="leak")
+            sim.schedule_at(1.0, lambda: sim.send(
+                "owner:o0", "probe", "leak", {"key": Secret("key", "k-0")}))
+
+        world = self.run_with(script)
+        assert self.fates(world, "leak") == ["drop"]
+        assert self.taint_check(world) == (False, "secret in cleartext leak owner:o0->probe")
+
+    def test_secret_sent_to_a_killed_receiver_fails(self):
+        def script(sim):
+            sim.net.kill_enclave("probe", at_time=1.0)
+            sim.schedule_at(1.0, lambda: sim.send(
+                "owner:o0", "probe", "leak", {"key": Secret("key", "k-0")}, latency=0.5))
+
+        world = self.run_with(script)
+        assert self.fates(world, "leak") == ["send", "drop_dead"]
+        assert self.taint_check(world) == (False, "secret in cleartext leak owner:o0->probe")
+
+    def test_scanned_count_is_every_delivered_and_dropped_message(self):
+        def script(sim):
+            sim.net.set_cut(kind="cut")
+            sim.net.kill_enclave("probe", at_time=2.0)
+            for kind, at in (("ok", 1.0), ("cut", 1.0), ("dead", 2.5)):
+                sim.schedule_at(at, lambda kind=kind: sim.send(
+                    "owner:o0", "probe", kind, {"endpoint": "home"}))
+
+        world = self.run_with(script)
+        assert [self.fates(world, k) for k in ("ok", "cut", "dead")] == [
+            ["send", "recv"], ["drop"], ["send", "drop_dead"]]
+        scanned = sum(1 for fate in self.fates(world) if fate in ("recv", "drop", "drop_dead"))
+        ok, why = self.taint_check(world)
+        assert ok and why.startswith(f"{scanned} messages scanned")
 
     def test_shared_clean_payload_counts_every_message(self):
         world = run_scenario(parse_scenario(ladder_shape(2, 1, 1)))

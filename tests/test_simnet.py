@@ -69,7 +69,7 @@ class TestDeterminism:
             dst = sim.rng.choice(["b", "c"])
             sim.send("a", dst, "msg", {"i": i}, latency=sim.rng.uniform(0.1, 2.0))
         sim.run()
-        return sim.log.digest(), [m.msg_id for m in sim.delivered]
+        return sim.log.digest(), list(sim.delivered)
 
     def test_same_seed_same_trace(self):
         assert self.scripted_run(42) == self.scripted_run(42)
@@ -306,17 +306,18 @@ class TestHostPowerSurface:
     def test_attested_payload_opaque_to_host(self):
         sim, recs = mk_sim()
         sess = simnet.Session("s1", "a", "b")
-        sim.send("a", "b", "svc_request", {"password": "pw"}, session=sess)
+        msg = sim.send("a", "b", "svc_request", {"password": "pw"}, session=sess)
         sim.run()
-        msg = sim.delivered[0]
+        assert sim.delivered == [msg.msg_id]
         assert sim.host_visible_payload(msg) is None
         assert recs["b"].inbox[0][2] == {"password": "pw"}
 
     def test_unsessioned_payload_visible(self):
         sim, _ = mk_sim()
-        sim.send("a", "b", "tx_broadcast", {"tx": "..."})
+        msg = sim.send("a", "b", "tx_broadcast", {"tx": "..."})
         sim.run()
-        assert sim.host_visible_payload(sim.delivered[0]) == {"tx": "..."}
+        assert sim.delivered == [msg.msg_id]
+        assert sim.host_visible_payload(msg) == {"tx": "..."}
 
     def test_host_control_has_no_forge_primitive(self):
         # the only mutations exposed are drop/delay/kill/eclipse style controls
