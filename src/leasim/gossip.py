@@ -1,8 +1,10 @@
 """Multi-enclave topologies: record gossip and P2P owner registration.
 
-The gossip core is deliberately pure: a round is a function of (topology,
-states) so convergence can be checked against graph-distance oracles without
-running a simulation. The simulation runner layers message delivery on top.
+One engine: ``gossip_round`` sends each node's changed records to its
+neighbours in batches, and ``merge`` applies a batch under a per-mode
+preference. A pure round merges at once, so convergence can be checked
+against graph-distance oracles; the distributed-mode runner sends each batch
+over the simulated network instead.
 """
 from __future__ import annotations
 
@@ -50,77 +52,81 @@ class Topology:
         want = "p2p" if self.mode == "p2p" else "interface"
         return sorted(n for n, kind in self.nodes.items() if kind == want)
 
-    def reachable_from(self, start: str) -> set[str]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for other in self.neighbors(node):
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        return seen
-
 
 @dataclass
 class GossipState:
-    """Per-node known records; `fresh` holds ids learned since the last round."""
+    """Per-node known records; ``fresh`` holds, per node and in order, the ids
+    of records it took or changed since its last round."""
 
     known: dict[str, dict[str, object]] = field(default_factory=dict)
-    fresh: dict[str, list[str]] = field(default_factory=dict)
+    fresh: dict[str, dict[str, None]] = field(default_factory=dict)
 
     def node(self, node_id: str) -> dict[str, object]:
-        self.fresh.setdefault(node_id, [])
+        self.fresh.setdefault(node_id, {})
         return self.known.setdefault(node_id, {})
 
     def enroll(self, node_id: str, record_id: str, record: object) -> None:
-        store = self.node(node_id)
-        if record_id not in store:
-            store[record_id] = record
-            self.fresh[node_id].append(record_id)
+        merge(self.node(node_id), self.fresh[node_id], {record_id: record})
 
     def knows(self, node_id: str, record_id: str) -> bool:
         return record_id in self.known.get(node_id, {})
 
 
+def first_wins(new: object, current: object) -> bool:
+    """The preference of pure rounds: a known record is never replaced."""
+    return False
+
+
+def merge(store: dict[str, object], fresh: dict[str, None],
+          batch: dict[str, object], prefer=first_wins) -> list[str]:
+    """Take each record ``store`` lacks or ``prefer(new, current)`` favours,
+    and mark it in ``fresh`` to pass on next round; returns the ids taken."""
+    taken = []
+    for record_id, record in batch.items():
+        current = store.get(record_id)
+        if current is None or prefer(record, current):
+            store[record_id] = record
+            fresh[record_id] = None
+            taken.append(record_id)
+    return taken
+
+
 def gossip_round(topology: Topology, state: GossipState,
-                 batch_size: int = GOSSIP_BATCH) -> list[tuple[str, str, list[str]]]:
+                 batch_size: int = GOSSIP_BATCH, prefer=first_wins,
+                 send=None) -> list[tuple[str, str, dict[str, object]]]:
     """One synchronous round; returns the (src, dst, batch) messages sent.
 
-    Every node sends everything it learned since the previous round to all
-    interface neighbors, chunked into batches. Knowledge only grows.
+    Every interface node sends its ``fresh`` records, id -> record, to each
+    interface neighbour in batches, and its ``fresh`` set empties. Then each
+    batch is merged at its destination with ``prefer``, or, given ``send``,
+    handed to ``send(src, dst, batch)`` for the destination to merge.
     """
-    sends: list[tuple[str, str, list[str]]] = []
-    outgoing = {node: list(ids) for node, ids in state.fresh.items() if ids}
-    for node in state.fresh:
-        state.fresh[node] = []
     members = set(topology.interface_nodes())
-    for node in sorted(outgoing):
-        if node not in members:
+    sends = []
+    for node in sorted(state.fresh):
+        ids = list(state.fresh[node])
+        state.fresh[node].clear()
+        if not ids or node not in members:
             continue
-        batches = [
-            outgoing[node][i:i + batch_size]
-            for i in range(0, len(outgoing[node]), batch_size)
-        ]
+        store = state.known[node]
+        batches = [{record_id: store[record_id] for record_id in ids[i:i + batch_size]}
+                   for i in range(0, len(ids), batch_size)]
         for neighbor in topology.neighbors(node):
-            if neighbor not in members:
-                continue
-            for batch in batches:
-                sends.append((node, neighbor, list(batch)))
+            if neighbor in members:
+                sends += [(node, neighbor, batch) for batch in batches]
     for src, dst, batch in sends:
-        store = state.node(dst)
-        for record_id in batch:
-            if record_id not in store:
-                store[record_id] = state.known[src][record_id]
-                state.fresh[dst].append(record_id)
+        if send is None:
+            merge(state.node(dst), state.fresh[dst], batch, prefer)
+        else:
+            send(src, dst, batch)
     return sends
 
 
 def rounds_until_quiet(topology: Topology, state: GossipState,
-                       limit: int = 1000) -> int:
+                       prefer=first_wins, limit: int = 1000) -> int:
     """Run rounds until no messages flow; returns the number of active rounds."""
     for done in range(limit):
-        if not gossip_round(topology, state):
+        if not gossip_round(topology, state, prefer=prefer):
             return done
     raise TopologyError("gossip did not converge")
 
@@ -165,35 +171,15 @@ class P2PRegistry:
         claim = CpuBinding(cpu.cpu_id, owner_id, node_id, now)
         store = self.state.node(node_id)
         existing = store.get(cpu.cpu_id)
-        if existing is not None:
-            if existing.owner_id == owner_id and existing.node_id == node_id:
-                return True  # idempotent re-registration
-            if existing.precedes(claim):
-                return False  # CpuAlreadyBound in this node's view
-        store[cpu.cpu_id] = claim if existing is None or claim.precedes(existing) \
-            else existing
-        if cpu.cpu_id not in self.state.fresh[node_id]:
-            self.state.fresh[node_id].append(cpu.cpu_id)
-        return store[cpu.cpu_id].owner_id == owner_id
+        if existing is not None and (existing.owner_id, existing.node_id) == (owner_id, node_id):
+            return True  # idempotent re-registration
+        # an earlier claim in this node's view keeps the CPU (CpuAlreadyBound)
+        return bool(merge(store, self.state.fresh[node_id], {cpu.cpu_id: claim},
+                          CpuBinding.precedes))
 
     def converge(self) -> None:
         """Gossip claims to a fixpoint, merging conflicts to the earliest."""
-        for _ in range(len(self.topology.nodes) + 1):
-            sends = []
-            for node in sorted(self.state.known):
-                store = self.state.known[node]
-                for neighbor in self.topology.neighbors(node):
-                    sends.append((neighbor, dict(store)))
-            changed = False
-            for dst, payload in sends:
-                store = self.state.node(dst)
-                for cpu_id, claim in payload.items():
-                    current = store.get(cpu_id)
-                    if current is None or claim.precedes(current):
-                        store[cpu_id] = claim
-                        changed = True
-            if not changed:
-                return
+        rounds_until_quiet(self.topology, self.state, CpuBinding.precedes)
 
     def bound_owner(self, node_id: str, cpu_id: str) -> str | None:
         claim = self.state.known.get(node_id, {}).get(cpu_id)

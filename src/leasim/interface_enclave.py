@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import ledger
 from .attestation import AttestationMesh, EnclaveIdentity, RecoveryRefused, Secret
 from .coins import rate_floor
+from .gossip import merge
 from .simnet import Message, Session, Simulation
 
 NONCE_TIMEOUT = 5.0
@@ -23,10 +24,6 @@ NONCE_TIMEOUT = 5.0
 RESOLVED = ("confirmed", "reverted", "timeout", "failed",
             "skipped_inconsistent", "skipped_unreachable", "cancelled")
 BURNED_STATUSES = ("timeout",)  # plus confirmed-but-unsettled, decided at termination
-
-
-class QuoteError(Exception):
-    pass
 
 
 @dataclass
@@ -55,6 +52,10 @@ class OwnerRecord:
     endpoint: str
     services: dict[str, dict]  # sid -> {username, password: Secret, policy: Policy}
     last_poll: float
+
+    def polled_after(self, other: OwnerRecord) -> bool:
+        """The preference gossip merges owner records by."""
+        return self.last_poll > other.last_poll
 
 
 @dataclass
@@ -176,6 +177,7 @@ class InterfaceEnclave:
         self.payment_enclaves = list(payment_enclaves)
         self.node_id = node_id
         self.owners: dict[str, OwnerRecord] = {}
+        self.changed: dict[str, None] = {}  # owner ids to gossip next round, in order
         self.campaigns: dict[str, Campaign] = {}
         self._campaign_seq = 0
         self._pending_enroll: dict[str, dict] = {}  # nonce -> state
@@ -286,6 +288,7 @@ class InterfaceEnclave:
             services=state["accepted"],
             last_poll=sim.now,
         )
+        self.changed[owner_id] = None
         sim.log.emit(sim.now, self.actor_id, "owner_enrolled", owner=owner_id,
                      services=len(state["accepted"]))
         sim.send(self.actor_id, state["reply_to"], "enrolled",
@@ -297,6 +300,26 @@ class InterfaceEnclave:
         if record is not None:
             record.last_poll = sim.now
             record.endpoint = msg.payload.get("endpoint", record.endpoint)
+            self.changed[record.owner_id] = None
+
+    # ------------------------------------------------------------------
+    # owner-record gossip (distributed mode)
+
+    def send_gossip(self, sim: Simulation, peer: str,
+                    records: dict[str, OwnerRecord]) -> None:
+        """One round's batch for a neighbouring interface. Records travel as
+        plain dicts, so the wire check sees the credentials they carry."""
+        sim.send(self.actor_id, peer, "gossip_batch",
+                 {"records": [dict(vars(record)) for record in records.values()]},
+                 session=self._session_for(sim, peer))
+
+    def _on_gossip_batch(self, msg: Message, sim: Simulation) -> None:
+        records = {r["owner_id"]: OwnerRecord(**r) for r in msg.payload["records"]}
+        learned = [owner_id for owner_id in records if owner_id not in self.owners]
+        merge(self.owners, self.changed, records, OwnerRecord.polled_after)
+        for owner_id in learned:
+            sim.log.emit(sim.now, self.actor_id, "gossip_owner", owner=owner_id,
+                         via=msg.src)
 
     # ------------------------------------------------------------------
     # quoting and selection

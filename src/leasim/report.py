@@ -12,6 +12,7 @@ import hashlib
 import json
 
 from .coins import fmt
+from .interface_enclave import InterfaceEnclave
 from .ledger import BURN_ADDRESS
 from .runner import World
 
@@ -76,19 +77,11 @@ def _slot_entry(world: World, campaign, slot, logged: dict) -> dict:
             "tx_id": slot.settlement_tx,
             "landed": _landed(world, slot.settlement_tx),
         },
-        "burns": _slot_burns(slot),
+        "burns": InterfaceEnclave._burns(slot),
     }
 
 
-def _slot_burns(slot) -> bool:
-    from .interface_enclave import InterfaceEnclave
-
-    return InterfaceEnclave._burns(slot)
-
-
 def _campaign_entry(world: World, campaign, logged: dict) -> dict:
-    from .interface_enclave import InterfaceEnclave
-
     slots = [
         _slot_entry(world, campaign, s, logged)
         for s in sorted(campaign.slots.values(), key=lambda s: s.index)
@@ -131,10 +124,7 @@ def _campaign_entry(world: World, campaign, logged: dict) -> dict:
         if s["status"] == "confirmed" and s["effect_claimed"]
         and not s["ground_truth"]["public_effect"]
     ]
-    try:
-        collusive = world.spec.service(campaign.service_id).collusion
-    except Exception:
-        collusive = False
+    collusive = world.spec.service(campaign.service_id).collusion
     funding_tx = campaign.funding_tx
     return {
         "campaign_id": campaign.campaign_id,

@@ -8,15 +8,17 @@ off the returned World.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import ledger
 from .attestation import AttestationMesh, EnclaveIdentity, Measurement, Secret
 from .gossip import (
     CpuIdentity,
+    GossipState,
     NoCompliantNodes,
     P2PRegistry,
     Topology,
+    gossip_round,
     p2p_broadcast_campaign,
 )
 from .interface_enclave import InterfaceEnclave, Policy
@@ -24,8 +26,8 @@ from .parties import CampaignIntent, OwnerActor, ProxyActor, RenterActor
 from .payment_enclave import PaymentEnclave
 from .scenario import ScenarioSpec
 from .service_enclave import LatencyModel, ServiceEnclave
-from .services import ServiceActorAdapter, SocialService, VotingService
-from .simnet import CUT_OWNER_CHAIN, Session, Simulation
+from .services import ServiceAction, ServiceActorAdapter, SocialService, VotingService
+from .simnet import CUT_OWNER_CHAIN, Simulation
 
 ENROLL_AT = 0.0
 POLL_AT = 0.25
@@ -359,28 +361,24 @@ def _schedule_polls(world: World, pollers: list[tuple[str, str, dict]]) -> None:
 
 
 def _schedule_gossip(world: World) -> None:
-    """One-hop owner-record sync along each edge, every gossip_interval.
+    """One ``gossip_round`` over the interface edges every gossip_interval.
+    Each batch goes on the wire as a ``gossip_batch``, merged on delivery.
 
     Like the poll sweep, it stops after the first tick at which mining has
     stopped or slot selection is over: the records and ``last_poll`` marks it
     carries are read only while selection is open.
     """
-    sim, spec = world.sim, world.spec
+    sim, spec, ifaces = world.sim, world.spec, world.ifaces
+    topology = Topology.build(
+        "distributed", {iface_id: "interface" for iface_id in ifaces},
+        [(f"iface:{a}", f"iface:{b}") for a, b in spec.topology.edges],
+    )
+    state = GossipState({i: iface.owners for i, iface in ifaces.items()},
+                        {i: iface.changed for i, iface in ifaces.items()})
 
     def tick() -> None:
-        for a, b in spec.topology.edges:
-            for src, dst in ((a, b), (b, a)):
-                src_if = world.groups[src].enclave
-                dst_if = world.groups[dst].enclave
-                for owner_id, record in sorted(src_if.owners.items()):
-                    mine = dst_if.owners.get(owner_id)
-                    if mine is None:
-                        dst_if.owners[owner_id] = replace(record)
-                        sim.log.emit(sim.now, dst_if.actor_id, "gossip_owner",
-                                     owner=owner_id, via=src_if.actor_id)
-                    elif record.last_poll > mine.last_poll:
-                        mine.last_poll = record.last_poll
-                        mine.endpoint = record.endpoint
+        gossip_round(topology, state,
+                     send=lambda src, dst, batch: ifaces[src].send_gossip(sim, dst, batch))
         if not world.node.stopped and _selection_open(world):
             sim.schedule(spec.topology.gossip_interval, tick)
 
@@ -390,11 +388,8 @@ def _schedule_gossip(world: World) -> None:
 def _install_host_script(world: World) -> None:
     spec, sim = world.spec, world.sim
     for cut in spec.host.cuts:
-        campaign_id = None
-        if cut.campaign_index is not None:
-            if cut.campaign_index >= len(world.expected_campaign_ids):
-                continue
-            campaign_id = world.expected_campaign_ids[cut.campaign_index]
+        campaign_id = (None if cut.campaign_index is None
+                       else world.expected_campaign_ids[cut.campaign_index])
         sim.net.set_cut(
             cut.cut_point, owner=cut.rule_owner, kind=cut.kind, src=cut.src,
             dst=cut.dst, campaign_id=campaign_id, owner_id=cut.owner_id,
@@ -552,7 +547,6 @@ def _p2p_execute(world: World, node_id: str, owner_id: str, intent) -> dict:
     backend = world.services[intent.service_id]
     ospec = next(o for o in world.spec.owners if o.owner_id == owner_id)
     entry = next(e for e in ospec.services if e.service_id == intent.service_id)
-    from .services import ServiceAction
     action = ServiceAction(intent.action_kind, intent.action_target)
     result: dict = {}
     for step in range(1, backend.PIPELINE_LENGTH + 1):

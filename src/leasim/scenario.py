@@ -177,7 +177,7 @@ class CutSpec:
     kind: str | None = None
     src: str | None = None
     dst: str | None = None
-    campaign_index: int | None = None  # resolved to a campaign_id at runtime
+    campaign_index: int | None = None  # 0-based over all renters' campaigns, in file order
     owner_id: str | None = None
     step: int | None = None
     from_time: float = 0.0
@@ -282,7 +282,8 @@ def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioSpec:
     if len(renter_ids) != len(renters):
         raise SchemaError(f"{source}.renters", "duplicate renter id")
 
-    host = _parse_host(raw.get("host", {}), f"{source}.host", owner_ids, renter_ids)
+    host = _parse_host(raw.get("host", {}), f"{source}.host", owner_ids, renter_ids,
+                       sum(len(r.campaigns) for r in renters))
 
     eclipsed_owners = {e.owner_id for e in host.eclipse}
     for i, owner in enumerate(owners):
@@ -492,7 +493,7 @@ def _parse_renter(raw: dict, path: str, service_ids: set[str]) -> RenterSpec:
 
 
 def _parse_host(raw: dict, path: str, owner_ids: set[str],
-                renter_ids: set[str]) -> HostSpec:
+                renter_ids: set[str], campaigns: int) -> HostSpec:
     _check_keys(raw, {"cuts", "delays", "kills", "eclipse"}, path)
     cuts = []
     for i, entry in enumerate(raw.get("cuts", [])):
@@ -506,15 +507,20 @@ def _parse_host(raw: dict, path: str, owner_ids: set[str],
         owner_id = entry.get("owner_id")
         if owner_id is not None and owner_id not in owner_ids:
             raise SchemaError(f"{cpath}.owner_id", f"unknown owner {owner_id!r}")
+        index, step = entry.get("campaign_index"), entry.get("step")
+        if index is not None:
+            _integer(index, f"{cpath}.campaign_index", minimum=0, maximum=campaigns - 1)
+        if step is not None:
+            _integer(step, f"{cpath}.step", minimum=1)
         until = entry.get("until_time")
         cuts.append(CutSpec(
             cut_point=cut_point,
             kind=entry.get("kind"),
             src=entry.get("src"),
             dst=entry.get("dst"),
-            campaign_index=entry.get("campaign_index"),
+            campaign_index=index,
             owner_id=owner_id,
-            step=entry.get("step"),
+            step=step,
             from_time=_number(entry.get("from_time", 0.0), f"{cpath}.from_time",
                               minimum=0.0),
             until_time=None if until is None else _number(

@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import leasim
-from leasim import runner
+from leasim import cli, runner
 from leasim.attestation import Secret
 from leasim.interface_enclave import RESOLVED, InterfaceEnclave
 from leasim.report import build_report, report_digest, verify_world
@@ -489,6 +489,48 @@ class TestDistributed:
             "t=0.250000 actor=iface:a kind=gossip_owner owner=o3 via=iface:b",
         ]
 
+    @staticmethod
+    def run_with_host(host: dict):
+        """Run ``distributed`` under a host script."""
+        path = resources.files("leasim") / "scenarios" / "distributed.yaml"
+        raw = yaml.safe_load(path.read_text())
+        raw["host"] = host
+        return run_scenario(parse_scenario(raw))
+
+    def test_cut_gossip_edge_hides_remote_owners(self):
+        world = self.run_with_host(
+            {"cuts": [{"kind": "gossip_batch", "src": "iface:b", "dst": "iface:a"}]})
+        assert set(world.groups["a"].enclave.owners) == {"o1"}
+        assert set(world.groups["b"].enclave.owners) == {"o1", "o2", "o3"}
+        campaign = only_campaign(world)
+        assert [(s.owner_id, s.status) for s in campaign.slots.values()] == [("o1", "confirmed")]
+        report = build_report(world)
+        assert report["drops"] and {(d["kind"], d["by"]) for d in report["drops"]} == {
+            ("gossip_batch", "host")}
+        assert all(ok for _, ok, _ in verify_world(world))
+
+    def test_killed_interface_neither_sends_nor_receives_gossip(self):
+        # killed at t=0, iface:b never finishes an enrollment: it has nothing
+        # to send, and iface:a's batches die at its door
+        world = self.run_with_host({"kills": [{"actor": "iface:b", "at": 0.0}]})
+        assert set(world.groups["a"].enclave.owners) == {"o1"}
+        assert TestSecretTaint.fates(world, "gossip_batch")[:2] == ["send", "drop_dead"]
+        # killed after the first round, it still holds changed records
+        world = self.run_with_host({"kills": [{"actor": "iface:b", "at": 0.3}]})
+        blocked = [line for line in world.sim.log.lines if "send_blocked:gossip_batch" in line]
+        assert blocked == ["t=0.500000 actor=iface:b kind=send_blocked:gossip_batch rule=kill1"
+                           " msg=31 src=iface:b dst=iface:a"]
+
+    def test_unsessioned_gossip_leaks_credentials(self, monkeypatch):
+        session_for = InterfaceEnclave._session_for
+        monkeypatch.setattr(
+            InterfaceEnclave, "_session_for",
+            lambda self, sim, peer: None if peer.startswith("iface:")
+            else session_for(self, sim, peer))
+        world = self.run_with_host({})
+        (check,) = [c for c in verify_world(world) if c[0] == "no_unsessioned_secrets"]
+        assert check[1:] == (False, "secret in cleartext gossip_batch iface:a->iface:b")
+
 
 class TestP2P:
     def test_cpu_flood_collapses_to_one_binding(self):
@@ -689,6 +731,27 @@ class TestScenarioLoader:
         with pytest.raises(SchemaError, match="not valid YAML"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("campaign_index", -1), ("campaign_index", "x"), ("campaign_index", 1),
+        ("step", 0), ("step", "x"),
+    ])
+    def test_bad_cut_scope_exits_2(self, tmp_path, capsys, field, value):
+        """``baseline`` has one campaign, so index 0 is the only valid one."""
+        raw = yaml.safe_load(
+            (resources.files("leasim") / "scenarios" / "baseline.yaml").read_text())
+        raw["host"] = {"cuts": [{"kind": "svc_confirm", field: value}]}
+        path = tmp_path / "bad_cut.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["verify", "--scenario", str(path)]) == 2
+        assert f"host.cuts[0].{field}" in capsys.readouterr().err
+
+    def test_cut_scope_bounds_accepted(self):
+        raw = yaml.safe_load(
+            (resources.files("leasim") / "scenarios" / "baseline.yaml").read_text())
+        raw["host"] = {"cuts": [{"kind": "svc_confirm", "campaign_index": 0, "step": 1}]}
+        (cut,) = parse_scenario(raw).host.cuts
+        assert (cut.campaign_index, cut.step) == (0, 1)
+
 
 class _Probe:
     """An actor that accepts any message and keeps nothing."""
@@ -782,10 +845,15 @@ class TestSecretTaint:
         assert ok and why.startswith(f"{scanned} messages scanned")
 
     def test_shared_clean_payload_counts_every_message(self):
-        world = run_scenario(parse_scenario(ladder_shape(2, 1, 1)))
         shared = {"endpoint": "home"}
-        before = len(world.sim.delivered) + len(world.sim.dropped)
-        world.sim.delivered += [Message(10_000 + n, "owner:o0", "iface:0", "poll", shared, 0.0)
-                                for n in range(7)]
+
+        def send_all(sim):
+            for _ in range(7):
+                sim.send("owner:o0", "probe", "clean", shared, latency=0.5)
+
+        ok, why = self.taint_check(self.run_with(lambda sim: None))
+        before = int(why.split()[0])
+        world = self.run_with(lambda sim: sim.schedule_at(1.0, lambda: send_all(sim)))
+        assert self.fates(world, "clean") == ["send"] * 7 + ["recv"] * 7
         ok, why = self.taint_check(world)
         assert ok and why.startswith(f"{before + 7} messages scanned")

@@ -11,6 +11,7 @@ from leasim.gossip import (
     P2PRegistry,
     Topology,
     TopologyError,
+    first_wins,
     gossip_round,
     p2p_broadcast_campaign,
     rounds_until_quiet,
@@ -46,12 +47,6 @@ class TestTopology:
             "distributed", {x: "interface" for x in "abc"}, [("b", "a"), ("b", "c")]
         )
         assert topo.neighbors("b") == ["a", "c"]
-
-    def test_reachability(self):
-        g = nx.Graph([(0, 1), (2, 3)])
-        g.add_nodes_from([0, 1, 2, 3])
-        topo = mesh(g)
-        assert topo.reachable_from("n0") == {"n0", "n1"}
 
 
 class TestGossipRound:
@@ -92,6 +87,15 @@ class TestGossipRound:
         to_n1 = [batch for src, dst, batch in sends if dst == "n1"]
         assert [len(b) for b in to_n1] == [64, 64, 22]
         assert all(state.knows("n1", f"rec{i:03d}") for i in range(150))
+
+    def test_preference_replaces_known_records(self):
+        topo = mesh(nx.path_graph(3))
+        for prefer, want in ((first_wins, [1, 1, 5]), (lambda new, cur: new > cur, [5, 5, 5])):
+            state = GossipState()
+            state.enroll("n0", "rec", 1)
+            state.enroll("n2", "rec", 5)
+            rounds_until_quiet(topo, state, prefer)
+            assert [state.node(f"n{v}")["rec"] for v in range(3)] == want
 
     def test_convergence_within_eccentricity(self):
         rng = random.Random(11)
