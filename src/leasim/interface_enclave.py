@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ledger
-from .attestation import AttestationMesh, EnclaveIdentity, RecoveryRefused, Secret
+from .attestation import AttestationMesh, EnclaveIdentity, RecoveryRefused
 from .coins import rate_floor
 from .gossip import merge
 from .simnet import Message, Session, Simulation
@@ -49,7 +49,6 @@ class OwnerRecord:
     owner_id: str
     payout_address: str
     proxy_id: str
-    endpoint: str
     services: dict[str, dict]  # sid -> {username, password: Secret, policy: Policy}
     last_poll: float
 
@@ -83,13 +82,10 @@ class ShareInfo:
     index: int
     payment_id: str
     address: str
-    initial_value: int
     head_note_id: str
     head_value: int
     alive: bool = True
     released: bool = False
-    release_tx: str | None = None
-    swept: bool = False
 
 
 @dataclass
@@ -210,11 +206,8 @@ class InterfaceEnclave:
             "owner_id": p["owner_id"],
             "payout_address": p["payout_address"],
             "proxy_id": p["proxy_id"],
-            "endpoint": p["endpoint"],
-            "reply_to": msg.src,
             "services": p["services"],  # sid -> {username, password, policy, service_actor}
             "accepted": {},
-            "rejected": {},
             "remaining": list(p["services"]),
             "nonce": nonce,
             "done": False,
@@ -230,8 +223,8 @@ class InterfaceEnclave:
             return
         state["done"] = True
         del self._pending_enroll[nonce]
-        sim.send(self.actor_id, state["reply_to"], "enroll_failed",
-                 {"owner_id": state["owner_id"], "error": "ProxyUnreachable"})
+        sim.log.emit(sim.now, self.actor_id, "enroll_failed", owner=state["owner_id"],
+                     error="ProxyUnreachable")
 
     def _on_nonce_echo(self, msg: Message, sim: Simulation) -> None:
         state = self._pending_enroll.get(msg.payload["nonce"])
@@ -249,11 +242,10 @@ class InterfaceEnclave:
         key = f"enroll:{state['owner_id']}:{sid}"
         self._enroll_by_key[key] = state
         state["current_sid"] = sid
-        password = cred["password"]
         sim.send(
             self.actor_id, state["proxy_id"], "svc_request",
             {"state_key": key, "step": 1, "username": cred["username"],
-             "password": password.value if isinstance(password, Secret) else password,
+             "password": cred["password"].value,
              "action_kind": "login", "action_target": "-",
              "reply_to": self.actor_id, "dst_service": cred["service_actor"]},
             session=self._session_for(sim, state["proxy_id"]), step=1,
@@ -267,8 +259,6 @@ class InterfaceEnclave:
         sid = state["current_sid"]
         if msg.payload["status"] == "ok":
             state["accepted"][sid] = state["services"][sid]
-        else:
-            state["rejected"][sid] = f"BadCredentials({sid})"
         self._validate_next_credential(sim, state)
 
     def _finish_enroll(self, sim: Simulation, state: dict) -> None:
@@ -276,30 +266,24 @@ class InterfaceEnclave:
         self._pending_enroll.pop(state["nonce"], None)
         owner_id = state["owner_id"]
         if not state["accepted"]:
-            sim.send(self.actor_id, state["reply_to"], "enroll_failed",
-                     {"owner_id": owner_id, "error": "BadCredentials",
-                      "rejected": state["rejected"]})
+            sim.log.emit(sim.now, self.actor_id, "enroll_failed", owner=owner_id,
+                         error="BadCredentials")
             return
         self.owners[owner_id] = OwnerRecord(
             owner_id=owner_id,
             payout_address=state["payout_address"],
             proxy_id=state["proxy_id"],
-            endpoint=state["endpoint"],
             services=state["accepted"],
             last_poll=sim.now,
         )
         self.changed[owner_id] = None
         sim.log.emit(sim.now, self.actor_id, "owner_enrolled", owner=owner_id,
                      services=len(state["accepted"]))
-        sim.send(self.actor_id, state["reply_to"], "enrolled",
-                 {"owner_id": owner_id, "accepted": sorted(state["accepted"]),
-                  "rejected": state["rejected"]})
 
     def _on_poll(self, msg: Message, sim: Simulation) -> None:
         record = self.owners.get(msg.payload["owner_id"])
         if record is not None:
             record.last_poll = sim.now
-            record.endpoint = msg.payload.get("endpoint", record.endpoint)
             self.changed[record.owner_id] = None
 
     # ------------------------------------------------------------------
@@ -476,8 +460,7 @@ class InterfaceEnclave:
             share_note = split_tx.outputs[i][0]
             campaign.shares[i] = ShareInfo(
                 index=i, payment_id=payment_id, address=share_note.owner_address,
-                initial_value=share_note.value, head_note_id=share_note.note_id,
-                head_value=share_note.value,
+                head_note_id=share_note.note_id, head_value=share_note.value,
             )
             self.mesh.backup_keys(
                 sim, self._payment_identity(payment_id), self.identity,
@@ -526,7 +509,6 @@ class InterfaceEnclave:
         campaign.open_slots += 1
         record = self.owners[owner_id]
         cred = record.services[campaign.service_id]
-        password = cred["password"]
         sim.send(
             self.actor_id, enclave, "batch",
             {"campaign_id": campaign.campaign_id,
@@ -537,10 +519,8 @@ class InterfaceEnclave:
                  "slot_id": slot.slot_id, "owner_id": owner_id,
                  "proxy_id": record.proxy_id,
                  "username": cred["username"],
-                 "password": password if isinstance(password, Secret) else Secret(
-                     f"{owner_id}:{campaign.service_id}", password),
+                 "password": cred["password"],
                  "service_actor": cred["service_actor"],
-                 "service_id": campaign.service_id,
                  "action_kind": campaign.action_kind,
                  "action_target": campaign.action_target,
              }]},
@@ -693,7 +673,6 @@ class InterfaceEnclave:
                          payment=share.payment_id)
             return
         share.alive = False
-        share.swept = True
         sim.log.emit(sim.now, self.actor_id, "share_recovered",
                      campaign=campaign.campaign_id, share=share.index,
                      value=share.head_value)
@@ -748,8 +727,7 @@ class InterfaceEnclave:
         for share in campaign.shares.values():
             if share.alive and not share.released:
                 sim.send(self.actor_id, share.payment_id, "release_share",
-                         {"campaign_id": campaign.campaign_id,
-                          "share_index": share.index},
+                         {"campaign_id": campaign.campaign_id},
                          session=self._session_for(sim, share.payment_id),
                          campaign_id=campaign.campaign_id)
         self._maybe_finalize(sim, campaign)
@@ -763,7 +741,6 @@ class InterfaceEnclave:
         share.released = True
         tx: ledger.Transaction | None = p.get("tx")
         if tx is not None:
-            share.release_tx = tx.tx_id
             note = tx.outputs[0][0]
             campaign.escrow_notes.append((note.note_id, note.value))
         self._maybe_finalize(sim, campaign)

@@ -33,7 +33,6 @@ BURN_ADDRESS = "burn"  # no key exists for this address, by construction
 OUTPUT_KINDS = ("funding", "reward", "deposit_return", "fee", "refund", "change", "burn")
 
 DEFAULT_DIFFICULTY_BITS = 12
-DEFAULT_CONFIRMATION_DEPTH = 6
 HEADER_WINDOW = 10  # headers carried in a light chain view
 
 

@@ -29,7 +29,6 @@ class OwnerActor:
     service_backends: dict[str, object] = field(default_factory=dict)
     credentials: dict[str, tuple[str, str]] = field(default_factory=dict)  # sid -> (user, pw)
     revert_delay: float = 1.0
-    received_txs: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.profile not in OWNER_PROFILES:
@@ -61,9 +60,7 @@ class OwnerActor:
             )
         elif msg.kind == "tx_copy":
             # settlement copy: redeem by broadcasting ourselves
-            tx = p["tx"]
-            self.received_txs.append(tx.tx_id)
-            sim.send(self.actor_id, self.node_id, "tx_broadcast", {"tx": tx})
+            sim.send(self.actor_id, self.node_id, "tx_broadcast", {"tx": p["tx"]})
         elif msg.kind == "relay_note" and self.profile == "reverts_actions":
             service_id = p.get("service_id")
             backend = self.service_backends.get(service_id)
@@ -95,8 +92,7 @@ class ProxyActor:
     def receive(self, msg: Message, sim: Simulation) -> None:
         p = msg.payload
         if msg.kind == "nonce_rt":
-            sim.send(self.actor_id, p["reply_to"], "nonce_echo",
-                     {"nonce": p["nonce"], "owner_id": self.owner_id})
+            sim.send(self.actor_id, p["reply_to"], "nonce_echo", {"nonce": p["nonce"]})
         elif msg.kind == "chain_query":
             sim.send(self.actor_id, self.owner_actor, "chain_query", p,
                      campaign_id=msg.campaign_id, owner_id=self.owner_id)
@@ -113,8 +109,7 @@ class ProxyActor:
             if msg.kind == "svc_confirm":
                 # owner's device sees traffic metadata, never payload content
                 sim.send(self.actor_id, self.owner_actor, "relay_note",
-                         {"service_id": p.get("service_id"),
-                          "campaign_id": msg.campaign_id})
+                         {"service_id": p.get("service_id")})
             sim.send(self.actor_id, p["reply_to"], msg.kind, p,
                      session=msg.session, cut_point=msg.cut_point,
                      campaign_id=msg.campaign_id, owner_id=msg.owner_id, step=msg.step)
@@ -147,8 +142,6 @@ class RenterActor:
             raise ValueError(f"unknown renter view mode {self.view_mode!r}")
         self.actor_id = f"renter:{self.renter_id}"
         self.address = self.actor_id
-        self.campaigns: dict[str, dict] = {}
-        self.received_txs: list[str] = []
         self.forged_fork: ledger.Chain | None = None
         self.results: list[dict] = []
 
@@ -172,9 +165,7 @@ class RenterActor:
         elif msg.kind in ("quote_failed", "start_failed", "campaign_started"):
             self.results.append({"kind": msg.kind, **p})
         elif msg.kind == "tx_copy":
-            tx = p["tx"]
-            self.received_txs.append(tx.tx_id)
-            sim.send(self.actor_id, self.node_id, "tx_broadcast", {"tx": tx})
+            sim.send(self.actor_id, self.node_id, "tx_broadcast", {"tx": p["tx"]})
 
     # -- funding -----------------------------------------------------------
 
@@ -193,7 +184,6 @@ class RenterActor:
         tx = ledger.make_transaction([note.note_id], outputs, {self.address},
                                      memo=f"fund:{quote['campaign_id']}")
         record = {"quote": quote, "funding_tx": tx, "started": False}
-        self.campaigns[quote["campaign_id"]] = record
         if self.view_mode == "forged_fork":
             self._start_with_fork(sim, record)
         else:

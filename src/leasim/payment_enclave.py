@@ -26,7 +26,6 @@ class FundShare:
     escrow_address: str
     maintainer_address: str
     iface_id: str
-    schedule: list[dict] = field(default_factory=list)  # authorized settle orders
     issued: list[ledger.Transaction] = field(default_factory=list)
     released: bool = False
 
@@ -95,11 +94,9 @@ class PaymentEnclave:
         )
         if share.head_value - committed < cost:
             sim.send(self.actor_id, share.iface_id, "insufficient_share",
-                     {"campaign_id": share.campaign_id, "slot_id": order["slot_id"],
-                      "needed": cost, "available": share.head_value - committed},
+                     {"campaign_id": share.campaign_id, "slot_id": order["slot_id"]},
                      campaign_id=share.campaign_id)
             return
-        share.schedule.append(order)
         self.queue.append(order)
         self._pump(sim)
 
@@ -136,7 +133,7 @@ class PaymentEnclave:
                  campaign_id=share.campaign_id)
         sim.send(self.actor_id, order["owner_actor"], "tx_copy", {"tx": tx},
                  cut_point=CUT_REWARD_COPY, campaign_id=share.campaign_id,
-                 owner_id=order.get("owner_id") or order["owner_actor"].split(":", 1)[1])
+                 owner_id=order["owner_actor"].split(":", 1)[1])
         sim.send(self.actor_id, order["renter_actor"], "tx_copy", {"tx": tx},
                  cut_point=CUT_DEPOSIT_COPY, campaign_id=share.campaign_id)
         sim.send(self.actor_id, share.iface_id, "settled",

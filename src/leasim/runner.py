@@ -315,13 +315,11 @@ def _enroll_and_schedule(world: World) -> None:
         sim.send(
             owner.actor_id, iface_id, "enroll",
             {"owner_id": ospec.owner_id, "payout_address": owner.payout_address,
-             "proxy_id": owner.proxy_id, "endpoint": ospec.endpoint,
-             "services": payload_services},
+             "proxy_id": owner.proxy_id, "services": payload_services},
             session=session,
         )
         if ospec.polls:
-            pollers.append((owner.actor_id, iface_id,
-                            {"owner_id": ospec.owner_id, "endpoint": ospec.endpoint}))
+            pollers.append((owner.actor_id, iface_id, {"owner_id": ospec.owner_id}))
         if ospec.profile == "cuts_responses":
             # the owner suppresses their own chain answers; attribution is theirs
             sim.net.set_cut(CUT_OWNER_CHAIN, owner=owner.actor_id,

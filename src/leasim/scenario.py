@@ -66,6 +66,16 @@ def _text(value, path: str) -> str:
     return value
 
 
+def _optional_text(value, path: str) -> str | None:
+    return None if value is None else _text(value, path)
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(path, f"expected true or false, got {value!r}")
+    return value
+
+
 def _coins(value, path: str) -> int:
     try:
         return coins(value)
@@ -295,7 +305,8 @@ def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioSpec:
         name=name, seed=seed, chain=chain, economics=economics, latency=latency,
         timing=timing, topology=topology, services=services, owners=owners,
         renters=renters, host=host,
-        maintainer_address=raw.get("maintainer_address", "maintainer"),
+        maintainer_address=_text(raw.get("maintainer_address", "maintainer"),
+                                 f"{source}.maintainer_address"),
     )
 
 
@@ -401,7 +412,7 @@ def _parse_service(raw: dict, path: str) -> ServiceSpec:
     return ServiceSpec(
         service_id=_text(_require(raw, "id", path), f"{path}.id"),
         kind=kind,
-        collusion=bool(raw.get("collusion", False)),
+        collusion=_flag(raw.get("collusion", False), f"{path}.collusion"),
         items=[_text(v, f"{path}.items[{i}]") for i, v in enumerate(raw.get("items", []))],
         hidden_items=[_text(v, f"{path}.hidden_items[{i}]")
                       for i, v in enumerate(raw.get("hidden_items", []))],
@@ -446,18 +457,19 @@ def _parse_owner(raw: dict, path: str, service_ids: set[str],
             password=_text(_require(entry, "password", spath), f"{spath}.password"),
             price=_coins(_require(entry, "price", spath), f"{spath}.price"),
             allowed=[_text(v, f"{spath}.allowed[{j}]") for j, v in enumerate(allowed)],
-            accepts_revert_window=bool(entry.get("accepts_revert_window", True)),
+            accepts_revert_window=_flag(entry.get("accepts_revert_window", True),
+                                        f"{spath}.accepts_revert_window"),
             whitelist=whitelist,
         ))
     return OwnerSpec(
         owner_id=owner_id,
         profile=profile,
-        polls=bool(raw.get("polls", True)),
-        endpoint=raw.get("endpoint", f"device:{owner_id}"),
+        polls=_flag(raw.get("polls", True), f"{path}.polls"),
+        endpoint=_text(raw.get("endpoint", f"device:{owner_id}"), f"{path}.endpoint"),
         revert_delay=_number(raw.get("revert_delay", 1.0), f"{path}.revert_delay",
                              minimum=0.0),
         home_interface=home,
-        cpu=raw.get("cpu", "") or f"cpu:{owner_id}",
+        cpu=_text(raw.get("cpu", f"cpu:{owner_id}"), f"{path}.cpu"),
         services=services,
     )
 
@@ -515,9 +527,9 @@ def _parse_host(raw: dict, path: str, owner_ids: set[str],
         until = entry.get("until_time")
         cuts.append(CutSpec(
             cut_point=cut_point,
-            kind=entry.get("kind"),
-            src=entry.get("src"),
-            dst=entry.get("dst"),
+            kind=_optional_text(entry.get("kind"), f"{cpath}.kind"),
+            src=_optional_text(entry.get("src"), f"{cpath}.src"),
+            dst=_optional_text(entry.get("dst"), f"{cpath}.dst"),
             campaign_index=index,
             owner_id=owner_id,
             step=step,
@@ -525,7 +537,7 @@ def _parse_host(raw: dict, path: str, owner_ids: set[str],
                               minimum=0.0),
             until_time=None if until is None else _number(
                 until, f"{cpath}.until_time", minimum=0.0),
-            rule_owner=entry.get("rule_owner", "host"),
+            rule_owner=_text(entry.get("rule_owner", "host"), f"{cpath}.rule_owner"),
         ))
     delays = []
     for i, entry in enumerate(raw.get("delays", [])):
@@ -538,9 +550,9 @@ def _parse_host(raw: dict, path: str, owner_ids: set[str],
             extra=_number(_require(entry, "extra", dpath), f"{dpath}.extra",
                           minimum=0.0),
             cut_point=cut_point,
-            kind=entry.get("kind"),
-            dst=entry.get("dst"),
-            rule_owner=entry.get("rule_owner", "host"),
+            kind=_optional_text(entry.get("kind"), f"{dpath}.kind"),
+            dst=_optional_text(entry.get("dst"), f"{dpath}.dst"),
+            rule_owner=_text(entry.get("rule_owner", "host"), f"{dpath}.rule_owner"),
         ))
     kills = []
     for i, entry in enumerate(raw.get("kills", [])):

@@ -9,7 +9,7 @@ exact under zero-variance latencies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ledger
 from .attestation import EnclaveIdentity, Secret
@@ -53,7 +53,6 @@ class SlotRun:
     username: str
     password: Secret
     service_actor: str
-    service_id: str
     action_kind: str
     action_target: str
     renter_headers: list[ledger.BlockHeader]
@@ -62,10 +61,7 @@ class SlotRun:
     status: str = "pending"
     step: int = 0
     epoch: int = 0
-    started_at: float = 0.0
-    performed_at: float | None = None
-    gate_checked: tuple[bool, str] | None = None
-    detail: str = ""
+    performed: bool = False
 
 
 class ServiceEnclave:
@@ -78,7 +74,6 @@ class ServiceEnclave:
         self.queue: list[SlotRun] = []
         self.active: SlotRun | None = None
         self.cancelled: set[str] = set()
-        self.history: list[SlotRun] = []
         self._by_slot: dict[str, SlotRun] = {}
 
     # ------------------------------------------------------------------
@@ -91,8 +86,8 @@ class ServiceEnclave:
                     slot_id=entry["slot_id"], campaign_id=p["campaign_id"],
                     owner_id=entry["owner_id"], proxy_id=entry["proxy_id"],
                     username=entry["username"], password=entry["password"],
-                    service_actor=entry["service_actor"], service_id=entry["service_id"],
-                    action_kind=entry["action_kind"], action_target=entry["action_target"],
+                    service_actor=entry["service_actor"], action_kind=entry["action_kind"],
+                    action_target=entry["action_target"],
                     renter_headers=p["renter_headers"],
                     revert_window=p["revert_window"], reply_to=p["reply_to"],
                 )
@@ -127,7 +122,6 @@ class ServiceEnclave:
             return
         self.active = run
         run.status = "gating"
-        run.started_at = sim.now
         base = min(h.height for h in run.renter_headers) if run.renter_headers else 0
         sim.send(
             self.actor_id, run.proxy_id, "chain_query",
@@ -159,10 +153,8 @@ class ServiceEnclave:
                 p["headers"], run.renter_headers, self.difficulty_bits
             )
         except ledger.MalformedChain as exc:
-            run.gate_checked = (False, f"malformed: {exc}")
             self._resolve(sim, run, "skipped_inconsistent", f"malformed view: {exc}")
             return
-        run.gate_checked = (consistent, "ok" if consistent else "views diverge")
         if not consistent:
             self._resolve(sim, run, "skipped_inconsistent", "owner view diverges")
             return
@@ -199,7 +191,7 @@ class ServiceEnclave:
             self._send_step(sim, run, run.step + 1)
             return
         # confirmed: final pipeline exchange answered
-        run.performed_at = sim.now
+        run.performed = True
         run.status = "windowing"
         if run.revert_window > 0:
             epoch = run.epoch
@@ -217,16 +209,14 @@ class ServiceEnclave:
     def _verify(self, sim: Simulation, run: SlotRun) -> None:
         if not OBSERVABLE_KINDS.get(run.action_kind, False):
             # nothing to check externally; the service's word is final
-            self._resolve(sim, run, "confirmed", "unobservable; confirmation final",
-                          observable=False)
+            self._resolve(sim, run, "confirmed", "unobservable; confirmation final")
             return
         run.status = "verifying"
         run.epoch += 1
         sim.send(
             self.actor_id, run.service_actor, "svc_verify",
-            {"query": "public_effect", "username": run.username,
-             "item_id": run.action_target, "action_kind": run.action_kind,
-             "slot_id": run.slot_id},
+            {"username": run.username, "item_id": run.action_target,
+             "action_kind": run.action_kind, "slot_id": run.slot_id},
             campaign_id=run.campaign_id, owner_id=run.owner_id,
         )
         self._arm_timeout(sim, run, 3 * self.latency.mean_action, "timeout",
@@ -244,21 +234,15 @@ class ServiceEnclave:
         else:
             self._resolve(sim, run, "failed", "confirmation not externally visible")
 
-    def _resolve(self, sim: Simulation, run: SlotRun, status: str, detail: str,
-                 *, observable: bool = True) -> None:
+    def _resolve(self, sim: Simulation, run: SlotRun, status: str, detail: str) -> None:
         run.epoch += 1
         run.status = "resolved"
-        run.detail = detail
-        self.history.append(run)
         sim.log.emit(sim.now, self.actor_id, "slot_resolved", slot=run.slot_id,
                      status=status, owner=run.owner_id)
         sim.send(
             self.actor_id, run.reply_to, "slot_result",
-            {"campaign_id": run.campaign_id, "slot_id": run.slot_id,
-             "owner_id": run.owner_id, "status": status,
-             "performed": run.performed_at is not None,
-             "observable": observable, "detail": detail,
-             "duration": sim.now - run.started_at},
+            {"campaign_id": run.campaign_id, "slot_id": run.slot_id, "status": status,
+             "performed": run.performed, "detail": detail},
             campaign_id=run.campaign_id, owner_id=run.owner_id,
         )
         if self.active is run:

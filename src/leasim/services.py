@@ -15,8 +15,9 @@ Two services with opposite observability:
   vote, nobody else can).
 
 Services are passive actors: they answer request messages immediately; all
-latency is sampled by the callers. Every request records its source endpoint,
-which is what the indistinguishability invariant scans.
+latency is sampled by the callers. Each request carries the source endpoint
+the owner's proxy tagged it with, so a rented action arrives from the same
+endpoint as the owner's own.
 """
 from __future__ import annotations
 
@@ -82,7 +83,6 @@ class SocialService:
         self.ghosts: set[str] = set()
         self.items: dict[str, ItemState] = {}
         self.applied: set[tuple[str, str, str]] = set()  # (account, item, kind)
-        self.source_log: list[tuple[str, str]] = []  # (endpoint, account)
         self._stages: dict[str, int] = {}  # pipeline state per driver-chosen key
 
     # -- administration ----------------------------------------------------
@@ -102,7 +102,6 @@ class SocialService:
     def handle_request(self, state_key: str, step: int, username: str, password: str,
                        action: ServiceAction, source_endpoint: str) -> dict:
         """One pipeline exchange. State changes happen only at the final step."""
-        self.source_log.append((source_endpoint, username))
         if step == 1:
             if self.accounts.get(username) != password:
                 return {"status": "error", "error": "AuthFailed", "step": step}
@@ -203,7 +202,6 @@ class VotingService:
         self.votes: dict[str, str] = {}  # private linkage, never exposed
         self.fake_credentials = set(fake_credentials or ())  # coercion scenario flag
         self.shadow_votes: dict[str, str] = {}  # cast with fake creds, never counted
-        self.source_log: list[tuple[str, str]] = []
         self._stages: dict[str, int] = {}
 
     def add_account(self, username: str, password: str) -> None:
@@ -214,7 +212,6 @@ class VotingService:
 
     def handle_request(self, state_key: str, step: int, username: str, password: str,
                        action: ServiceAction, source_endpoint: str) -> dict:
-        self.source_log.append((source_endpoint, username))
         if step == 1:
             if self.accounts.get(username) != password:
                 return {"status": "error", "error": "AuthFailed", "step": step}
@@ -307,19 +304,9 @@ class ServiceActorAdapter:
                 step=p["step"],
             )
         elif msg.kind == "svc_verify":
-            if p["query"] == "public_effect":
-                visible = self.service.public_effect_exists(
-                    p["username"], p["item_id"], p["action_kind"]
-                )
-                answer: dict = {"query": "public_effect", "visible": visible}
-            elif p["query"] == "my_vote":
-                try:
-                    counted_candidate = self.service.verify_my_vote(p["username"], p["password"])
-                except AuthFailed:
-                    counted_candidate = None
-                answer = {"query": "my_vote", "candidate": counted_candidate}
-            else:
-                answer = {"query": p["query"], "error": "unknown query"}
-            answer["slot_id"] = p.get("slot_id")
-            sim.send(self.actor_id, msg.src, "svc_verify_resp", answer,
+            visible = self.service.public_effect_exists(
+                p["username"], p["item_id"], p["action_kind"]
+            )
+            sim.send(self.actor_id, msg.src, "svc_verify_resp",
+                     {"visible": visible, "slot_id": p.get("slot_id")},
                      campaign_id=msg.campaign_id, owner_id=msg.owner_id)

@@ -444,6 +444,7 @@ class Simulation:
         actor = self.actors.get(dst)
         if actor is None:
             lines.append(f"{self._stamp()}{dst} kind=drop_unknown:{msg.kind} msg={msg.msg_id}")
+            self._check_cleartext(msg)
             return
         lines.append(f"{self._stamp()}{dst} kind=recv:{msg.kind} msg={msg.msg_id} src={msg.src}")
         self._check_cleartext(msg)

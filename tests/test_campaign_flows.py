@@ -519,7 +519,7 @@ class TestDistributed:
         world = self.run_with_host({"kills": [{"actor": "iface:b", "at": 0.3}]})
         blocked = [line for line in world.sim.log.lines if "send_blocked:gossip_batch" in line]
         assert blocked == ["t=0.500000 actor=iface:b kind=send_blocked:gossip_batch rule=kill1"
-                           " msg=31 src=iface:b dst=iface:a"]
+                           " msg=28 src=iface:b dst=iface:a"]
 
     def test_unsessioned_gossip_leaks_credentials(self, monkeypatch):
         session_for = InterfaceEnclave._session_for
@@ -700,6 +700,46 @@ class TestOwnerPolls:
         assert len(others) > len(sent) + 1
 
 
+class TestEnrollmentFailure:
+    """An owner whose enrollment fails is logged once and never selected."""
+
+    @staticmethod
+    def enrollment_lines(world) -> list[str]:
+        """``t=<time> <kind> <fields>`` of every enrollment outcome, in log order."""
+        out = []
+        for line in world.sim.log.lines:
+            time, _actor, rest = line.split(" ", 2)
+            if rest.startswith(("kind=enroll_failed ", "kind=owner_enrolled ")):
+                out.append(f"{time} {rest[5:]}")
+        return out
+
+    def test_bad_credentials(self):
+        world = build_world(parse_scenario(TestOwnerPolls.baseline()))
+        # o1's password changed at the service after the scenario was written
+        world.services["social"].accounts["ada"] = "pw-changed"
+        world.sim.run(until=world.spec.timing.horizon)
+        assert self.enrollment_lines(world) == [
+            "t=0.000000 enroll_failed owner=o1 error=BadCredentials",
+            "t=0.000000 owner_enrolled owner=o2 services=1",
+            "t=0.000000 owner_enrolled owner=o3 services=1",
+        ]
+        campaign = only_campaign(world)
+        assert [s.owner_id for s in campaign.slots.values()] == ["o2", "o3"]
+        assert all(ok for _, ok, _ in verify_world(world))
+
+    def test_unreachable_proxy(self):
+        raw = TestOwnerPolls.baseline()
+        raw["host"] = {"cuts": [{"kind": "nonce_rt", "dst": "proxy:o1"}]}
+        world = run_scenario(parse_scenario(raw))
+        assert self.enrollment_lines(world) == [
+            "t=0.000000 owner_enrolled owner=o2 services=1",
+            "t=0.000000 owner_enrolled owner=o3 services=1",
+            "t=5.000000 enroll_failed owner=o1 error=ProxyUnreachable",
+        ]
+        assert [s.owner_id for s in only_campaign(world).slots.values()] == ["o2", "o3"]
+        assert all(ok for _, ok, _ in verify_world(world))
+
+
 class TestEventKindsDocumented:
     FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 
@@ -711,6 +751,19 @@ class TestEventKindsDocumented:
         # message events are documented by prefix, as `drop:<msg kind>`
         named = {k.split(":")[0] + ":<msg kind>" if ":" in k else k for k in kinds}
         undocumented = sorted(k for k in named if f"`{k}`" not in doc)
+        assert not undocumented
+
+
+class TestMessageKindsDocumented:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_every_sent_kind_has_a_messages_row(self, name):
+        doc = TestEventKindsDocumented.FORMATS.read_text()
+        kinds = set()
+        for line in world_for(name).sim.log.lines:
+            fate, sep, kind = line.split(" kind=", 1)[1].split(" ", 1)[0].partition(":")
+            if sep and fate in ("send", "drop", "send_blocked"):
+                kinds.add(kind)
+        undocumented = sorted(k for k in kinds if f"\n| `{k}` |" not in doc)
         assert not undocumented
 
 
@@ -751,6 +804,35 @@ class TestScenarioLoader:
         raw["host"] = {"cuts": [{"kind": "svc_confirm", "campaign_index": 0, "step": 1}]}
         (cut,) = parse_scenario(raw).host.cuts
         assert (cut.campaign_index, cut.step) == (0, 1)
+
+    @pytest.mark.parametrize("keys, value, field", [
+        (("services", 0, "collusion"), "false", "services[0].collusion"),
+        (("owners", 0, "polls"), "no", "owners[0].polls"),
+        (("owners", 0, "services", 0, "accepts_revert_window"), 1,
+         "owners[0].services[0].accepts_revert_window"),
+        (("owners", 0, "endpoint"), 5, "owners[0].endpoint"),
+        (("owners", 0, "cpu"), "", "owners[0].cpu"),
+        (("host", "cuts", 0, "kind"), "", "host.cuts[0].kind"),
+        (("host", "cuts", 0, "src"), 3, "host.cuts[0].src"),
+        (("host", "cuts", 0, "dst"), ["proxy:o1"], "host.cuts[0].dst"),
+        (("host", "cuts", 0, "rule_owner"), 7, "host.cuts[0].rule_owner"),
+        (("host", "delays", 0, "kind"), 4, "host.delays[0].kind"),
+        (("host", "delays", 0, "dst"), "", "host.delays[0].dst"),
+        (("maintainer_address",), "", "maintainer_address"),
+    ])
+    def test_bad_field_value_exits_2(self, tmp_path, capsys, keys, value, field):
+        """Flags must be real booleans and names non-empty strings."""
+        raw = yaml.safe_load(
+            (resources.files("leasim") / "scenarios" / "baseline.yaml").read_text())
+        raw["host"] = {"cuts": [{"kind": "svc_confirm"}], "delays": [{"extra": 1.0}]}
+        target = raw
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = tmp_path / "bad_field.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["verify", "--scenario", str(path)]) == 2
+        assert field in capsys.readouterr().err
 
 
 class _Probe:
@@ -818,6 +900,13 @@ class TestSecretTaint:
         world = self.run_with(script)
         assert self.fates(world, "leak") == ["drop"]
         assert self.taint_check(world) == (False, "secret in cleartext leak owner:o0->probe")
+
+    def test_secret_sent_to_an_unknown_receiver_fails(self):
+        # the message crossed the host's wire even though nobody took it
+        world = self.run_with(lambda sim: sim.schedule_at(1.0, lambda: sim.send(
+            "owner:o0", "nobody", "leak", {"key": Secret("key", "k-0")})))
+        assert self.fates(world, "leak") == ["send", "drop_unknown"]
+        assert self.taint_check(world) == (False, "secret in cleartext leak owner:o0->nobody")
 
     def test_secret_sent_to_a_killed_receiver_fails(self):
         def script(sim):

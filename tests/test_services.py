@@ -231,8 +231,8 @@ class TestActorAdapter:
     def test_verify_roundtrip(self):
         sim, svc, proxy = self.drive(5)
         sim.send("proxy:o1", "svc:news", "svc_verify",
-                 {"query": "public_effect", "username": "alice", "item_id": "post1",
-                  "action_kind": "upvote", "slot_id": "slot7"})
+                 {"username": "alice", "item_id": "post1", "action_kind": "upvote",
+                  "slot_id": "slot7"})
         sim.run()
         resp = proxy.msgs[-1]
         assert resp.kind == "svc_verify_resp" and resp.payload["visible"] is True
