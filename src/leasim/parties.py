@@ -2,9 +2,8 @@
 
 Owners answer chain queries from their own node view (or an eclipse feed the
 host wired in), relay settlement copies to the chain node, and optionally
-revert actions. Proxies are dumb relays that tag the owner's endpoint on
-outgoing service traffic, which is what makes rented actions indistinguishable
-from the owner's own. Renters fund campaigns and present a chain view that is
+revert actions. Proxies are dumb relays on the owner's device: they echo
+enrollment nonces and forward chain queries and service traffic. Renters fund campaigns and present a chain view that is
 either the honest tip or a privately mined fork.
 """
 from __future__ import annotations
@@ -80,10 +79,9 @@ class OwnerActor:
 
 @dataclass
 class ProxyActor:
-    """The owner-device relay; the service sees its endpoint as the source."""
+    """The owner-device relay: echoes nonces, forwards chain and service traffic."""
 
     owner_id: str
-    endpoint: str
 
     def __post_init__(self) -> None:
         self.actor_id = f"proxy:{self.owner_id}"
@@ -101,8 +99,7 @@ class ProxyActor:
                      cut_point=CUT_OWNER_CHAIN, owner_id=self.owner_id,
                      campaign_id=msg.campaign_id)
         elif msg.kind == "svc_request":
-            relayed = dict(p, source_endpoint=self.endpoint)
-            sim.send(self.actor_id, p["dst_service"], "svc_request", relayed,
+            sim.send(self.actor_id, p["dst_service"], "svc_request", p,
                      session=msg.session, campaign_id=msg.campaign_id,
                      owner_id=msg.owner_id, step=msg.step)
         elif msg.kind in ("svc_response", "svc_confirm"):

@@ -608,5 +608,5 @@ def _check_secret_taint(world: World) -> tuple[bool, str]:
     sim = world.sim
     if sim.secret_leak is not None:
         return False, sim.secret_leak
-    scanned = len(sim.delivered) + len(sim.dropped)
+    scanned = len(sim.delivered) + len(sim.dropped) + sim.dropped_unknown
     return True, f"{scanned} messages scanned, secrets only on attested channels"

@@ -220,7 +220,7 @@ def build_world(spec: ScenarioSpec) -> World:
     owners: dict[str, OwnerActor] = {}
     proxies: dict[str, ProxyActor] = {}
     for ospec in spec.owners:
-        proxy = ProxyActor(ospec.owner_id, ospec.endpoint)
+        proxy = ProxyActor(ospec.owner_id)
         backing = {e.service_id: services[e.service_id] for e in ospec.services}
         creds = {e.service_id: (e.username, e.password) for e in ospec.services}
         owner = OwnerActor(
@@ -550,8 +550,7 @@ def _p2p_execute(world: World, node_id: str, owner_id: str, intent) -> dict:
     for step in range(1, backend.PIPELINE_LENGTH + 1):
         result = backend.handle_request(
             f"p2p:{owner_id}:{intent.service_id}", step, entry.username,
-            entry.password, action, source_endpoint=node_id,
-        )
+            entry.password, action)
         if result["status"] == "error":
             break
     status = "confirmed" if result.get("status") == "confirmed" else "failed"

@@ -157,7 +157,6 @@ class OwnerSpec:
     owner_id: str
     profile: str = "honest"
     polls: bool = True
-    endpoint: str = ""
     revert_delay: float = 1.0
     home_interface: str = ""  # distributed / p2p: enrolling node
     cpu: str = ""  # p2p registration identity; defaults to one per owner
@@ -427,7 +426,7 @@ def _parse_service(raw: dict, path: str) -> ServiceSpec:
 
 def _parse_owner(raw: dict, path: str, service_ids: set[str],
                  topology: TopologySpec) -> OwnerSpec:
-    _check_keys(raw, {"id", "profile", "polls", "endpoint", "revert_delay",
+    _check_keys(raw, {"id", "profile", "polls", "revert_delay",
                       "home_interface", "cpu", "services"}, path)
     profile = raw.get("profile", "honest")
     if profile not in OWNER_PROFILES:
@@ -465,7 +464,6 @@ def _parse_owner(raw: dict, path: str, service_ids: set[str],
         owner_id=owner_id,
         profile=profile,
         polls=_flag(raw.get("polls", True), f"{path}.polls"),
-        endpoint=_text(raw.get("endpoint", f"device:{owner_id}"), f"{path}.endpoint"),
         revert_delay=_number(raw.get("revert_delay", 1.0), f"{path}.revert_delay",
                              minimum=0.0),
         home_interface=home,

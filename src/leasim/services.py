@@ -15,9 +15,7 @@ Two services with opposite observability:
   vote, nobody else can).
 
 Services are passive actors: they answer request messages immediately; all
-latency is sampled by the callers. Each request carries the source endpoint
-the owner's proxy tagged it with, so a rented action arrives from the same
-endpoint as the owner's own.
+latency is sampled by the callers.
 """
 from __future__ import annotations
 
@@ -100,7 +98,7 @@ class SocialService:
     # -- pipeline ----------------------------------------------------------
 
     def handle_request(self, state_key: str, step: int, username: str, password: str,
-                       action: ServiceAction, source_endpoint: str) -> dict:
+                       action: ServiceAction) -> dict:
         """One pipeline exchange. State changes happen only at the final step."""
         if step == 1:
             if self.accounts.get(username) != password:
@@ -211,7 +209,7 @@ class VotingService:
         self.candidates.add(candidate)
 
     def handle_request(self, state_key: str, step: int, username: str, password: str,
-                       action: ServiceAction, source_endpoint: str) -> dict:
+                       action: ServiceAction) -> dict:
         if step == 1:
             if self.accounts.get(username) != password:
                 return {"status": "error", "error": "AuthFailed", "step": step}
@@ -237,15 +235,14 @@ class VotingService:
         self.votes[username] = candidate
         return {"status": "confirmed", "step": step}
 
-    def cast_vote(self, username: str, password: str, candidate: str,
-                  source_endpoint: str = "direct") -> dict:
+    def cast_vote(self, username: str, password: str, candidate: str) -> dict:
         """Single-shot cast (login + cast), used by owner-side revotes."""
         first = self.handle_request(f"direct:{username}", 1, username, password,
-                                    ServiceAction("vote", candidate), source_endpoint)
+                                    ServiceAction("vote", candidate))
         if first["status"] == "error":
             return first
         return self.handle_request(f"direct:{username}", 2, username, password,
-                                   ServiceAction("vote", candidate), source_endpoint)
+                                   ServiceAction("vote", candidate))
 
     # -- observer API ------------------------------------------------------
 
@@ -289,9 +286,7 @@ class ServiceActorAdapter:
         if msg.kind == "svc_request":
             action = ServiceAction(p["action_kind"], p["action_target"])
             result = self.service.handle_request(
-                p["state_key"], p["step"], p["username"], p["password"], action,
-                p["source_endpoint"],
-            )
+                p["state_key"], p["step"], p["username"], p["password"], action)
             final = p["step"] == self.service.PIPELINE_LENGTH
             sim.send(
                 self.actor_id, msg.src,

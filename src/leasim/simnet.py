@@ -315,6 +315,7 @@ class Simulation:
         self._stamp_at: float | None = None  # the sim.now that _stamp_text shows
         self._stamp_text = ""
         self.dropped: list[tuple[Message, str, str]] = []  # (msg, rule_id, rule_owner)
+        self.dropped_unknown = 0  # messages to an unregistered actor
         # msg_ids of delivered messages; a Message is freed once its handler returns
         self.delivered: list[int] = []
         # the first cleartext message seen carrying a Secret, as verify reports it
@@ -445,6 +446,7 @@ class Simulation:
         if actor is None:
             lines.append(f"{self._stamp()}{dst} kind=drop_unknown:{msg.kind} msg={msg.msg_id}")
             self._check_cleartext(msg)
+            self.dropped_unknown += 1
             return
         lines.append(f"{self._stamp()}{dst} kind=recv:{msg.kind} msg={msg.msg_id} src={msg.src}")
         self._check_cleartext(msg)

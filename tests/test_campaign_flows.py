@@ -810,7 +810,6 @@ class TestScenarioLoader:
         (("owners", 0, "polls"), "no", "owners[0].polls"),
         (("owners", 0, "services", 0, "accepts_revert_window"), 1,
          "owners[0].services[0].accepts_revert_window"),
-        (("owners", 0, "endpoint"), 5, "owners[0].endpoint"),
         (("owners", 0, "cpu"), "", "owners[0].cpu"),
         (("host", "cuts", 0, "kind"), "", "host.cuts[0].kind"),
         (("host", "cuts", 0, "src"), 3, "host.cuts[0].src"),
@@ -925,11 +924,13 @@ class TestSecretTaint:
             for kind, at in (("ok", 1.0), ("cut", 1.0), ("dead", 2.5)):
                 sim.schedule_at(at, lambda kind=kind: sim.send(
                     "owner:o0", "probe", kind, {"endpoint": "home"}))
+            sim.schedule_at(1.0, lambda: sim.send("owner:o0", "nobody", "lost", {}))
 
         world = self.run_with(script)
-        assert [self.fates(world, k) for k in ("ok", "cut", "dead")] == [
-            ["send", "recv"], ["drop"], ["send", "drop_dead"]]
-        scanned = sum(1 for fate in self.fates(world) if fate in ("recv", "drop", "drop_dead"))
+        assert [self.fates(world, k) for k in ("ok", "cut", "dead", "lost")] == [
+            ["send", "recv"], ["drop"], ["send", "drop_dead"], ["send", "drop_unknown"]]
+        scanned = sum(1 for fate in self.fates(world)
+                      if fate in ("recv", "drop", "drop_dead", "drop_unknown"))
         ok, why = self.taint_check(world)
         assert ok and why.startswith(f"{scanned} messages scanned")
 

@@ -15,10 +15,10 @@ def mk_social(**kw):
     return svc
 
 
-def drive_pipeline(svc, key, user, pw, action, endpoint="proxy:o1"):
+def drive_pipeline(svc, key, user, pw, action):
     out = None
     for step in range(1, svc.PIPELINE_LENGTH + 1):
-        out = svc.handle_request(key, step, user, pw, action, endpoint)
+        out = svc.handle_request(key, step, user, pw, action)
         if out["status"] == "error":
             return out
     return out
@@ -29,17 +29,17 @@ class TestSocialPipeline:
         svc = mk_social()
         action = ServiceAction("upvote", "post1")
         for step in range(1, 5):
-            svc.handle_request("k1", step, "alice", "pw-a", action, "proxy:o1")
+            svc.handle_request("k1", step, "alice", "pw-a", action)
             assert svc.observe("post1") == {}, f"effect leaked at step {step}"
-        out = svc.handle_request("k1", 5, "alice", "pw-a", action, "proxy:o1")
+        out = svc.handle_request("k1", 5, "alice", "pw-a", action)
         assert out == {"status": "confirmed", "step": 5, "effect": "applied"}
         assert svc.observe("post1") == {"upvote": 1}
 
     def test_out_of_order_step_rejected(self):
         svc = mk_social()
         action = ServiceAction("upvote", "post1")
-        svc.handle_request("k1", 1, "alice", "pw-a", action, "e")
-        out = svc.handle_request("k1", 3, "alice", "pw-a", action, "e")
+        svc.handle_request("k1", 1, "alice", "pw-a", action)
+        out = svc.handle_request("k1", 3, "alice", "pw-a", action)
         assert out["error"] == "BadPipelineOrder"
         assert svc.observe("post1") == {}
 
@@ -65,11 +65,11 @@ class TestSocialPipeline:
     def test_concurrent_pipelines_do_not_interfere(self):
         svc = mk_social()
         a, b = ServiceAction("upvote", "post1"), ServiceAction("post", "post1")
-        svc.handle_request("ka", 1, "alice", "pw-a", a, "e")
-        svc.handle_request("kb", 1, "bob", "pw-b", b, "e")
+        svc.handle_request("ka", 1, "alice", "pw-a", a)
+        svc.handle_request("kb", 1, "bob", "pw-b", b)
         for step in range(2, 6):
-            svc.handle_request("ka", step, "alice", "pw-a", a, "e")
-            svc.handle_request("kb", step, "bob", "pw-b", b, "e")
+            svc.handle_request("ka", step, "alice", "pw-a", a)
+            svc.handle_request("kb", step, "bob", "pw-b", b)
         assert svc.observe("post1") == {"upvote": 1, "post": 1}
 
 
@@ -209,7 +209,7 @@ class TestActorAdapter:
                 "proxy:o1", "svc:news", "svc_request",
                 {"state_key": "slot7", "step": step, "username": "alice",
                  "password": "pw-a", "action_kind": "upvote", "action_target": "post1",
-                 "source_endpoint": "proxy:o1", "slot_id": "slot7"},
+                 "slot_id": "slot7"},
                 campaign_id="c1", owner_id="o1",
             )
             sim.run()
