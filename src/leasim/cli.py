@@ -6,7 +6,7 @@
     leasim estimate --scenario ...             closed-form schedule estimate
 
 Exit codes: 0 success, 1 a failed invariant check (verify) or diverging
-digests (replay), 2 a scenario that is missing or fails the schema.
+digests (replay), 2 a scenario that is missing, unreadable or fails the schema.
 """
 from __future__ import annotations
 

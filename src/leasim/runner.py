@@ -287,6 +287,14 @@ def _owner_home(world: World, ospec) -> InterfaceGroup:
     return world.groups[list(world.groups)[0]]
 
 
+def _policy(entry) -> Policy:
+    """An owner's policy for one service: a whitelist of None permits any
+    target, an empty one none."""
+    return Policy(entry.service_id, frozenset(entry.allowed), entry.price,
+                  entry.accepts_revert_window,
+                  None if entry.whitelist is None else frozenset(entry.whitelist))
+
+
 def _enroll_and_schedule(world: World) -> None:
     spec, sim = world.spec, world.sim
     pollers = []
@@ -297,19 +305,11 @@ def _enroll_and_schedule(world: World) -> None:
         session = world.mesh.attest(sim, owner.actor_id, GENUINE, group.identity)
         payload_services = {}
         for entry in ospec.services:
-            policy = Policy(
-                service_id=entry.service_id,
-                allowed_actions=frozenset(entry.allowed),
-                price_per_action=entry.price,
-                accepts_revert_window=entry.accepts_revert_window,
-                target_whitelist=(frozenset(entry.whitelist)
-                                  if entry.whitelist is not None else None),
-            )
             payload_services[entry.service_id] = {
                 "username": entry.username,
                 "password": Secret(f"{ospec.owner_id}:{entry.service_id}",
                                    entry.password),
-                "policy": policy,
+                "policy": _policy(entry),
                 "service_actor": world.service_actors[entry.service_id].actor_id,
             }
         sim.send(
@@ -531,11 +531,8 @@ def _p2p_owner_at(world: World, registry: P2PRegistry, node_id: str, intent):
         for entry in ospec.services:
             if entry.service_id != intent.service_id:
                 continue
-            policy = Policy(entry.service_id, frozenset(entry.allowed), entry.price,
-                            entry.accepts_revert_window,
-                            frozenset(entry.whitelist) if entry.whitelist else None)
-            if policy.permits(intent.action_kind, intent.action_target,
-                              intent.revert_window):
+            if _policy(entry).permits(intent.action_kind, intent.action_target,
+                                      intent.revert_window):
                 return ospec.owner_id
     return None
 

@@ -5,11 +5,19 @@ chain parameters, economics, latency model, topology, services, owners,
 renters with their campaign intents, and the host's adversarial script
 (cuts, delays, kills, eclipse feeds). Validation is strict; a bad field
 raises SchemaError naming the exact path.
+
+Each section is a dataclass, and each of its fields states once, through
+``_field``, its check, its default (none: the key is required) and its YAML
+key when that differs from the field name. ``_parse`` reads any section from
+those declarations. Checks that relate one section to another run after
+parsing, in ``_check_references``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import yaml
@@ -31,43 +39,40 @@ class SchemaError(Exception):
         super().__init__(f"{field_path}: {cause}")
 
 
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise SchemaError(f"{path}.{key}", "missing required field")
-    return mapping[key]
+# -- checks: each takes (value, path) and returns the parsed value ------
 
 
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise SchemaError(f"{path}.{sorted(unknown)[0]}", "unknown field")
-
-
-def _number(value, path: str, *, minimum=None, maximum=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {value!r}")
+def _bounds(value, path: str, minimum, maximum) -> None:
     if minimum is not None and value < minimum:
         raise SchemaError(path, f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise SchemaError(path, f"must be <= {maximum}, got {value}")
-    return float(value)
 
 
-def _integer(value, path: str, *, minimum=None, maximum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
-    _number(value, path, minimum=minimum, maximum=maximum)
-    return value
+def _number(minimum=None, maximum=None):
+    def check(value, path: str) -> float:
+        # the range test also fails for nan, inf and ints too large for a float
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not -sys.float_info.max <= value <= sys.float_info.max):
+            raise SchemaError(path, f"expected a finite number, got {value!r}")
+        _bounds(value, path, minimum, maximum)
+        return float(value)
+    return check
+
+
+def _integer(minimum=None, maximum=None):
+    def check(value, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(path, f"expected an integer, got {value!r}")
+        _bounds(value, path, minimum, maximum)
+        return value
+    return check
 
 
 def _text(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         raise SchemaError(path, f"expected a non-empty string, got {value!r}")
     return value
-
-
-def _optional_text(value, path: str) -> str | None:
-    return None if value is None else _text(value, path)
 
 
 def _flag(value, path: str) -> bool:
@@ -90,155 +95,202 @@ def _rate(value, path: str) -> Fraction:
         raise SchemaError(path, str(exc)) from None
 
 
+def _choice(*options):
+    def check(value, path: str):
+        # True == 1, so a bare membership test would read `true` as cut point 1
+        if isinstance(value, bool) or value not in options:
+            raise SchemaError(
+                path, f"expected one of {', '.join(map(str, options))}, got {value!r}")
+        return value
+    return check
+
+
+def _list(item_check):
+    def check(value, path: str) -> list:
+        if not isinstance(value, list):
+            raise SchemaError(path, f"expected a list, got {type(value).__name__}")
+        return [item_check(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return check
+
+
+def _pair(value, path: str) -> tuple[str, str]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise SchemaError(path, "expected a [a, b] pair")
+    a, b = (_text(v, path) for v in value)
+    return a, b
+
+
+def _optional(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _section(cls):
+    return lambda value, path: _parse(cls, value, path)
+
+
+def _field(check, default=MISSING, *, factory=MISSING, key: str | None = None):
+    """A section field: its check, its default (none: required) and its YAML
+    key when that differs from the field name. A null value is accepted
+    where the default is null."""
+    return field(default=default, default_factory=factory,
+                 metadata={"check": check, "key": key})
+
+
 # ----------------------------------------------------------------------
 
 
 @dataclass
 class ChainSpec:
-    difficulty_bits: int = 12
-    block_interval: float = 15.0
-    confirmation_depth: int = 6
+    difficulty_bits: int = _field(_integer(1, 28), 12)
+    block_interval: float = _field(_number(0.001), 15.0)
+    confirmation_depth: int = _field(_integer(1), 6)
 
 
 @dataclass
 class EconomicsSpec:
-    deposit_rate: Fraction = Fraction(1, 10)
-    fee_rate: Fraction = Fraction(1, 20)
+    deposit_rate: Fraction = _field(_rate, Fraction(1, 10))
+    fee_rate: Fraction = _field(_rate, Fraction(1, 20))
 
 
 @dataclass
 class LatencySpec:
-    model: str = "fixed"  # fixed | normal
+    model: str = _field(_choice("fixed", "normal"), "fixed")
 
 
 @dataclass
 class TimingSpec:
-    poll_interval: float = 30.0
-    liveness_window: float = 60.0
-    horizon: float = 3600.0
+    poll_interval: float = _field(_number(0.001), 30.0)
+    liveness_window: float = _field(_number(0.001), 60.0)
+    horizon: float = _field(_number(1.0), 3600.0)
 
 
 @dataclass
 class TopologySpec:
-    mode: str = "centralized"
-    service_enclaves: int = 1
-    payment_enclaves: int = 1
-    interfaces: list[str] = field(default_factory=list)  # distributed / p2p
-    edges: list[tuple[str, str]] = field(default_factory=list)
-    gossip_interval: float = 60.0
+    mode: str = _field(_choice(*MODES), "centralized")
+    service_enclaves: int = _field(_integer(1, 64), 1)
+    payment_enclaves: int = _field(_integer(1, 64), 1)
+    interfaces: list[str] = _field(_list(_text), factory=list)  # distributed / p2p
+    edges: list[tuple[str, str]] = _field(_list(_pair), factory=list)
+    gossip_interval: float = _field(_number(0.001), 60.0)
 
 
 @dataclass
 class ServiceSpec:
-    service_id: str
-    kind: str  # social | voting
-    collusion: bool = False
-    items: list[str] = field(default_factory=list)
-    hidden_items: list[str] = field(default_factory=list)
-    ghosts: list[str] = field(default_factory=list)
-    policy: str = "first_counts"  # voting only
-    candidates: list[str] = field(default_factory=list)
-    coerced: list[str] = field(default_factory=list)
+    service_id: str = _field(_text, key="id")
+    kind: str = _field(_choice("social", "voting"))
+    collusion: bool = _field(_flag, False)
+    items: list[str] = _field(_list(_text), factory=list)
+    hidden_items: list[str] = _field(_list(_text), factory=list)
+    ghosts: list[str] = _field(_list(_text), factory=list)
+    policy: str = _field(_choice("first_counts", "last_counts"), "first_counts")  # voting only
+    candidates: list[str] = _field(_list(_text), factory=list)
+    coerced: list[str] = _field(_list(_text), factory=list)
 
 
 @dataclass
 class OwnerServiceSpec:
-    service_id: str
-    username: str
-    password: str
-    price: int  # base units per action
-    allowed: list[str]
-    accepts_revert_window: bool = True
-    whitelist: list[str] | None = None
+    service_id: str = _field(_text, key="service")
+    username: str = _field(_text)
+    password: str = _field(_text)
+    price: int = _field(_coins)  # base units per action
+    allowed: list[str] = _field(_list(_text))
+    accepts_revert_window: bool = _field(_flag, True)
+    whitelist: list[str] | None = _field(_list(_text), None)  # None: any target
 
 
 @dataclass
 class OwnerSpec:
-    owner_id: str
-    profile: str = "honest"
-    polls: bool = True
-    revert_delay: float = 1.0
-    home_interface: str = ""  # distributed / p2p: enrolling node
-    cpu: str = ""  # p2p registration identity; defaults to one per owner
-    services: list[OwnerServiceSpec] = field(default_factory=list)
+    owner_id: str = _field(_text, key="id")
+    profile: str = _field(_choice(*OWNER_PROFILES), "honest")
+    polls: bool = _field(_flag, True)
+    revert_delay: float = _field(_number(0.0), 1.0)
+    home_interface: str = _field(_text, "")  # distributed / p2p: enrolling node
+    cpu: str = _field(_text, "")  # p2p registration identity
+    services: list[OwnerServiceSpec] = _field(_list(_section(OwnerServiceSpec)),
+                                              factory=list)
+
+    def __post_init__(self):
+        if not self.cpu:
+            self.cpu = f"cpu:{self.owner_id}"  # one identity per owner
 
 
 @dataclass
 class CampaignSpec:
-    service_id: str
-    action_kind: str
-    action_target: str
-    count: int
-    revert_window: float = 0.0
+    service_id: str = _field(_text, key="service")
+    action_kind: str = _field(_text, key="action")
+    action_target: str = _field(_text, key="target")
+    count: int = _field(_integer(1, 10_000))
+    revert_window: float = _field(_number(0.0), 0.0)
 
 
 @dataclass
 class RenterSpec:
-    renter_id: str
-    balance: int
-    view: str = "honest_tip"
-    campaigns: list[CampaignSpec] = field(default_factory=list)
+    renter_id: str = _field(_text, key="id")
+    balance: int = _field(_coins)
+    view: str = _field(_choice("honest_tip", "forged_fork"), "honest_tip")
+    campaigns: list[CampaignSpec] = _field(_list(_section(CampaignSpec)), factory=list)
 
 
 @dataclass
 class CutSpec:
-    cut_point: int | None = None
-    kind: str | None = None
-    src: str | None = None
-    dst: str | None = None
-    campaign_index: int | None = None  # 0-based over all renters' campaigns, in file order
-    owner_id: str | None = None
-    step: int | None = None
-    from_time: float = 0.0
-    until_time: float | None = None
-    rule_owner: str = "host"
+    cut_point: int | None = _field(_choice(*CUT_POINTS), None)
+    kind: str | None = _field(_text, None)
+    src: str | None = _field(_text, None)
+    dst: str | None = _field(_text, None)
+    # 0-based over all renters' campaigns, in file order
+    campaign_index: int | None = _field(_integer(0), None)
+    owner_id: str | None = _field(_text, None)
+    step: int | None = _field(_integer(1), None)
+    from_time: float = _field(_number(0.0), 0.0)
+    until_time: float | None = _field(_number(0.0), None)
+    rule_owner: str = _field(_text, "host")
 
 
 @dataclass
 class DelaySpec:
-    extra: float
-    cut_point: int | None = None
-    kind: str | None = None
-    dst: str | None = None
-    rule_owner: str = "host"
+    extra: float = _field(_number(0.0))
+    cut_point: int | None = _field(_choice(*CUT_POINTS), None)
+    kind: str | None = _field(_text, None)
+    dst: str | None = _field(_text, None)
+    rule_owner: str = _field(_text, "host")
 
 
 @dataclass
 class KillSpec:
-    actor: str
-    at: float
+    actor: str = _field(_text)
+    at: float = _field(_number(0.0))
 
 
 @dataclass
 class EclipseSpec:
-    owner_id: str
-    source: str  # renter_fork | stale
-    renter_id: str = ""  # renter_fork
-    height: int = 0  # stale: serve the honest chain truncated here
+    owner_id: str = _field(_text, key="owner")
+    source: str = _field(_choice("renter_fork", "stale"))
+    renter_id: str = _field(_text, "", key="renter")  # renter_fork
+    height: int = _field(_integer(0), 0)  # stale: serve the honest chain truncated here
 
 
 @dataclass
 class HostSpec:
-    cuts: list[CutSpec] = field(default_factory=list)
-    delays: list[DelaySpec] = field(default_factory=list)
-    kills: list[KillSpec] = field(default_factory=list)
-    eclipse: list[EclipseSpec] = field(default_factory=list)
+    cuts: list[CutSpec] = _field(_list(_section(CutSpec)), factory=list)
+    delays: list[DelaySpec] = _field(_list(_section(DelaySpec)), factory=list)
+    kills: list[KillSpec] = _field(_list(_section(KillSpec)), factory=list)
+    eclipse: list[EclipseSpec] = _field(_list(_section(EclipseSpec)), factory=list)
 
 
 @dataclass
 class ScenarioSpec:
-    name: str
-    seed: int
-    chain: ChainSpec
-    economics: EconomicsSpec
-    latency: LatencySpec
-    timing: TimingSpec
-    topology: TopologySpec
-    services: list[ServiceSpec]
-    owners: list[OwnerSpec]
-    renters: list[RenterSpec]
-    host: HostSpec
-    maintainer_address: str = "maintainer"
+    name: str = _field(_text)
+    seed: int = _field(_integer(0), 0)
+    chain: ChainSpec = _field(_section(ChainSpec), factory=ChainSpec)
+    economics: EconomicsSpec = _field(_section(EconomicsSpec), factory=EconomicsSpec)
+    latency: LatencySpec = _field(_section(LatencySpec), factory=LatencySpec)
+    timing: TimingSpec = _field(_section(TimingSpec), factory=TimingSpec)
+    topology: TopologySpec = _field(_section(TopologySpec), factory=TopologySpec)
+    services: list[ServiceSpec] = _field(_list(_section(ServiceSpec)), factory=list)
+    owners: list[OwnerSpec] = _field(_list(_section(OwnerSpec)), factory=list)
+    renters: list[RenterSpec] = _field(_list(_section(RenterSpec)), factory=list)
+    host: HostSpec = _field(_section(HostSpec), factory=HostSpec)
+    maintainer_address: str = _field(_text, "maintainer")
 
     def service(self, service_id: str) -> ServiceSpec:
         for spec in self.services:
@@ -250,67 +302,114 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 
 
-def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioSpec:
+@cache
+def _keys(cls) -> tuple[dict, tuple[str, ...]]:
+    """YAML key -> (field name, check) for one section class, and the keys
+    it requires."""
+    table, required = {}, []
+    for f in fields(cls):
+        key, check = f.metadata["key"] or f.name, f.metadata["check"]
+        table[key] = (f.name, _optional(check) if f.default is None else check)
+        if f.default is MISSING and f.default_factory is MISSING:
+            required.append(key)
+    return table, tuple(required)
+
+
+def _parse(cls, raw, path: str):
     if not isinstance(raw, dict):
-        raise SchemaError(source, "top level must be a mapping")
-    _check_keys(raw, {
-        "name", "seed", "chain", "economics", "latency", "timing", "topology",
-        "services", "owners", "renters", "host", "maintainer_address",
-    }, source)
+        raise SchemaError(path, f"expected a mapping, got {type(raw).__name__}")
+    keys, required = _keys(cls)
+    unknown = raw.keys() - keys.keys()
+    if unknown:
+        raise SchemaError(f"{path}.{min(unknown, key=str)}", "unknown field")
+    for key in required:
+        if key not in raw:
+            raise SchemaError(f"{path}.{key}", "missing required field")
+    values = {}
+    for key, value in raw.items():
+        name, check = keys[key]
+        values[name] = check(value, f"{path}.{key}")
+    return cls(**values)
 
-    name = _text(_require(raw, "name", source), f"{source}.name")
-    seed = _integer(raw.get("seed", 0), f"{source}.seed", minimum=0)
 
-    chain = _parse_chain(raw.get("chain", {}), f"{source}.chain")
-    economics = _parse_economics(raw.get("economics", {}), f"{source}.economics")
-    latency = _parse_latency(raw.get("latency", {}), f"{source}.latency")
-    timing = _parse_timing(raw.get("timing", {}), f"{source}.timing")
-    topology = _parse_topology(raw.get("topology", {}), f"{source}.topology")
+def _unique(ids: list[str], path: str, what: str) -> set[str]:
+    if len(set(ids)) != len(ids):
+        raise SchemaError(path, f"duplicate {what} id")
+    return set(ids)
 
-    services = [
-        _parse_service(entry, f"{source}.services[{i}]")
-        for i, entry in enumerate(raw.get("services", []))
-    ]
-    service_ids = {s.service_id for s in services}
-    if len(service_ids) != len(services):
-        raise SchemaError(f"{source}.services", "duplicate service id")
 
-    owners = [
-        _parse_owner(entry, f"{source}.owners[{i}]", service_ids, topology)
-        for i, entry in enumerate(raw.get("owners", []))
-    ]
-    owner_ids = {o.owner_id for o in owners}
-    if len(owner_ids) != len(owners):
-        raise SchemaError(f"{source}.owners", "duplicate owner id")
+def _known(value: str, known, path: str, what: str) -> None:
+    if value not in known:
+        raise SchemaError(path, f"unknown {what} {value!r}")
 
-    renters = [
-        _parse_renter(entry, f"{source}.renters[{i}]", service_ids)
-        for i, entry in enumerate(raw.get("renters", []))
-    ]
-    renter_ids = {r.renter_id for r in renters}
-    if len(renter_ids) != len(renters):
-        raise SchemaError(f"{source}.renters", "duplicate renter id")
 
-    host = _parse_host(raw.get("host", {}), f"{source}.host", owner_ids, renter_ids,
-                       sum(len(r.campaigns) for r in renters))
+def _check_references(spec: ScenarioSpec, source: str) -> None:
+    """The checks that relate one section to another."""
+    topology = spec.topology
+    for i, (a, b) in enumerate(topology.edges):
+        path = f"{source}.topology.edges[{i}]"
+        _known(a, topology.interfaces, path, "interface")
+        _known(b, topology.interfaces, path, "interface")
+        if a == b:
+            raise SchemaError(path, "an edge joins two different interfaces")
+    if topology.mode in ("distributed", "p2p") and not topology.interfaces:
+        raise SchemaError(f"{source}.topology.interfaces",
+                          f"{topology.mode} mode needs interface nodes")
+    if topology.mode == "centralized" and topology.interfaces:
+        raise SchemaError(f"{source}.topology.interfaces",
+                          "centralized mode takes no interface list")
 
-    eclipsed_owners = {e.owner_id for e in host.eclipse}
-    for i, owner in enumerate(owners):
+    service_ids = _unique([s.service_id for s in spec.services],
+                          f"{source}.services", "service")
+    for i, owner in enumerate(spec.owners):
+        path = f"{source}.owners[{i}]"
+        if owner.home_interface:
+            _known(owner.home_interface, topology.interfaces,
+                   f"{path}.home_interface", "interface")
+        for j, entry in enumerate(owner.services):
+            _known(entry.service_id, service_ids, f"{path}.services[{j}].service", "service")
+            if not entry.allowed:
+                raise SchemaError(f"{path}.services[{j}].allowed", "expected a non-empty list")
+    owner_ids = _unique([o.owner_id for o in spec.owners], f"{source}.owners", "owner")
+
+    campaigns = 0
+    for i, renter in enumerate(spec.renters):
+        for j, campaign in enumerate(renter.campaigns):
+            _known(campaign.service_id, service_ids,
+                   f"{source}.renters[{i}].campaigns[{j}].service", "service")
+        campaigns += len(renter.campaigns)
+    renter_ids = _unique([r.renter_id for r in spec.renters], f"{source}.renters", "renter")
+
+    for i, cut in enumerate(spec.host.cuts):
+        path = f"{source}.host.cuts[{i}]"
+        if cut.owner_id is not None:
+            _known(cut.owner_id, owner_ids, f"{path}.owner_id", "owner")
+        if cut.campaign_index is not None:
+            _bounds(cut.campaign_index, f"{path}.campaign_index", None, campaigns - 1)
+    for i, entry in enumerate(spec.host.eclipse):
+        path = f"{source}.host.eclipse[{i}]"
+        _known(entry.owner_id, owner_ids, f"{path}.owner", "owner")
+        if entry.source == "renter_fork":
+            _known(entry.renter_id, renter_ids, f"{path}.renter", "renter")
+
+    eclipsed_owners = {e.owner_id for e in spec.host.eclipse}
+    for i, owner in enumerate(spec.owners):
         if owner.profile == "eclipsed" and owner.owner_id not in eclipsed_owners:
             raise SchemaError(f"{source}.owners[{i}].profile",
                               "eclipsed owner has no host.eclipse entry")
 
-    return ScenarioSpec(
-        name=name, seed=seed, chain=chain, economics=economics, latency=latency,
-        timing=timing, topology=topology, services=services, owners=owners,
-        renters=renters, host=host,
-        maintainer_address=_text(raw.get("maintainer_address", "maintainer"),
-                                 f"{source}.maintainer_address"),
-    )
+
+def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioSpec:
+    spec = _parse(ScenarioSpec, raw, source)
+    _check_references(spec, source)
+    return spec
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None) -> ScenarioSpec:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(str(path), f"cannot read the file: {exc}") from None
     try:
         raw = yaml.load(text, Loader=SAFE_LOADER)
     except yaml.YAMLError as exc:
@@ -319,263 +418,3 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     if seed_override is not None:
         spec.seed = seed_override
     return spec
-
-
-# -- section parsers ---------------------------------------------------
-
-
-def _parse_chain(raw: dict, path: str) -> ChainSpec:
-    _check_keys(raw, {"difficulty_bits", "block_interval", "confirmation_depth"}, path)
-    return ChainSpec(
-        difficulty_bits=_integer(raw.get("difficulty_bits", 12),
-                                 f"{path}.difficulty_bits", minimum=1, maximum=28),
-        block_interval=_number(raw.get("block_interval", 15.0),
-                               f"{path}.block_interval", minimum=0.001),
-        confirmation_depth=_integer(raw.get("confirmation_depth", 6),
-                                    f"{path}.confirmation_depth", minimum=1),
-    )
-
-
-def _parse_economics(raw: dict, path: str) -> EconomicsSpec:
-    _check_keys(raw, {"deposit_rate", "fee_rate"}, path)
-    return EconomicsSpec(
-        deposit_rate=_rate(raw.get("deposit_rate", "0.1"), f"{path}.deposit_rate"),
-        fee_rate=_rate(raw.get("fee_rate", "0.05"), f"{path}.fee_rate"),
-    )
-
-
-def _parse_latency(raw: dict, path: str) -> LatencySpec:
-    _check_keys(raw, {"model"}, path)
-    model = raw.get("model", "fixed")
-    if model not in ("fixed", "normal"):
-        raise SchemaError(f"{path}.model", f"expected fixed or normal, got {model!r}")
-    return LatencySpec(model=model)
-
-
-def _parse_timing(raw: dict, path: str) -> TimingSpec:
-    _check_keys(raw, {"poll_interval", "liveness_window", "horizon"}, path)
-    return TimingSpec(
-        poll_interval=_number(raw.get("poll_interval", 30.0),
-                              f"{path}.poll_interval", minimum=0.001),
-        liveness_window=_number(raw.get("liveness_window", 60.0),
-                                f"{path}.liveness_window", minimum=0.001),
-        horizon=_number(raw.get("horizon", 3600.0), f"{path}.horizon", minimum=1.0),
-    )
-
-
-def _parse_topology(raw: dict, path: str) -> TopologySpec:
-    _check_keys(raw, {"mode", "service_enclaves", "payment_enclaves",
-                      "interfaces", "edges", "gossip_interval"}, path)
-    mode = raw.get("mode", "centralized")
-    if mode not in MODES:
-        raise SchemaError(f"{path}.mode", f"unknown mode {mode!r}")
-    interfaces = [
-        _text(v, f"{path}.interfaces[{i}]")
-        for i, v in enumerate(raw.get("interfaces", []))
-    ]
-    edges = []
-    for i, pair in enumerate(raw.get("edges", [])):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{path}.edges[{i}]", "expected a [a, b] pair")
-        a, b = (_text(v, f"{path}.edges[{i}]") for v in pair)
-        for end in (a, b):
-            if end not in interfaces:
-                raise SchemaError(f"{path}.edges[{i}]", f"unknown interface {end!r}")
-        edges.append((a, b))
-    if mode in ("distributed", "p2p") and not interfaces:
-        raise SchemaError(f"{path}.interfaces", f"{mode} mode needs interface nodes")
-    if mode == "centralized" and interfaces:
-        raise SchemaError(f"{path}.interfaces", "centralized mode takes no interface list")
-    return TopologySpec(
-        mode=mode,
-        service_enclaves=_integer(raw.get("service_enclaves", 1),
-                                  f"{path}.service_enclaves", minimum=1, maximum=64),
-        payment_enclaves=_integer(raw.get("payment_enclaves", 1),
-                                  f"{path}.payment_enclaves", minimum=1, maximum=64),
-        interfaces=interfaces,
-        edges=edges,
-        gossip_interval=_number(raw.get("gossip_interval", 60.0),
-                                f"{path}.gossip_interval", minimum=0.001),
-    )
-
-
-def _parse_service(raw: dict, path: str) -> ServiceSpec:
-    _check_keys(raw, {"id", "kind", "collusion", "items", "hidden_items",
-                      "ghosts", "policy", "candidates", "coerced"}, path)
-    kind = _text(_require(raw, "kind", path), f"{path}.kind")
-    if kind not in ("social", "voting"):
-        raise SchemaError(f"{path}.kind", f"expected social or voting, got {kind!r}")
-    policy = raw.get("policy", "first_counts")
-    if policy not in ("first_counts", "last_counts"):
-        raise SchemaError(f"{path}.policy", f"unknown vote policy {policy!r}")
-    return ServiceSpec(
-        service_id=_text(_require(raw, "id", path), f"{path}.id"),
-        kind=kind,
-        collusion=_flag(raw.get("collusion", False), f"{path}.collusion"),
-        items=[_text(v, f"{path}.items[{i}]") for i, v in enumerate(raw.get("items", []))],
-        hidden_items=[_text(v, f"{path}.hidden_items[{i}]")
-                      for i, v in enumerate(raw.get("hidden_items", []))],
-        ghosts=[_text(v, f"{path}.ghosts[{i}]") for i, v in enumerate(raw.get("ghosts", []))],
-        policy=policy,
-        candidates=[_text(v, f"{path}.candidates[{i}]")
-                    for i, v in enumerate(raw.get("candidates", []))],
-        coerced=[_text(v, f"{path}.coerced[{i}]")
-                 for i, v in enumerate(raw.get("coerced", []))],
-    )
-
-
-def _parse_owner(raw: dict, path: str, service_ids: set[str],
-                 topology: TopologySpec) -> OwnerSpec:
-    _check_keys(raw, {"id", "profile", "polls", "revert_delay",
-                      "home_interface", "cpu", "services"}, path)
-    profile = raw.get("profile", "honest")
-    if profile not in OWNER_PROFILES:
-        raise SchemaError(f"{path}.profile", f"unknown profile {profile!r}")
-    home = raw.get("home_interface", "")
-    if home and home not in topology.interfaces:
-        raise SchemaError(f"{path}.home_interface", f"unknown interface {home!r}")
-    owner_id = _text(_require(raw, "id", path), f"{path}.id")
-    services = []
-    for i, entry in enumerate(raw.get("services", [])):
-        spath = f"{path}.services[{i}]"
-        _check_keys(entry, {"service", "username", "password", "price", "allowed",
-                            "accepts_revert_window", "whitelist"}, spath)
-        sid = _text(_require(entry, "service", spath), f"{spath}.service")
-        if sid not in service_ids:
-            raise SchemaError(f"{spath}.service", f"unknown service {sid!r}")
-        allowed = entry.get("allowed", [])
-        if not isinstance(allowed, list) or not allowed:
-            raise SchemaError(f"{spath}.allowed", "expected a non-empty list")
-        whitelist = entry.get("whitelist")
-        if whitelist is not None:
-            whitelist = [_text(v, f"{spath}.whitelist[{j}]")
-                         for j, v in enumerate(whitelist)]
-        services.append(OwnerServiceSpec(
-            service_id=sid,
-            username=_text(_require(entry, "username", spath), f"{spath}.username"),
-            password=_text(_require(entry, "password", spath), f"{spath}.password"),
-            price=_coins(_require(entry, "price", spath), f"{spath}.price"),
-            allowed=[_text(v, f"{spath}.allowed[{j}]") for j, v in enumerate(allowed)],
-            accepts_revert_window=_flag(entry.get("accepts_revert_window", True),
-                                        f"{spath}.accepts_revert_window"),
-            whitelist=whitelist,
-        ))
-    return OwnerSpec(
-        owner_id=owner_id,
-        profile=profile,
-        polls=_flag(raw.get("polls", True), f"{path}.polls"),
-        revert_delay=_number(raw.get("revert_delay", 1.0), f"{path}.revert_delay",
-                             minimum=0.0),
-        home_interface=home,
-        cpu=_text(raw.get("cpu", f"cpu:{owner_id}"), f"{path}.cpu"),
-        services=services,
-    )
-
-
-def _parse_renter(raw: dict, path: str, service_ids: set[str]) -> RenterSpec:
-    _check_keys(raw, {"id", "balance", "view", "campaigns"}, path)
-    view = raw.get("view", "honest_tip")
-    if view not in ("honest_tip", "forged_fork"):
-        raise SchemaError(f"{path}.view", f"unknown view {view!r}")
-    campaigns = []
-    for i, entry in enumerate(raw.get("campaigns", [])):
-        cpath = f"{path}.campaigns[{i}]"
-        _check_keys(entry, {"service", "action", "target", "count", "revert_window"},
-                    cpath)
-        sid = _text(_require(entry, "service", cpath), f"{cpath}.service")
-        if sid not in service_ids:
-            raise SchemaError(f"{cpath}.service", f"unknown service {sid!r}")
-        campaigns.append(CampaignSpec(
-            service_id=sid,
-            action_kind=_text(_require(entry, "action", cpath), f"{cpath}.action"),
-            action_target=_text(_require(entry, "target", cpath), f"{cpath}.target"),
-            count=_integer(_require(entry, "count", cpath), f"{cpath}.count",
-                           minimum=1, maximum=10_000),
-            revert_window=_number(entry.get("revert_window", 0.0),
-                                  f"{cpath}.revert_window", minimum=0.0),
-        ))
-    return RenterSpec(
-        renter_id=_text(_require(raw, "id", path), f"{path}.id"),
-        balance=_coins(_require(raw, "balance", path), f"{path}.balance"),
-        view=view,
-        campaigns=campaigns,
-    )
-
-
-def _parse_host(raw: dict, path: str, owner_ids: set[str],
-                renter_ids: set[str], campaigns: int) -> HostSpec:
-    _check_keys(raw, {"cuts", "delays", "kills", "eclipse"}, path)
-    cuts = []
-    for i, entry in enumerate(raw.get("cuts", [])):
-        cpath = f"{path}.cuts[{i}]"
-        _check_keys(entry, {"cut_point", "kind", "src", "dst", "campaign_index",
-                            "owner_id", "step", "from_time", "until_time",
-                            "rule_owner"}, cpath)
-        cut_point = entry.get("cut_point")
-        if cut_point is not None and cut_point not in CUT_POINTS:
-            raise SchemaError(f"{cpath}.cut_point", f"unknown cut point {cut_point}")
-        owner_id = entry.get("owner_id")
-        if owner_id is not None and owner_id not in owner_ids:
-            raise SchemaError(f"{cpath}.owner_id", f"unknown owner {owner_id!r}")
-        index, step = entry.get("campaign_index"), entry.get("step")
-        if index is not None:
-            _integer(index, f"{cpath}.campaign_index", minimum=0, maximum=campaigns - 1)
-        if step is not None:
-            _integer(step, f"{cpath}.step", minimum=1)
-        until = entry.get("until_time")
-        cuts.append(CutSpec(
-            cut_point=cut_point,
-            kind=_optional_text(entry.get("kind"), f"{cpath}.kind"),
-            src=_optional_text(entry.get("src"), f"{cpath}.src"),
-            dst=_optional_text(entry.get("dst"), f"{cpath}.dst"),
-            campaign_index=index,
-            owner_id=owner_id,
-            step=step,
-            from_time=_number(entry.get("from_time", 0.0), f"{cpath}.from_time",
-                              minimum=0.0),
-            until_time=None if until is None else _number(
-                until, f"{cpath}.until_time", minimum=0.0),
-            rule_owner=_text(entry.get("rule_owner", "host"), f"{cpath}.rule_owner"),
-        ))
-    delays = []
-    for i, entry in enumerate(raw.get("delays", [])):
-        dpath = f"{path}.delays[{i}]"
-        _check_keys(entry, {"extra", "cut_point", "kind", "dst", "rule_owner"}, dpath)
-        cut_point = entry.get("cut_point")
-        if cut_point is not None and cut_point not in CUT_POINTS:
-            raise SchemaError(f"{dpath}.cut_point", f"unknown cut point {cut_point}")
-        delays.append(DelaySpec(
-            extra=_number(_require(entry, "extra", dpath), f"{dpath}.extra",
-                          minimum=0.0),
-            cut_point=cut_point,
-            kind=_optional_text(entry.get("kind"), f"{dpath}.kind"),
-            dst=_optional_text(entry.get("dst"), f"{dpath}.dst"),
-            rule_owner=_text(entry.get("rule_owner", "host"), f"{dpath}.rule_owner"),
-        ))
-    kills = []
-    for i, entry in enumerate(raw.get("kills", [])):
-        kpath = f"{path}.kills[{i}]"
-        _check_keys(entry, {"actor", "at"}, kpath)
-        kills.append(KillSpec(
-            actor=_text(_require(entry, "actor", kpath), f"{kpath}.actor"),
-            at=_number(_require(entry, "at", kpath), f"{kpath}.at", minimum=0.0),
-        ))
-    eclipse = []
-    for i, entry in enumerate(raw.get("eclipse", [])):
-        epath = f"{path}.eclipse[{i}]"
-        _check_keys(entry, {"owner", "source", "renter", "height"}, epath)
-        owner_id = _text(_require(entry, "owner", epath), f"{epath}.owner")
-        if owner_id not in owner_ids:
-            raise SchemaError(f"{epath}.owner", f"unknown owner {owner_id!r}")
-        source = _text(_require(entry, "source", epath), f"{epath}.source")
-        if source not in ("renter_fork", "stale"):
-            raise SchemaError(f"{epath}.source", f"unknown eclipse source {source!r}")
-        renter_id = entry.get("renter", "")
-        if source == "renter_fork":
-            if renter_id not in renter_ids:
-                raise SchemaError(f"{epath}.renter", f"unknown renter {renter_id!r}")
-        eclipse.append(EclipseSpec(
-            owner_id=owner_id, source=source, renter_id=renter_id,
-            height=_integer(entry.get("height", 0), f"{epath}.height", minimum=0),
-        ))
-    return HostSpec(cuts=cuts, delays=delays, kills=kills, eclipse=eclipse)

@@ -6,10 +6,12 @@ Worlds are cached per scenario so several tests can share one run.
 """
 from __future__ import annotations
 
+import dataclasses
 import gc
 import os
 import subprocess
 import sys
+import typing
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import leasim
-from leasim import cli, runner
+from leasim import cli, runner, scenario
 from leasim.attestation import Secret
 from leasim.interface_enclave import RESOLVED, InterfaceEnclave
 from leasim.report import build_report, report_digest, verify_world
@@ -544,6 +546,18 @@ class TestP2P:
         assert campaign["remainder_refund"] == 0
         assert [s["status"] for s in campaign["slots"]] == ["confirmed", "confirmed"]
 
+    def test_empty_whitelist_permits_no_target(self):
+        """``whitelist: []`` allows no target, as in centralized mode; only a
+        missing whitelist allows any."""
+        raw = yaml.safe_load(
+            (resources.files("leasim") / "scenarios" / "p2p.yaml").read_text())
+        for owner in raw["owners"]:
+            for entry in owner["services"]:
+                entry["whitelist"] = []
+        world = run_scenario(parse_scenario(raw))
+        assert world.p2p["campaigns"] == [
+            {"renter": "r1", "service": "social", "error": "NoCompliantNodes"}]
+
 
 class TestInvariantsEverywhere:
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -767,6 +781,35 @@ class TestMessageKindsDocumented:
         assert not undocumented
 
 
+class TestScenarioKeysDocumented:
+    def test_scenario_block_has_exactly_the_declared_keys(self):
+        doc = TestEventKindsDocumented.FORMATS.read_text()
+        block = yaml.load(doc.split("```yaml\n", 1)[1].split("```", 1)[0],
+                          Loader=SAFE_LOADER)
+        mismatches = []
+
+        def walk(cls, node, path):
+            declared, _required = scenario._keys(cls)
+            if set(node) != set(declared):
+                mismatches.append((path, sorted(set(declared) - set(node)),
+                                   sorted(set(node) - set(declared))))
+            hints = typing.get_type_hints(cls)
+            for key, value in node.items():
+                if key not in declared:
+                    continue
+                hint = hints[declared[key][0]]
+                if dataclasses.is_dataclass(hint):
+                    walk(hint, value, f"{path}.{key}")
+                elif typing.get_origin(hint) is list and dataclasses.is_dataclass(
+                        typing.get_args(hint)[0]):
+                    for i, item in enumerate(value):
+                        walk(typing.get_args(hint)[0], item, f"{path}.{key}[{i}]")
+
+        walk(scenario.ScenarioSpec, block, "scenario")
+        # each entry: (path, declared but undocumented, documented but undeclared)
+        assert not mismatches
+
+
 class TestScenarioLoader:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_parse_alike_under_both_loaders(self, name):
@@ -818,20 +861,52 @@ class TestScenarioLoader:
         (("host", "delays", 0, "kind"), 4, "host.delays[0].kind"),
         (("host", "delays", 0, "dst"), "", "host.delays[0].dst"),
         (("maintainer_address",), "", "maintainer_address"),
+        (("chain",), 5, "chain"),
+        (("owners",), [5], "owners[0]"),
+        (("host",), [], "host"),
+        (("services",), None, "services"),
+        (("renters", 0, "campaigns"), [1], "renters[0].campaigns[0]"),
+        (("host", "cuts"), [3], "host.cuts[0]"),
+        (("host", "cuts", 0, "owner_id"), ["o1"], "host.cuts[0].owner_id"),
+        (("host", "eclipse", 0, "renter"), ["r1"], "host.eclipse[0].renter"),
+        (("chain",), {"depth": 6, 1: 2}, "chain.1"),
+        (("services", 0, "items"), "item1", "services[0].items"),
+        (("owners", 0, "services", 0, "whitelist"), "item1",
+         "owners[0].services[0].whitelist"),
+        (("owners", 0, "home_interface"), "", "owners[0].home_interface"),
+        (("host", "eclipse", 0, "renter"), 5, "host.eclipse[0].renter"),
+        (("host", "cuts", 0, "cut_point"), True, "host.cuts[0].cut_point"),
+        (("chain", "block_interval"), float("nan"), "chain.block_interval"),
+        (("timing", "horizon"), float("inf"), "timing.horizon"),
+        (("host", "kills"), [{"actor": "payenc:0:0", "at": 10**400}], "host.kills[0].at"),
+        (("topology",), {"mode": "distributed", "interfaces": ["a"], "edges": [["a", "a"]]},
+         "topology.edges[0]"),
     ])
     def test_bad_field_value_exits_2(self, tmp_path, capsys, keys, value, field):
-        """Flags must be real booleans and names non-empty strings."""
+        """Flags must be real booleans, names non-empty strings, and every
+        section and list the shape the schema declares."""
         raw = yaml.safe_load(
             (resources.files("leasim") / "scenarios" / "baseline.yaml").read_text())
-        raw["host"] = {"cuts": [{"kind": "svc_confirm"}], "delays": [{"extra": 1.0}]}
+        raw["host"] = {"cuts": [{"kind": "svc_confirm"}], "delays": [{"extra": 1.0}],
+                       "eclipse": [{"owner": "o1", "source": "stale"}]}
         target = raw
         for key in keys[:-1]:
             target = target[key]
         target[keys[-1]] = value
         path = tmp_path / "bad_field.yaml"
-        path.write_text(yaml.safe_dump(raw))
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
         assert cli.main(["verify", "--scenario", str(path)]) == 2
-        assert field in capsys.readouterr().err
+        assert f"bad_field.{field}: " in capsys.readouterr().err
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert cli.main(["verify", "--scenario", str(tmp_path)]) == 2
+        assert f"{tmp_path}: cannot read the file" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("name: caf\xe9\n".encode("latin-1"))
+        assert cli.main(["verify", "--scenario", str(path)]) == 2
+        assert f"{path}: cannot read the file" in capsys.readouterr().err
 
 
 class _Probe:
