@@ -19,11 +19,20 @@ Chains are immutable snapshots: append returns a new chain, so any actor can
 hold a view without copy hazards. The mempool keeps transactions with unknown
 inputs pending (settlement copies may land before their parent) and rejects
 conflicting spends permanently.
+
+Each header object is hashed at most once: whether its recomputed digest
+equals its ``own_digest`` is cached on the header itself
+(``BlockHeader.digest_ok``) and lives exactly as long as that object. The
+cache is per object, not per value, so a copy made with
+``dataclasses.replace`` is hashed afresh, and nothing carries over from one
+run to the next. The other header checks (target, heights, prev links) run
+on every call.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from leasim import powcore
 
@@ -67,6 +76,12 @@ class BlockHeader:
         return powcore.header_digest(
             self.height, self.prev_digest, self.payload_digest, self.pow_nonce
         )
+
+    @cached_property
+    def digest_ok(self) -> bool:
+        """Whether ``own_digest`` is this header's digest, hashed once per
+        object. The fields are frozen, so the answer cannot go stale."""
+        return self.recompute_digest() == self.own_digest
 
 
 @dataclass(frozen=True)
@@ -282,6 +297,12 @@ class Chain:
     def headers(self) -> list[BlockHeader]:
         return [b.header for b in self.blocks]
 
+    def headers_from(self, height: int, until: int | None = None) -> list[BlockHeader]:
+        """Headers at ``height`` through ``until`` (default: the tip). A
+        block's index in ``blocks`` is its height, so this slices."""
+        stop = None if until is None else max(until + 1, 0)
+        return [b.header for b in self.blocks[max(height, 0):stop]]
+
     def header_suffix(self, window: int = HEADER_WINDOW) -> list[BlockHeader]:
         return [b.header for b in self.blocks[-window:]]
 
@@ -388,8 +409,7 @@ def verify_headers_detail(
     for header in headers:
         if header.height < 0:
             return False, f"negative height {header.height}"
-        recomputed = header.recompute_digest()
-        if recomputed != header.own_digest:
+        if not header.digest_ok:
             return False, f"digest mismatch at height {header.height}"
         if not powcore.meets_target(header.own_digest, difficulty_bits):
             return False, f"pow target missed at height {header.height}"

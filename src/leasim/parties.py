@@ -41,8 +41,7 @@ class OwnerActor:
         feed = sim.net.eclipse_feeds.get(self.owner_id)
         if feed is not None:
             return feed(from_height)
-        chain = self.chain_supplier()
-        return [h for h in chain.headers() if h.height >= from_height]
+        return self.chain_supplier().headers_from(from_height)
 
     # -- message handling --------------------------------------------------
 
@@ -222,7 +221,7 @@ class RenterActor:
         height = chain.inclusion_height(tx.tx_id)
         block = chain.blocks[height]
         view = {
-            "headers": [h for h in chain.headers() if h.height >= height],
+            "headers": chain.headers_from(height),
             "funding_tx": tx,
             "funding_height": height,
             "block_tx_ids": [t.tx_id for t in block.txs],

@@ -29,9 +29,9 @@ BACKEND = "pure"
 _TAILS = tuple(bytes((low,)) for low in range(256))
 
 
-def _bound(difficulty_bits: int) -> bytes:
-    """Digests strictly below these 32 bytes clear difficulty_bits >= 1."""
-    return (1 << (256 - difficulty_bits)).to_bytes(32, "big")
+# Digests strictly below _BOUNDS[bits] clear ``bits`` (1..256); index 0 is
+# unused, because zero difficulty clears every digest.
+_BOUNDS = (b"",) + tuple((1 << (256 - bits)).to_bytes(32, "big") for bits in range(1, 257))
 
 
 def header_digest(height: int, prev_digest: bytes, payload_digest: bytes, nonce: int) -> bytes:
@@ -47,14 +47,14 @@ def header_digest(height: int, prev_digest: bytes, payload_digest: bytes, nonce:
 def meets_target(digest: bytes, difficulty_bits: int) -> bool:
     if difficulty_bits <= 0:
         return True
-    return digest < _bound(difficulty_bits)
+    return digest < _BOUNDS[difficulty_bits]
 
 
 def mine_nonce(height: int, prev_digest: bytes, payload_digest: bytes, difficulty_bits: int) -> tuple[int, bytes]:
     """Smallest nonce whose header digest clears the difficulty target."""
     if difficulty_bits <= 0:
         return 0, header_digest(height, prev_digest, payload_digest, 0)
-    bound = _bound(difficulty_bits)
+    bound = _BOUNDS[difficulty_bits]
     prefix = hashlib.sha256(height.to_bytes(8, "big") + prev_digest + payload_digest)
     high = 0
     while True:

@@ -408,14 +408,12 @@ def _eclipse_feed(world: World, ecl):
         renter = world.renters[ecl.renter_id]
 
         def fork_feed(from_height: int):
-            chain = renter.forged_fork or world.node.chain
-            return [h for h in chain.headers() if h.height >= from_height]
+            return (renter.forged_fork or world.node.chain).headers_from(from_height)
 
         return fork_feed
 
     def stale_feed(from_height: int):
-        return [h for h in world.node.chain.headers()
-                if from_height <= h.height <= ecl.height]
+        return world.node.chain.headers_from(from_height, ecl.height)
 
     return stale_feed
 

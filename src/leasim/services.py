@@ -139,11 +139,11 @@ class SocialService:
         return dict(item.counters)
 
     def public_effect_exists(self, username: str, item_id: str, kind: str) -> bool:
-        """External verification: effect visible from an independent account."""
-        item = self.items.get(item_id)
-        if item is None:
-            return False
-        return (username, kind) in item.public_actions
+        """External verification: effect visible from an independent account.
+
+        ``applied`` holds exactly the (account, item, kind) triples in the
+        items' ``public_actions``: ``_apply`` and ``revert`` change both."""
+        return (username, item_id, kind) in self.applied
 
     def revert(self, username: str, item_id: str, kind: str) -> None:
         key = (username, item_id, kind)

@@ -187,24 +187,6 @@ class EventLog:
         return self._hasher.copy().hexdigest()
 
 
-def _file_by_cut(buckets: dict, rule) -> None:
-    """File ``rule`` in the bucket of the cut point it is scoped to.
-
-    A wildcard rule (``cut_point=None``) goes into every bucket, and a bucket
-    made later starts with a copy of the wildcards, so bucket ``c`` holds, in
-    install order, every rule that can match a message at cut point ``c``.
-    Bucket ``None`` holds the wildcards only.
-    """
-    cut = rule.cut_point
-    if cut is None:
-        for bucket in buckets.values():
-            bucket.append(rule)
-        return
-    if cut not in buckets:
-        buckets[cut] = list(buckets[None])
-    buckets[cut].append(rule)
-
-
 class HostControl:
     """The infrastructure maintainer's entire power surface.
 
@@ -212,17 +194,24 @@ class HostControl:
     mutation. Anything else the host "does" in a scenario must be expressed
     through these.
 
-    ``drop_rules``/``delay_rules`` list the rules in install order. Rules are
-    also indexed by cut point, so a message is checked only against the rules
-    that can match it; install them through ``set_cut``/``add_delay``.
+    ``drop_rules``/``delay_rules`` list the rules in install order; install
+    them through ``set_cut``/``add_delay``. A message is checked only against
+    the rules that can match it: the drop rules scoped to its cut point (or to
+    none) and to its ``owner_id`` (or to none), and the delay rules scoped to
+    its cut point (or to none). Those candidate lists are filled lazily per
+    key, in install order, and live until the next rule of their kind is
+    installed, which empties the index. An owner that no drop rule names has
+    the candidates of a message with no owner, so it shares their key.
     """
 
     def __init__(self, sim: Simulation) -> None:
         self._sim = sim
         self.drop_rules: list[DropRule] = []
         self.delay_rules: list[DelayRule] = []
-        self._drops_at: dict[int | None, list[DropRule]] = {None: []}
-        self._delays_at: dict[int | None, list[DelayRule]] = {None: []}
+        # (cut_point, owner_id) -> drop rules that can match, in install order
+        self._drops_for: dict[tuple[int | None, str | None], list[DropRule]] = {}
+        self._scoped_owners: set[str | None] = set()  # owner_ids the drop rules name
+        self._delays_for: dict[int | None, list[DelayRule]] = {}  # cut_point -> rules
         self.killed: dict[str, tuple[float, str]] = {}  # actor_id -> (time, rule_id)
         self.eclipse_feeds: dict[str, object] = {}  # owner_id -> chain supplier
         self._rule_seq = 0
@@ -236,7 +225,8 @@ class HostControl:
             rule_id=self._next_rule_id("cut"), owner=owner, cut_point=cut_point, **scope
         )
         self.drop_rules.append(rule)
-        _file_by_cut(self._drops_at, rule)
+        self._scoped_owners.add(rule.owner_id)
+        self._drops_for.clear()
         self._sim.log.emit(
             self._sim.now, owner, "rule_set", rule=rule.rule_id,
             cut=cut_point if cut_point is not None else "-", match=rule.kind or "-",
@@ -252,7 +242,7 @@ class HostControl:
             rule_id=self._next_rule_id("delay"), owner=owner, extra=extra, **scope
         )
         self.delay_rules.append(rule)
-        _file_by_cut(self._delays_at, rule)
+        self._delays_for.clear()
         self._sim.log.emit(
             self._sim.now, owner, "rule_set", rule=rule.rule_id, delay=f"{extra:.6f}"
         )
@@ -280,14 +270,27 @@ class HostControl:
 
     def _drop_rule_for(self, msg: Message, now: float) -> DropRule | None:
         """The first rule, in install order, that drops ``msg`` at ``now``."""
-        for rule in self._drops_at.get(msg.cut_point, self._drops_at[None]):
+        owner_id = msg.owner_id
+        key = (msg.cut_point, owner_id if owner_id in self._scoped_owners else None)
+        rules = self._drops_for.get(key)
+        if rules is None:
+            rules = self._drops_for[key] = [
+                rule for rule in self.drop_rules
+                if rule.cut_point in (None, key[0]) and rule.owner_id in (None, key[1])
+            ]
+        for rule in rules:
             if rule.matches(msg, now):
                 return rule
         return None
 
     def _delayed(self, msg: Message, latency: float) -> float:
         """``latency`` plus every matching delay rule's extra, in install order."""
-        for rule in self._delays_at.get(msg.cut_point, self._delays_at[None]):
+        rules = self._delays_for.get(msg.cut_point)
+        if rules is None:
+            rules = self._delays_for[msg.cut_point] = [
+                rule for rule in self.delay_rules if rule.cut_point in (None, msg.cut_point)
+            ]
+        for rule in rules:
             if rule.matches(msg):
                 latency += rule.extra
         return latency
@@ -413,7 +416,7 @@ class Simulation:
         if killed is not None:
             lines.append(f"{self._stamp()}{src} kind=send_blocked:{kind} rule={killed[1]}{tail}")
             return msg
-        if net._drops_at.get(cut_point, net._drops_at[None]):
+        if net.drop_rules:
             rule = net._drop_rule_for(msg, now)
             if rule is not None:
                 self._check_cleartext(msg)
@@ -421,7 +424,7 @@ class Simulation:
                 lines.append(f"{self._stamp()}{src} kind=drop:{kind} rule={rule.rule_id}"
                              f" by={rule.owner}{tail}")
                 return msg
-        if net._delays_at.get(cut_point, net._delays_at[None]):
+        if net.delay_rules:
             latency = net._delayed(msg, latency)
         lines.append(f"{self._stamp()}{src} kind=send:{kind}{tail}")
         when = now + latency

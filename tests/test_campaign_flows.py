@@ -11,6 +11,7 @@ import gc
 import os
 import subprocess
 import sys
+import types
 import typing
 from importlib import resources
 from pathlib import Path
@@ -23,6 +24,7 @@ import leasim
 from leasim import cli, runner, scenario
 from leasim.attestation import Secret
 from leasim.interface_enclave import RESOLVED, InterfaceEnclave
+from leasim.ledger import BlockHeader, Transaction
 from leasim.report import build_report, report_digest, verify_world
 from leasim.runner import POLL_AT, build_world, estimate_schedule, run_scenario
 from leasim.scenario import SAFE_LOADER, SchemaError, load_scenario, parse_scenario
@@ -1022,3 +1024,66 @@ class TestSecretTaint:
         assert self.fates(world, "clean") == ["send"] * 7 + ["recv"] * 7
         ok, why = self.taint_check(world)
         assert ok and why.startswith(f"{before + 7} messages scanned")
+
+
+_PLAIN_TYPES = (str, bytes, int, float, bool, type(None))
+
+
+def _can_hold_secret(hint, seen: tuple = ()) -> bool:
+    """Whether a value declared as ``hint`` is, or can hold, a Secret. A
+    dataclass's field annotations and a generic's type arguments are walked
+    down to plain types; anything else (``object``, ``Any``, a bare ``dict``)
+    could hold one."""
+    if isinstance(hint, type) and issubclass(hint, Secret):
+        return True
+    if hint is Ellipsis or hint in _PLAIN_TYPES:
+        return False
+    if dataclasses.is_dataclass(hint):
+        return hint not in seen and any(
+            _can_hold_secret(field, seen + (hint,))
+            for field in typing.get_type_hints(hint).values())
+    if typing.get_origin(hint) in (tuple, list, set, frozenset, dict, typing.Union,
+                                   types.UnionType):
+        return any(_can_hold_secret(arg, seen) for arg in typing.get_args(hint))
+    return True
+
+
+class TestCleartextLeafTypes:
+    """``contains_secret`` does not look into objects other than dicts, lists,
+    tuples and sets. Pin every other type that reaches a cleartext payload in
+    the bundled scenarios, and check from its declared fields that none can
+    hold a Secret."""
+
+    LEAVES = {str, int, bool, type(None), Transaction, BlockHeader}
+
+    def test_pinned_and_secret_free(self, monkeypatch):
+        found: set[type] = set()
+        check = Simulation._check_cleartext
+
+        def collect(value) -> None:
+            if isinstance(value, dict):
+                value = value.values()
+            elif not isinstance(value, (list, tuple, set, frozenset)):
+                found.add(type(value))
+                return
+            for item in value:
+                collect(item)
+
+        def probe(sim, msg) -> None:
+            payload = sim.host_visible_payload(msg)
+            if payload is not None:
+                collect(payload)
+            check(sim, msg)
+
+        monkeypatch.setattr(Simulation, "_check_cleartext", probe)
+        for name in BUNDLED:
+            run_scenario(load_scenario(
+                str(resources.files("leasim") / "scenarios" / f"{name}.yaml")))
+        assert found == self.LEAVES
+        assert not [leaf for leaf in found if _can_hold_secret(leaf)]
+
+    def test_field_walk_finds_a_secret_slot(self):
+        assert _can_hold_secret(Secret)
+        assert _can_hold_secret(Message)  # payload: dict
+        assert _can_hold_secret(Session | Secret)
+        assert _can_hold_secret(tuple[str, ...] | None) is False

@@ -6,10 +6,14 @@ for consistency, and hashlib recomputation for header mutations.
 """
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leasim import ledger
+from leasim import ledger, powcore, runner, scenario
 from leasim.coins import coins
 from tests.conftest import extend, mk_chain
 
@@ -225,6 +229,91 @@ class TestVerifyHeaders:
         assert forged.recompute_digest() != forged.own_digest
         headers[1] = forged
         assert not ledger.verify_headers(headers, DIFF)
+
+
+def _flip(digest: bytes) -> bytes:
+    return bytes([digest[0] ^ 1]) + digest[1:]
+
+
+class TestHeaderCheckCache:
+    """Each header object is hashed once; copies and tampering are not fooled."""
+
+    def test_copies_of_a_checked_header_fail_with_the_same_diagnostic(self):
+        chain = extend(mk_chain(DIFF), 4)
+        headers = chain.headers()
+        assert ledger.verify_headers_detail(headers, DIFF) == (True, "ok")
+        for i, h in enumerate(headers):
+            mutants = {
+                "height": (dataclasses.replace(h, height=h.height + 1), h.height + 1),
+                "prev_digest": (dataclasses.replace(h, prev_digest=_flip(h.prev_digest)),
+                                h.height),
+                "payload_digest": (
+                    dataclasses.replace(h, payload_digest=_flip(h.payload_digest)), h.height),
+                "pow_nonce": (dataclasses.replace(h, pow_nonce=h.pow_nonce + 1), h.height),
+                "own_digest": (dataclasses.replace(h, own_digest=_flip(h.own_digest)),
+                               h.height),
+            }
+            for name, (mutant, at) in mutants.items():
+                tampered = headers[:i] + [mutant] + headers[i + 1:]
+                assert ledger.verify_headers_detail(tampered, DIFF) == (
+                    False, f"digest mismatch at height {at}"), f"{name}@{i}"
+            assert h.digest_ok  # the original is still valid
+
+    def test_remined_copy_fails_on_its_link(self):
+        headers = extend(mk_chain(DIFF), 3).headers()
+        assert ledger.verify_headers(headers, DIFF)
+        h = headers[1]
+        payload = _flip(h.payload_digest)
+        nonce, digest = powcore.mine_nonce(h.height, h.prev_digest, payload, DIFF)
+        remined = dataclasses.replace(h, payload_digest=payload, pow_nonce=nonce,
+                                      own_digest=digest)
+        assert ledger.verify_headers_detail(headers[:1] + [remined] + headers[2:], DIFF) == (
+            False, "broken prev link at height 2")
+
+    def test_checking_twice_gives_the_same_answer(self):
+        headers = extend(mk_chain(DIFF), 3).headers()
+        tampered = headers[:2] + [dataclasses.replace(headers[2], pow_nonce=0)]
+        for view in (headers, tampered):
+            first = ledger.verify_headers_detail(view, DIFF)
+            assert ledger.verify_headers_detail(view, DIFF) == first
+        assert ledger.verify_headers_detail(headers, DIFF) == (True, "ok")
+        assert ledger.verify_headers_detail(tampered, DIFF) == (
+            False, "digest mismatch at height 2")
+
+    def test_run_hashes_each_distinct_header_at_most_once(self, monkeypatch):
+        hashed: Counter = Counter()
+        digest = powcore.header_digest
+
+        def counting(*fields):
+            hashed[fields] += 1
+            return digest(*fields)
+
+        monkeypatch.setattr(powcore, "header_digest", counting)
+        checks = Counter()
+        check = ledger.check_consistency
+
+        def counting_check(*args):
+            checks["calls"] += 1
+            return check(*args)
+
+        monkeypatch.setattr(ledger, "check_consistency", counting_check)
+        path = resources.files("leasim") / "scenarios" / "baseline.yaml"
+        world = runner.run_scenario(scenario.load_scenario(str(path)))
+        assert checks["calls"] >= 3  # every slot's consistency gate ran
+        assert hashed and max(hashed.values()) == 1
+        ok, diag = world.node.chain.verify_full()
+        assert ok, diag
+        assert max(hashed.values()) == 1
+
+
+class TestHeadersFrom:
+    def test_equals_the_height_filter(self):
+        chain = extend(mk_chain(DIFF), 5)
+        for lo in range(-2, 8):
+            assert chain.headers_from(lo) == [h for h in chain.headers() if h.height >= lo]
+            for hi in range(-2, 8):
+                assert chain.headers_from(lo, hi) == [
+                    h for h in chain.headers() if lo <= h.height <= hi]
 
 
 class TestSubmitAndMempool:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leasim import services, simnet
 from leasim.services import ServiceAction
@@ -120,6 +121,39 @@ class TestRevert:
         svc.revert("alice", "post1", "upvote")
         out = drive_pipeline(svc, "k2", "alice", "pw-a", ServiceAction("upvote", "post1"))
         assert out["effect"] == "applied"
+
+
+_PASSWORDS = {"alice": "pw-a", "bob": "pw-b", "spook": "pw-s"}  # spook is a ghost
+_USERS = tuple(_PASSWORDS)
+_OPS = st.lists(st.tuples(st.sampled_from(("apply", "revert")), st.sampled_from(_USERS),
+                          st.sampled_from(("post1", "post2", "nowhere")),
+                          st.sampled_from(("upvote", "post"))), max_size=30)
+
+
+class TestPublicEffect:
+    @settings(max_examples=60, deadline=None)
+    @given(_OPS)
+    def test_agrees_with_the_items_public_actions(self, ops):
+        svc = mk_social()
+        svc.add_item("post2")
+        svc.add_account("spook", "pw-s", ghost=True)
+        for n, (op, user, item_id, kind) in enumerate(ops):
+            if op == "apply":
+                drive_pipeline(svc, f"k{n}", user, _PASSWORDS[user],
+                               ServiceAction(kind, item_id))
+            else:
+                try:
+                    svc.revert(user, item_id, kind)
+                except services.NothingToRevert:
+                    pass
+            for probe_user in _USERS:
+                for probe_item in ("post1", "post2", "nowhere"):
+                    for probe_kind in ("upvote", "post"):
+                        item = svc.items.get(probe_item)
+                        expect = item is not None and (
+                            probe_user, probe_kind) in item.public_actions
+                        assert svc.public_effect_exists(
+                            probe_user, probe_item, probe_kind) is expect, (n, ops[:n + 1])
 
 
 def mk_voting(policy="first_counts", fake=()):

@@ -165,14 +165,15 @@ class TestDelayRules:
 
 
 class TestRuleIndex:
-    """Rules are bucketed by cut point; matching must equal an install-order scan."""
+    """Rules are indexed by cut point and owner; matching must equal an
+    install-order scan."""
 
     def test_interleaved_rules_attribute_first_match_in_install_order(self):
         sim, _ = mk_sim()
         cut2, cut5 = simnet.CUT_OWNER_CHAIN, simnet.CUT_REWARD_COPY
         sim.net.set_cut(cut5, owner_id="o1", owner="early5")
-        sim.net.set_cut(kind="x", owner="wild")  # joins the cut-5 bucket after early5
-        sim.net.set_cut(cut2, owner="late2")  # cut-2 bucket starts with the wildcard
+        sim.net.set_cut(kind="x", owner="wild")  # a cut-5 candidate after early5
+        sim.net.set_cut(cut2, owner="late2")  # cut-2 candidates: the wildcard, then late2
         sim.net.set_cut(cut5, owner="late5")
         sent = [
             (cut5, "x", "o1", "early5"),
@@ -188,28 +189,48 @@ class TestRuleIndex:
         assert [by for _msg, _rule, by in sim.dropped] == [by for *_, by in sent]
 
     def test_random_rule_sets_agree_with_install_order_scan(self):
+        """Installs, ``clear_cut`` calls and sends interleave, so sends meet
+        index entries filled before a later install or clear."""
         rng = random.Random(3)
-        for _ in range(20):
+        for _ in range(40):
             sim, _ = mk_sim()
-            for _ in range(rng.randrange(1, 12)):
-                sim.net.set_cut(
-                    rng.choice([None, *simnet.CUT_POINTS]),
-                    kind=rng.choice([None, "x", "y"]),
-                    owner_id=rng.choice([None, "o1", "o2"]),
-                )
-            for _ in range(30):
+            for _ in range(60):
+                step = rng.random()
+                if step < 0.15:
+                    sim.net.set_cut(
+                        rng.choice([None, *simnet.CUT_POINTS]),
+                        kind=rng.choice([None, "x", "y"]),
+                        owner_id=rng.choice([None, "o1", "o2"]),
+                    )
+                    continue
+                if step < 0.2 and sim.net.drop_rules:
+                    sim.net.clear_cut(rng.choice(sim.net.drop_rules))
+                    continue
                 cut = rng.choice([None, *simnet.CUT_POINTS])
                 msg = sim.send("a", "b", rng.choice(["x", "y"]), {}, cut_point=cut,
-                               owner_id=rng.choice([None, "o1", "o2"]))
+                               owner_id=rng.choice([None, "o1", "o2", "o3"]))
                 first = next((r for r in sim.net.drop_rules if r.matches(msg, sim.now)), None)
                 dropped = sim.dropped and sim.dropped[-1][0] is msg
                 assert (sim.dropped[-1][1] if dropped else None) == (
                     first.rule_id if first else None)
 
+    def test_owner_rule_installed_after_that_owners_sends_drops_the_next(self):
+        sim, recs = mk_sim()
+        cut = simnet.CUT_OWNER_CHAIN
+        # names o1, so o1's cut-2 sends fill an index entry of their own
+        sim.net.set_cut(simnet.CUT_REWARD_COPY, owner_id="o1")
+        for t in (0.5, 1.5):
+            sim.schedule_at(t, lambda t=t: sim.send("a", "b", "chain_view", {"t": t},
+                                                    cut_point=cut, owner_id="o1"))
+        sim.schedule_at(1.0, lambda: sim.net.set_cut(cut, owner_id="o1", owner="mid"))
+        sim.run()
+        assert [p["t"] for _, _, p in recs["b"].inbox] == [0.5]
+        assert [by for *_, by in sim.dropped] == ["mid"]
+
     def test_rule_installed_mid_run_applies_to_later_sends(self):
         sim, recs = mk_sim()
         cut = simnet.CUT_REWARD_COPY
-        sim.net.set_cut(cut, owner_id="other")  # the cut-5 bucket exists already
+        sim.net.set_cut(cut, owner_id="other")  # rules exist, so sends consult the index
         sim.schedule_at(1.0, lambda: sim.net.set_cut(cut, kind="tx_copy", owner="mid5"))
         sim.schedule_at(2.0, lambda: sim.net.set_cut(kind="z", owner="midwild"))
         for t in (0.5, 1.5, 2.5):
