@@ -134,13 +134,6 @@ def split_values(amount: int, parts: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(parts)]
 
 
-def batch_assignment(n_slots: int, n_enclaves: int) -> list[list[int]]:
-    """Round-robin slot indices over enclaves; sizes differ by at most one."""
-    if n_enclaves <= 0:
-        raise ValueError("need at least one enclave")
-    return [list(range(i, n_slots, n_enclaves)) for i in range(n_enclaves)]
-
-
 class InterfaceEnclave:
     def __init__(
         self,

@@ -42,7 +42,6 @@ BURN_ADDRESS = "burn"  # no key exists for this address, by construction
 OUTPUT_KINDS = ("funding", "reward", "deposit_return", "fee", "refund", "change", "burn")
 
 DEFAULT_DIFFICULTY_BITS = 12
-HEADER_WINDOW = 10  # headers carried in a light chain view
 
 
 class LedgerError(Exception):
@@ -303,9 +302,6 @@ class Chain:
         stop = None if until is None else max(until + 1, 0)
         return [b.header for b in self.blocks[max(height, 0):stop]]
 
-    def header_suffix(self, window: int = HEADER_WINDOW) -> list[BlockHeader]:
-        return [b.header for b in self.blocks[-window:]]
-
     def confirmations(self, tx_id: str) -> int:
         if tx_id not in self._tx_heights:
             return 0
@@ -325,10 +321,6 @@ class Chain:
             if tx.tx_id == tx_id:
                 return tx
         return None
-
-    def note(self, note_id: str) -> Note | None:
-        entry = self._note_index.get(note_id)
-        return entry[0] if entry else None
 
     def is_unspent(self, note_id: str) -> bool:
         return note_id in self._note_index and note_id not in self._spent
@@ -351,9 +343,6 @@ class Chain:
             if note_id not in self._spent:
                 out[note.owner_address] = out.get(note.owner_address, 0) + note.value
         return out
-
-    def burned_total(self) -> int:
-        return self.balance(BURN_ADDRESS)
 
     def observe_tx(self, tx_id: str, viewer: str | None = None) -> dict | None:
         """Anonymity rule: non-parties learn existence and output count only."""
@@ -515,85 +504,3 @@ class Mempool:
                 progress = True
         new_chain = chain.append_block(included)
         return new_chain, [tx.tx_id for tx in included]
-
-
-# -- dump / restore --------------------------------------------------------
-
-
-def dump_chain(chain: Chain) -> str:
-    """Line-oriented text dump; field order is the restore contract."""
-    lines = [f"chain v1 difficulty={chain.difficulty_bits}"]
-    for block in chain.blocks:
-        h = block.header
-        lines.append(
-            "block h=%d prev=%s payload=%s nonce=%d digest=%s txs=%d"
-            % (
-                h.height,
-                h.prev_digest.hex(),
-                h.payload_digest.hex(),
-                h.pow_nonce,
-                h.own_digest.hex(),
-                len(block.txs),
-            )
-        )
-        for tx in block.txs:
-            lines.append(
-                "tx id=%s inputs=%s outputs=%s signers=%s memo=%s"
-                % (
-                    tx.tx_id,
-                    ",".join(tx.inputs) if tx.inputs else "-",
-                    ",".join(
-                        f"{note.owner_address}:{note.value}:{kind}" for note, kind in tx.outputs
-                    )
-                    or "-",
-                    "|".join(sorted(tx.signers)) if tx.signers else "-",
-                    tx.memo,
-                )
-            )
-    return "\n".join(lines) + "\n"
-
-
-def restore_chain(text: str) -> Chain:
-    """Parse and fully re-validate a chain dump."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("chain v1 "):
-        raise MalformedChain("missing chain header line")
-    difficulty_bits = int(lines[0].split("difficulty=")[1])
-    blocks: list[Block] = []
-    i = 1
-    while i < len(lines):
-        if not lines[i].startswith("block "):
-            raise MalformedChain(f"expected block line, got: {lines[i][:40]}")
-        fields = dict(part.split("=", 1) for part in lines[i].split()[1:])
-        ntx = int(fields["txs"])
-        txs = []
-        for j in range(ntx):
-            txs.append(_parse_tx_line(lines[i + 1 + j]))
-        header = BlockHeader(
-            height=int(fields["h"]),
-            prev_digest=bytes.fromhex(fields["prev"]),
-            payload_digest=bytes.fromhex(fields["payload"]),
-            pow_nonce=int(fields["nonce"]),
-            own_digest=bytes.fromhex(fields["digest"]),
-        )
-        blocks.append(Block(header, tuple(txs)))
-        i += 1 + ntx
-    return Chain.from_blocks(difficulty_bits, blocks)
-
-
-def _parse_tx_line(line: str) -> Transaction:
-    if not line.startswith("tx "):
-        raise MalformedChain(f"expected tx line, got: {line[:40]}")
-    fields = dict(part.split("=", 1) for part in line.split(" ")[1:5])
-    memo = line.split(" memo=", 1)[1] if " memo=" in line else ""
-    inputs = [] if fields["inputs"] == "-" else fields["inputs"].split(",")
-    outputs = []
-    if fields["outputs"] != "-":
-        for chunk in fields["outputs"].split(","):
-            addr, value, kind = chunk.rsplit(":", 2)
-            outputs.append((addr, int(value), kind))
-    signers = set() if fields["signers"] == "-" else set(fields["signers"].split("|"))
-    tx = make_transaction(inputs, outputs, signers, memo=memo)
-    if tx.tx_id != fields["id"]:
-        raise MalformedChain(f"tx id mismatch: {fields['id'][:16]}")
-    return tx

@@ -55,10 +55,6 @@ class ServiceAction:
     kind: str
     target: str
 
-    @property
-    def observable(self) -> bool:
-        return OBSERVABLE_KINDS[self.kind]
-
 
 @dataclass
 class ItemState:
@@ -172,17 +168,6 @@ class SocialService:
             return set()
         return {username for username, _ in item.private_log}
 
-    def dump(self) -> str:
-        lines = [f"service {self.service_id} kind=social accounts={len(self.accounts)}"]
-        for item_id in sorted(self.items):
-            item = self.items[item_id]
-            counters = ",".join(f"{k}:{v}" for k, v in sorted(item.counters.items())) or "-"
-            lines.append(
-                f"item {item_id} hidden={int(item.hidden)} counters={counters} "
-                f"public_actions={len(item.public_actions)}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 class VotingService:
     """Unobservable service: ballots are unlinkable, observers see tallies only."""
@@ -265,13 +250,6 @@ class VotingService:
 
     def exposed_accounts(self, _target: str) -> set[str]:
         return set()  # ballots are unlinkable even for the service's campaigns
-
-    def dump(self) -> str:
-        lines = [f"service {self.service_id} kind=voting policy={self.policy} "
-                 f"accounts={len(self.accounts)}"]
-        for candidate, count in sorted(self.tallies().items()):
-            lines.append(f"tally {candidate} votes={count}")
-        return "\n".join(lines) + "\n"
 
 
 class ServiceActorAdapter:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CUT_RENTER_CHAIN = 1
 CUT_OWNER_CHAIN = 2
@@ -115,10 +115,9 @@ class DropRule:
     step: int | None = None
     from_time: float = 0.0
     until_time: float | None = None
-    active: bool = True
 
     def matches(self, msg: Message, now: float) -> bool:
-        if not self.active or now < self.from_time:
+        if now < self.from_time:
             return False
         if self.until_time is not None and now > self.until_time:
             return False
@@ -232,10 +231,6 @@ class HostControl:
             cut=cut_point if cut_point is not None else "-", match=rule.kind or "-",
         )
         return rule
-
-    def clear_cut(self, rule: DropRule) -> None:
-        rule.active = False
-        self._sim.log.emit(self._sim.now, rule.owner, "rule_cleared", rule=rule.rule_id)
 
     def add_delay(self, extra: float, *, owner: str = "host", **scope) -> DelayRule:
         rule = DelayRule(

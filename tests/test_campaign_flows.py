@@ -24,7 +24,7 @@ import leasim
 from leasim import cli, runner, scenario
 from leasim.attestation import Secret
 from leasim.interface_enclave import RESOLVED, InterfaceEnclave
-from leasim.ledger import BlockHeader, Transaction
+from leasim.ledger import BURN_ADDRESS, BlockHeader, Chain, Transaction, make_transaction
 from leasim.report import build_report, report_digest, verify_world
 from leasim.runner import POLL_AT, build_world, estimate_schedule, run_scenario
 from leasim.scenario import SAFE_LOADER, SchemaError, load_scenario, parse_scenario
@@ -157,7 +157,7 @@ class TestServiceResponseCut:
         assert len(timed_out) == 1 and timed_out[0].owner_id == "o2"
         assert campaign.deposit_ledger["burned"] == timed_out[0].deposit_share
         world = world_for("cut3_response")
-        assert world.node.chain.burned_total() == 250_000
+        assert world.node.chain.balance(BURN_ADDRESS) == 250_000
 
     def test_owner_self_harm_renter_harmed(self):
         verdicts = report_for("cut3_response")["verdicts"]
@@ -226,6 +226,29 @@ class TestEclipse:
         truth = report_for("eclipse")["campaigns"][0]["slots"]
         assert not any(s["ground_truth"]["performed"]
                        for s in truth if s["owner_id"] == "o2")
+
+    def test_forked_view_overlapping_the_renters_diverges(self):
+        """The host feeds o2 a private fork of genesis: its headers cover the
+        renter's funding window but differ there, so the gate answers
+        "owner view diverges" rather than the stale view's empty sequence."""
+        world = build_world(load_scenario(
+            str(resources.files("leasim") / "scenarios" / "eclipse.yaml")))
+        fork = Chain.from_blocks(world.node.chain.difficulty_bits, world.node.chain.blocks[:1])
+        for _ in range(30):
+            fork = fork.append_block([])
+        world.sim.net.eclipse_feeds["o2"] = fork.headers_from
+        world.sim.run(until=world.spec.timing.horizon)
+        campaign = only_campaign(world)
+        renter_heights = {h.height for h in campaign.renter_view}
+        assert renter_heights and renter_heights <= {h.height for h in fork.headers()}
+        (eclipsed,) = [s for s in campaign.slots.values() if s.owner_id == "o2"]
+        assert (eclipsed.status, eclipsed.detail) == ("skipped_inconsistent",
+                                                      "owner view diverges")
+        spare = campaign.slots[eclipsed.substituted_by]
+        assert (spare.owner_id, spare.status) == ("o4", "confirmed")
+        assert "ben" not in world.services["social"].exposed_accounts("item1")
+        assert build_report(world)["verdicts"]["owners"]["o2"]["verdict"] == "fair"
+        assert all(ok for _, ok, _ in verify_world(world))
 
 
 class TestRevertWindow:
@@ -575,6 +598,31 @@ class TestInvariantsEverywhere:
             if led:
                 assert led["quoted"] == (led["returned"] + led["burned"]
                                          + led["terminal_refund"])
+
+    @staticmethod
+    def failed_checks(world) -> dict[str, str]:
+        return {check: why for check, ok, why in verify_world(world) if not ok}
+
+    def test_settlement_without_reward_fails_atomicity(self):
+        world = run_scenario(load_scenario(
+            str(resources.files("leasim") / "scenarios" / "baseline.yaml")))
+        chain = world.node.chain
+        note = chain.unspent_notes("renter:r1")[0]
+        forged = make_transaction([note.note_id], [("renter:r1", note.value, "change")],
+                                  {"renter:r1"}, memo="settle:forged")
+        world.node.chain = chain.append_block([forged])
+        assert self.failed_checks(world) == {
+            "settlement_atomicity": f"{forged.tx_id[:12]} missing outputs ['change']"}
+
+    def test_reordered_share_chain_fails_linearity(self):
+        world = run_scenario(load_scenario(
+            str(resources.files("leasim") / "scenarios" / "baseline.yaml")))
+        (group,) = world.groups.values()
+        (enc,) = group.payment_encs
+        (share,) = enc.shares.values()
+        share.issued[:2] = share.issued[1::-1]  # the second settlement first
+        assert self.failed_checks(world) == {"linear_share_chains": (
+            f"share {share.address} breaks the chain at {share.issued[1].tx_id[:12]}")}
 
     def test_rerun_is_bit_identical(self):
         path = resources.files("leasim") / "scenarios" / "cut3_response.yaml"

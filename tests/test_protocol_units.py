@@ -1,4 +1,4 @@
-"""Pure protocol arithmetic: quoting, fund splitting, batching, burn rules."""
+"""Pure protocol arithmetic: quoting, fund splitting, burn rules."""
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,7 +10,6 @@ from leasim.interface_enclave import (
     InterfaceEnclave,
     Policy,
     Slot,
-    batch_assignment,
     quote_funds,
     split_values,
 )
@@ -77,24 +76,6 @@ class TestSplitValues:
         assert len(values) == parts
         assert max(values) - min(values) <= 1
         assert values == sorted(values, reverse=True)
-
-
-class TestBatchAssignment:
-    def test_seven_over_three(self):
-        batches = batch_assignment(7, 3)
-        assert [len(b) for b in batches] == [3, 2, 2]
-        assert sorted(i for b in batches for i in b) == list(range(7))
-
-    @given(
-        st.integers(min_value=0, max_value=200),
-        st.integers(min_value=1, max_value=16),
-    )
-    def test_balanced_partition(self, n, e):
-        batches = batch_assignment(n, e)
-        flat = sorted(i for b in batches for i in b)
-        assert flat == list(range(n))
-        sizes = [len(b) for b in batches]
-        assert max(sizes) - min(sizes) <= 1
 
 
 class TestPerSlotEconomics:

@@ -106,14 +106,6 @@ class TestDropRules:
         sim.run()
         assert [p["n"] for _, _, p in recs["b"].inbox] == [1, 3]
 
-    def test_clear_cut(self):
-        sim, recs = mk_sim()
-        rule = sim.net.set_cut(kind="x")
-        sim.net.clear_cut(rule)
-        sim.send("a", "b", "x", {})
-        sim.run()
-        assert len(recs["b"].inbox) == 1
-
     def test_cut_point_scoping(self):
         sim, recs = mk_sim()
         sim.net.set_cut(simnet.CUT_DEPOSIT_COPY)
@@ -189,8 +181,8 @@ class TestRuleIndex:
         assert [by for _msg, _rule, by in sim.dropped] == [by for *_, by in sent]
 
     def test_random_rule_sets_agree_with_install_order_scan(self):
-        """Installs, ``clear_cut`` calls and sends interleave, so sends meet
-        index entries filled before a later install or clear."""
+        """Installs and sends interleave, so sends meet index entries filled
+        before a later install."""
         rng = random.Random(3)
         for _ in range(40):
             sim, _ = mk_sim()
@@ -202,9 +194,6 @@ class TestRuleIndex:
                         kind=rng.choice([None, "x", "y"]),
                         owner_id=rng.choice([None, "o1", "o2"]),
                     )
-                    continue
-                if step < 0.2 and sim.net.drop_rules:
-                    sim.net.clear_cut(rng.choice(sim.net.drop_rules))
                     continue
                 cut = rng.choice([None, *simnet.CUT_POINTS])
                 msg = sim.send("a", "b", rng.choice(["x", "y"]), {}, cut_point=cut,
@@ -241,17 +230,15 @@ class TestRuleIndex:
             ("tx_copy", 0.5), ("z", 0.5), ("z", 1.5)]
         assert [by for *_, by in sim.dropped] == ["mid5", "mid5", "midwild"]
 
-    def test_clear_cut_and_window_hold_for_cut_scoped_rules(self):
+    def test_window_holds_for_cut_scoped_rules(self):
         sim, recs = mk_sim()
         cut = simnet.CUT_DEPOSIT_COPY
-        cleared = sim.net.set_cut(cut, owner="cleared")
-        sim.net.set_cut(cut, from_time=1.0, until_time=2.0)
-        sim.net.clear_cut(cleared)
+        sim.net.set_cut(cut, from_time=1.0, until_time=2.0, owner="window")
         for n, t in enumerate((0.5, 1.5, 2.5)):
             sim.schedule_at(t, lambda n=n: sim.send("a", "b", "tx_copy", {"n": n}, cut_point=cut))
         sim.run()
         assert [p["n"] for _, _, p in recs["b"].inbox] == [0, 2]
-        assert "cleared" not in {by for *_, by in sim.dropped}
+        assert [by for *_, by in sim.dropped] == ["window"]
 
     def test_delay_rules_at_a_cut_point_add_up(self):
         sim, recs = mk_sim()
@@ -344,7 +331,7 @@ class TestHostPowerSurface:
         # the only mutations exposed are drop/delay/kill/eclipse style controls
         public = {n for n in vars(simnet.HostControl) if not n.startswith("_")}
         assert public == {
-            "set_cut", "clear_cut", "add_delay", "kill_enclave", "set_eclipse", "is_killed"
+            "set_cut", "add_delay", "kill_enclave", "set_eclipse", "is_killed"
         }
 
 
