@@ -15,10 +15,19 @@ relies on:
   the overlap of their height ranges (for genesis-rooted chains this is the
   prefix-by-digests relation)
 
-Chains are immutable snapshots: append returns a new chain, so any actor can
-hold a view without copy hazards. The mempool keeps transactions with unknown
-inputs pending (settlement copies may land before their parent) and rejects
-conflicting spends permanently.
+One state transition: ``_State.apply(tx, height)`` is the only place a
+transaction is validated and recorded in a chain's state (note index, spent
+set, inclusion heights, issuance). ``Chain.genesis``, ``append_block``,
+``from_blocks`` and ``Mempool.assemble`` all go through it. It raises before
+changing anything, so a rejected transaction leaves the state as it was.
+
+One state copy per block: a new block copies its parent's state once and
+applies its transactions to the copy, then mines. Chains are immutable
+snapshots, so any actor can hold a view without copy hazards. The mempool
+validates each pending transaction against the copy it is building and mines
+its block from that copy; it keeps transactions with unknown inputs pending
+(settlement copies may land before their parent) and drops conflicting spends
+permanently.
 
 Each header object is hashed at most once: whether its recomputed digest
 equals its ``own_digest`` is cached on the header itself
@@ -160,24 +169,59 @@ class Block:
     txs: tuple[Transaction, ...]
 
 
+@dataclass
+class _State:
+    """A chain's note, spent and inclusion indexes and its issuance total."""
+
+    notes: dict[str, tuple[Note, int]] = field(default_factory=dict)  # id -> (note, height)
+    spent: dict[str, str] = field(default_factory=dict)  # note_id -> spending tx_id
+    tx_heights: dict[str, int] = field(default_factory=dict)  # tx_id -> inclusion height
+    issuance: int = 0
+
+    def copy(self) -> _State:
+        return _State(dict(self.notes), dict(self.spent), dict(self.tx_heights), self.issuance)
+
+    def apply(self, tx: Transaction, height: int) -> None:
+        """The state transition: validate ``tx`` against this state, then
+        record it at ``height``. Raises InvalidTransaction (UnknownInput for
+        a note not created yet) before changing anything."""
+        if tx.tx_id in self.tx_heights:
+            raise InvalidTransaction(tx.tx_id, "already included")
+        if tx.is_issuance:
+            if height != 0:
+                raise InvalidTransaction(tx.tx_id, "issuance outside genesis")
+            self.issuance += tx.output_value()
+        else:
+            in_value = 0
+            for note_id in tx.inputs:
+                if note_id not in self.notes:
+                    raise UnknownInput(tx.tx_id, f"unknown input {note_id}")
+                if note_id in self.spent:
+                    raise InvalidTransaction(tx.tx_id, f"double spend of {note_id}")
+                note, _ = self.notes[note_id]
+                if note.owner_address == BURN_ADDRESS:
+                    raise InvalidTransaction(tx.tx_id, "attempt to spend a burn output")
+                if note.owner_address not in tx.signers:
+                    raise InvalidTransaction(tx.tx_id, f"missing signer for {note.owner_address}")
+                in_value += note.value
+            if in_value != tx.output_value():
+                raise InvalidTransaction(
+                    tx.tx_id, f"imbalance: in {in_value} != out {tx.output_value()}"
+                )
+            for note_id in tx.inputs:
+                self.spent[note_id] = tx.tx_id
+        for note, _ in tx.outputs:
+            self.notes[note.note_id] = (note, height)
+        self.tx_heights[tx.tx_id] = height
+
+
 class Chain:
     """Immutable chain snapshot; append_block mines and returns a new Chain."""
 
-    def __init__(
-        self,
-        difficulty_bits: int,
-        blocks: tuple[Block, ...],
-        note_index: dict[str, tuple[Note, int]],
-        spent: dict[str, str],
-        tx_heights: dict[str, int],
-        issuance: int,
-    ):
+    def __init__(self, difficulty_bits: int, blocks: tuple[Block, ...], state: _State):
         self.difficulty_bits = difficulty_bits
         self.blocks = blocks
-        self._note_index = note_index  # note_id -> (note, creation height)
-        self._spent = spent  # note_id -> spending tx_id
-        self._tx_heights = tx_heights
-        self.issuance = issuance
+        self._state = state
 
     # -- construction ------------------------------------------------------
 
@@ -191,42 +235,28 @@ class Chain:
         """Mine the genesis block carrying the scenario's initial balances."""
         outputs = [(addr, value, "funding") for addr, value in sorted(issuance.items())]
         tx = make_transaction([], outputs, signers=set(), memo=f"genesis:{seed_tag}")
-        payload = payload_digest_for([tx])
-        nonce, digest = powcore.mine_nonce(0, ZERO_DIGEST, payload, difficulty_bits)
-        header = BlockHeader(0, ZERO_DIGEST, payload, nonce, digest)
-        block = Block(header, (tx,))
-        note_index = {note.note_id: (note, 0) for note, _ in tx.outputs}
-        return cls(
-            difficulty_bits,
-            (block,),
-            note_index,
-            {},
-            {tx.tx_id: 0},
-            tx.output_value(),
-        )
+        state = _State()
+        state.apply(tx, 0)
+        return cls._mine(difficulty_bits, (), state, (tx,))
 
     def append_block(self, txs: list[Transaction] | tuple[Transaction, ...]) -> Chain:
         """Validate txs in order, mine a block on the tip, return the new chain."""
-        note_index = dict(self._note_index)
-        spent = dict(self._spent)
-        tx_heights = dict(self._tx_heights)
-        height = self.tip.height + 1
+        state = self._state.copy()
+        height = self.height + 1
         for tx in txs:
-            self._validate_tx_static(tx, note_index, spent, tx_heights)
-            for note, _ in tx.outputs:
-                note_index[note.note_id] = (note, height)
-            for note_id in tx.inputs:
-                spent[note_id] = tx.tx_id
-            tx_heights[tx.tx_id] = height
+            state.apply(tx, height)
+        return self._mine(self.difficulty_bits, self.blocks, state, txs)
+
+    @classmethod
+    def _mine(cls, difficulty_bits: int, blocks: tuple[Block, ...], state: _State,
+              txs: list[Transaction] | tuple[Transaction, ...]) -> Chain:
+        """Mine a block of ``txs``, already applied to ``state``, on ``blocks``."""
+        height = len(blocks)
+        prev_digest = blocks[-1].header.own_digest if blocks else ZERO_DIGEST
         payload = payload_digest_for(txs)
-        nonce, digest = powcore.mine_nonce(
-            height, self.tip.own_digest, payload, self.difficulty_bits
-        )
-        header = BlockHeader(height, self.tip.own_digest, payload, nonce, digest)
-        block = Block(header, tuple(txs))
-        return Chain(
-            self.difficulty_bits, self.blocks + (block,), note_index, spent, tx_heights, self.issuance
-        )
+        nonce, digest = powcore.mine_nonce(height, prev_digest, payload, difficulty_bits)
+        header = BlockHeader(height, prev_digest, payload, nonce, digest)
+        return cls(difficulty_bits, blocks + (Block(header, tuple(txs)),), state)
 
     @classmethod
     def from_blocks(cls, difficulty_bits: int, blocks: list[Block] | tuple[Block, ...]) -> Chain:
@@ -239,49 +269,13 @@ class Chain:
             raise MalformedChain(diag)
         if headers[0].height != 0 or headers[0].prev_digest != ZERO_DIGEST:
             raise MalformedChain("chain must start at a genesis block")
-        note_index: dict[str, tuple[Note, int]] = {}
-        spent: dict[str, str] = {}
-        tx_heights: dict[str, int] = {}
-        issuance = 0
+        state = _State()
         for block in blocks:
             if block.header.payload_digest != payload_digest_for(block.txs):
                 raise MalformedChain(f"payload digest mismatch at height {block.header.height}")
             for tx in block.txs:
-                if tx.is_issuance:
-                    if block.header.height != 0:
-                        raise InvalidTransaction(tx.tx_id, "issuance outside genesis")
-                    issuance += tx.output_value()
-                else:
-                    cls._validate_tx_static(tx, note_index, spent, tx_heights)
-                for note, _ in tx.outputs:
-                    note_index[note.note_id] = (note, block.header.height)
-                for note_id in tx.inputs:
-                    spent[note_id] = tx.tx_id
-                tx_heights[tx.tx_id] = block.header.height
-        return cls(difficulty_bits, tuple(blocks), note_index, spent, tx_heights, issuance)
-
-    @staticmethod
-    def _validate_tx_static(tx: Transaction, note_index, spent, tx_heights) -> None:
-        if tx.tx_id in tx_heights:
-            raise InvalidTransaction(tx.tx_id, "already included")
-        if tx.is_issuance:
-            raise InvalidTransaction(tx.tx_id, "issuance outside genesis")
-        in_value = 0
-        for note_id in tx.inputs:
-            if note_id not in note_index:
-                raise UnknownInput(tx.tx_id, f"unknown input {note_id}")
-            if note_id in spent:
-                raise InvalidTransaction(tx.tx_id, f"double spend of {note_id}")
-            note, _ = note_index[note_id]
-            if note.owner_address == BURN_ADDRESS:
-                raise InvalidTransaction(tx.tx_id, "attempt to spend a burn output")
-            if note.owner_address not in tx.signers:
-                raise InvalidTransaction(tx.tx_id, f"missing signer for {note.owner_address}")
-            in_value += note.value
-        if in_value != tx.output_value():
-            raise InvalidTransaction(
-                tx.tx_id, f"imbalance: in {in_value} != out {tx.output_value()}"
-            )
+                state.apply(tx, block.header.height)
+        return cls(difficulty_bits, tuple(blocks), state)
 
     # -- queries -----------------------------------------------------------
 
@@ -293,6 +287,10 @@ class Chain:
     def height(self) -> int:
         return self.tip.height
 
+    @property
+    def issuance(self) -> int:
+        return self._state.issuance
+
     def headers(self) -> list[BlockHeader]:
         return [b.header for b in self.blocks]
 
@@ -303,18 +301,18 @@ class Chain:
         return [b.header for b in self.blocks[max(height, 0):stop]]
 
     def confirmations(self, tx_id: str) -> int:
-        if tx_id not in self._tx_heights:
+        if tx_id not in self._state.tx_heights:
             return 0
-        return 1 + (self.tip.height - self._tx_heights[tx_id])
+        return 1 + (self.tip.height - self._state.tx_heights[tx_id])
 
     def inclusion_height(self, tx_id: str) -> int | None:
-        return self._tx_heights.get(tx_id)
+        return self._state.tx_heights.get(tx_id)
 
     def has_tx(self, tx_id: str) -> bool:
-        return tx_id in self._tx_heights
+        return tx_id in self._state.tx_heights
 
     def get_tx(self, tx_id: str) -> Transaction | None:
-        height = self._tx_heights.get(tx_id)
+        height = self._state.tx_heights.get(tx_id)
         if height is None:
             return None
         for tx in self.blocks[height].txs:
@@ -322,16 +320,19 @@ class Chain:
                 return tx
         return None
 
-    def is_unspent(self, note_id: str) -> bool:
-        return note_id in self._note_index and note_id not in self._spent
-
     def unspent_notes(self, address: str) -> list[Note]:
         """Unspent notes for an address, in creation order (deterministic)."""
         return [
             note
-            for note_id, (note, _) in self._note_index.items()
-            if note.owner_address == address and note_id not in self._spent
+            for note_id, (note, _) in self._state.notes.items()
+            if note.owner_address == address and note_id not in self._state.spent
         ]
+
+    def spent_notes(self, address: str) -> list[Note]:
+        """Spent notes for an address, in spending order."""
+        notes = self._state.notes
+        return [notes[note_id][0] for note_id in self._state.spent
+                if notes[note_id][0].owner_address == address]
 
     def balance(self, address: str) -> int:
         return sum(note.value for note in self.unspent_notes(address))
@@ -339,8 +340,8 @@ class Chain:
     def balances(self) -> dict[str, int]:
         """Every address's ``balance``, from one pass over the unspent notes."""
         out: dict[str, int] = {}
-        for note_id, (note, _) in self._note_index.items():
-            if note_id not in self._spent:
+        for note_id, (note, _) in self._state.notes.items():
+            if note_id not in self._state.spent:
                 out[note.owner_address] = out.get(note.owner_address, 0) + note.value
         return out
 
@@ -363,7 +364,7 @@ class Chain:
             view["own_spent_inputs"] = [
                 note_id
                 for note_id in tx.inputs
-                if (entry := self._note_index.get(note_id)) and entry[0].owner_address == viewer
+                if (entry := self._state.notes.get(note_id)) and entry[0].owner_address == viewer
             ]
         return view
 
@@ -375,11 +376,7 @@ class Chain:
             Chain.from_blocks(self.difficulty_bits, self.blocks)
         except LedgerError as exc:
             return False, str(exc)
-        unspent_total = sum(
-            note.value
-            for note_id, (note, _) in self._note_index.items()
-            if note_id not in self._spent
-        )
+        unspent_total = sum(self.balances().values())
         if unspent_total != self.issuance:
             return False, f"conservation broken: unspent {unspent_total} != issuance {self.issuance}"
         return True, "ok"
@@ -413,26 +410,15 @@ def verify_headers_detail(
     return True, "ok"
 
 
-def verify_headers(headers, difficulty_bits: int) -> bool:
-    ok, _ = verify_headers_detail(headers, difficulty_bits)
-    return ok
-
-
-def _coerce_headers(view) -> list[BlockHeader]:
-    if isinstance(view, Chain):
-        return view.headers()
-    return list(view)
-
-
 def check_consistency(a, b, difficulty_bits: int) -> bool:
     """True iff the two views agree wherever their height ranges overlap.
 
-    Accepts chains or header suffixes. Both sides must be individually valid
-    (MalformedChain otherwise). For genesis-rooted chains this is exactly
-    "one is a prefix of the other by header digests"; disjoint windows cannot
-    be attested and yield False. Symmetric in its arguments.
+    Takes two header sequences (a whole chain's or a suffix). Both sides must
+    be individually valid (MalformedChain otherwise). For genesis-rooted chains
+    this is exactly "one is a prefix of the other by header digests"; disjoint
+    windows cannot be attested and yield False. Symmetric in its arguments.
     """
-    ha, hb = _coerce_headers(a), _coerce_headers(b)
+    ha, hb = list(a), list(b)
     for name, headers in (("a", ha), ("b", hb)):
         ok, diag = verify_headers_detail(headers, difficulty_bits)
         if not ok:
@@ -464,7 +450,6 @@ class Mempool:
     """
 
     pending: dict[str, Transaction] = field(default_factory=dict)
-    rejected: list[tuple[str, str]] = field(default_factory=list)
 
     def submit(self, tx: Transaction, chain: Chain) -> str:
         """Queue a transaction; duplicates of known txs are accepted no-ops."""
@@ -477,30 +462,21 @@ class Mempool:
 
     def assemble(self, chain: Chain) -> tuple[Chain, list[str]]:
         """Mine the next block with every pending tx that validates (fixpoint)."""
-        note_index = dict(chain._note_index)
-        spent = dict(chain._spent)
-        tx_heights = dict(chain._tx_heights)
+        state = chain._state.copy()
+        height = chain.height + 1
         included: list[Transaction] = []
         progress = True
         while progress:
             progress = False
             for tx_id in list(self.pending):
-                tx = self.pending[tx_id]
                 try:
-                    Chain._validate_tx_static(tx, note_index, spent, tx_heights)
+                    state.apply(self.pending[tx_id], height)
                 except UnknownInput:
                     continue  # parent not landed yet; keep pending
-                except InvalidTransaction as exc:
+                except InvalidTransaction:
                     del self.pending[tx_id]
-                    self.rejected.append((tx_id, exc.cause))
                     continue
-                for note, _ in tx.outputs:
-                    note_index[note.note_id] = (note, chain.height + 1)
-                for note_id in tx.inputs:
-                    spent[note_id] = tx.tx_id
-                tx_heights[tx.tx_id] = chain.height + 1
-                included.append(tx)
-                del self.pending[tx_id]
+                included.append(self.pending.pop(tx_id))
                 progress = True
-        new_chain = chain.append_block(included)
+        new_chain = Chain._mine(chain.difficulty_bits, chain.blocks, state, included)
         return new_chain, [tx.tx_id for tx in included]

@@ -242,10 +242,11 @@ class _Helper:
             try:
                 os.close(self.job_w)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.setpriority(os.PRIO_PROCESS, 0, 19)
                 _serve(job_r, self.words)
             finally:
                 os._exit(0)
+        # Set here, not in the child, so it holds before the first job is sent.
+        os.setpriority(os.PRIO_PROCESS, self.pid, 19)
         os.close(job_r)
         os.set_blocking(self.job_w, False)
 

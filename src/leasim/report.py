@@ -208,6 +208,14 @@ def _suppressors_for(world: World, *, campaign_id=None, owner_id=None,
     return found
 
 
+def _blame(suppressors: set[str], actor_id: str) -> str | None:
+    """Who a loss is charged to: None when every rule that dropped in its
+    scope is the actor's own (self-inflicted), otherwise the rule owners."""
+    if suppressors and suppressors <= {actor_id}:
+        return None
+    return ",".join(sorted(suppressors)) or "host"
+
+
 def _judge_owner(world: World, owner_id: str, owned: list[tuple[dict, dict]]) -> dict:
     """Verdict for one owner from its (campaign, slot) entries, in report order."""
     evidence = []
@@ -218,13 +226,13 @@ def _judge_owner(world: World, owner_id: str, owned: list[tuple[dict, dict]]) ->
         truth = slot["ground_truth"]
         paid = slot["settlement"]["landed"]
         if truth["public_effect"] and not paid:
-            suppressors = _suppressors_for(
+            by = _blame(_suppressors_for(
                 world, campaign_id=campaign["campaign_id"], owner_id=owner_id,
             ) | _suppressors_for(
                 world, campaign_id=campaign["campaign_id"],
                 kinds=("tx_broadcast", "tx_copy", "svc_confirm"),
-            )
-            if suppressors and suppressors <= {actor_id}:
+            ), actor_id)
+            if by is None:
                 self_harm = True
                 evidence.append(
                     f"{slot['slot_id']}: account acted, unpaid; "
@@ -234,8 +242,6 @@ def _judge_owner(world: World, owner_id: str, owned: list[tuple[dict, dict]]) ->
                 harmed = True
                 if not campaign["funding"]["landed"]:
                     by = f"renter:{campaign['renter_id']} (forged funding)"
-                else:
-                    by = ",".join(sorted(suppressors)) or "host"
                 evidence.append(
                     f"{slot['slot_id']}: account acted ({slot['action']}), "
                     f"reward {fmt(slot['reward'])} never landed (by {by})"
@@ -277,10 +283,10 @@ def _judge_renter(world: World, renter_id: str, campaigns: list[dict]) -> dict:
             landed_back = (campaign["landed"]["deposit_returned"]
                            + campaign["landed"]["terminal_refund"])
             if landed_back < intended_back:
-                suppressors = _suppressors_for(
+                by = _blame(_suppressors_for(
                     world, campaign_id=campaign["campaign_id"],
-                )
-                if suppressors and suppressors <= {actor_id}:
+                ), actor_id)
+                if by is None:
                     self_harm = True
                     evidence.append(
                         f"{campaign['campaign_id']}: refund shortfall "
@@ -288,7 +294,6 @@ def _judge_renter(world: World, renter_id: str, campaigns: list[dict]) -> dict:
                     )
                 else:
                     harmed = True
-                    by = ",".join(sorted(suppressors)) or "host"
                     evidence.append(
                         f"{campaign['campaign_id']}: {fmt(intended_back - landed_back)} "
                         f"of intended returns never landed (by {by})"
@@ -303,10 +308,10 @@ def _judge_renter(world: World, renter_id: str, campaigns: list[dict]) -> dict:
             burned = campaign["deposit_ledger"].get("burned", 0)
             if burned:
                 burn_slots = [s["slot_id"] for s in campaign["slots"] if s["burns"]]
-                suppressors = _suppressors_for(
+                by = _blame(_suppressors_for(
                     world, campaign_id=campaign["campaign_id"],
-                )
-                if suppressors and suppressors <= {actor_id}:
+                ), actor_id)
+                if by is None:
                     self_harm = True
                     evidence.append(
                         f"{campaign['campaign_id']}: deposit burn {fmt(burned)} "
@@ -314,7 +319,6 @@ def _judge_renter(world: World, renter_id: str, campaigns: list[dict]) -> dict:
                     )
                 else:
                     harmed = True
-                    by = ",".join(sorted(suppressors)) or "host"
                     evidence.append(
                         f"{campaign['campaign_id']}: deposit {fmt(burned)} burned "
                         f"({', '.join(burn_slots)}) (by {by})"
@@ -523,21 +527,14 @@ def verify_world(world: World) -> list[tuple[str, bool, str]]:
     ok, why = chain.verify_full()
     checks.append(("chain_integrity", ok, why))
 
-    unspent = sum(
-        note.value for note, _h in chain._note_index.values()
-        if chain.is_unspent(note.note_id)
-    )
+    unspent = sum(chain.balances().values())
     checks.append((
         "value_conservation",
         unspent == chain.issuance,
         f"unspent {fmt(unspent)} vs issuance {fmt(chain.issuance)}",
     ))
 
-    burn_spent = any(
-        chain._note_index[note_id][0].owner_address == BURN_ADDRESS
-        for note_id in chain._spent
-        if note_id in chain._note_index
-    )
+    burn_spent = bool(chain.spent_notes(BURN_ADDRESS))
     burned_notes = chain.balance(BURN_ADDRESS)
     checks.append((
         "burn_unspendable", not burn_spent,

@@ -165,9 +165,9 @@ def test_c4_fork_detection_within_window():
         fork = root.append_block([divergent])
         while fork.height < base.height:
             fork = fork.append_block([])
-        if ledger.check_consistency(base, fork, base.difficulty_bits):
+        if ledger.check_consistency(base.headers(), fork.headers(), base.difficulty_bits):
             problems.append(f"depth {depth} fork accepted")
-        if not ledger.check_consistency(base, root, base.difficulty_bits):
+        if not ledger.check_consistency(base.headers(), root.headers(), base.difficulty_bits):
             problems.append(f"depth {depth} honest prefix rejected")
     _verdict("C4 fork-at-k detection", not problems,
              "; ".join(problems) or "depths 1..6 all detected")
@@ -270,7 +270,7 @@ def test_c8_header_mutation_always_detected():
     header verification fail. Exhaustive over fields and positions."""
     chain = extend(mk_chain(difficulty_bits=8), 5)
     headers = chain.headers()
-    assert ledger.verify_headers(headers, chain.difficulty_bits)
+    assert ledger.verify_headers_detail(headers, chain.difficulty_bits)[0]
     missed = []
     for i, header in enumerate(headers):
         mutants = {
@@ -289,7 +289,7 @@ def test_c8_header_mutation_always_detected():
         for field_name, mutant in mutants.items():
             tampered = list(headers)
             tampered[i] = mutant
-            if ledger.verify_headers(tampered, chain.difficulty_bits):
+            if ledger.verify_headers_detail(tampered, chain.difficulty_bits)[0]:
                 missed.append(f"{field_name}@{i}")
     _verdict("C8 header mutation", not missed,
              "; ".join(missed) or f"{len(headers) * 5} mutations all rejected")

@@ -10,7 +10,11 @@ and class bodies are not counted: they run on import. A comprehension's or
 lambda's lines count toward the function that holds it.
 
 Exit status: 0 when the suite passes and every function is entered, 1 when
-some function is never entered, otherwise pytest's own non-zero status.
+some function is never entered or the collector stopped tracing before the
+suite ended, otherwise pytest's own non-zero status. CPython removes a trace
+function that raises (a signal handler that raises while the collector's
+callback runs does this), and every line after that would go unseen; the run
+then prints one line saying so instead of a report.
 
 Tracing makes the suite several times slower. Lines run only in a child
 process (the cross-process determinism test) are not seen.
@@ -142,19 +146,40 @@ def report(collector: Collector) -> int:
     return never_entered
 
 
+def traced(run, collector: Collector) -> tuple[int, str | None]:
+    """Call ``run()`` under the collector and return its status, with one
+    line naming the cause if the collector was no longer this thread's trace
+    function when ``run`` returned (else None). The trace functions in place
+    before are restored afterwards."""
+    outer, outer_threads = sys.gettrace(), threading.gettrace()
+    threading.settrace(collector.trace)
+    sys.settrace(collector.trace)
+    try:
+        status = run()
+        current = sys.gettrace()
+    finally:
+        sys.settrace(outer)
+        threading.settrace(outer_threads)
+    if current == collector.trace:
+        return status, None
+    how = "switched off" if current is None else f"replaced by {current!r}"
+    return status, (f"linecov: the line collector was {how} before the suite ended, "
+                    f"so later lines went unseen; no report")
+
+
 def main() -> int:
     os.chdir(ROOT)
     sys.path[:0] = [SRC, ROOT]  # as ``PYTHONPATH=src python -m pytest`` from the root
     import pytest
 
     collector = Collector()
-    threading.settrace(collector.trace)
-    sys.settrace(collector.trace)
-    try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"])
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    status, lost = traced(
+        lambda: pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]),
+        collector,
+    )
+    if lost:
+        print(lost, file=sys.stderr)
+        return 1
     never_entered = report(collector)
     if status != 0:
         return int(status)
