@@ -406,7 +406,6 @@ class InterfaceEnclave:
             return
         campaign.funding_tx = p["chain_view"]["funding_tx"]
         campaign.refund_address = p["refund_address"]
-        campaign.status = "funded"
         campaign.renter_view = p["chain_view"]["headers"]
         sim.log.emit(sim.now, self.actor_id, "funding_verified",
                      campaign=campaign.campaign_id, total=campaign.total)
@@ -508,15 +507,13 @@ class InterfaceEnclave:
              "renter_headers": campaign.renter_view,
              "revert_window": campaign.revert_window,
              "reply_to": self.actor_id,
-             "slots": [{
-                 "slot_id": slot.slot_id, "owner_id": owner_id,
-                 "proxy_id": record.proxy_id,
-                 "username": cred["username"],
-                 "password": cred["password"],
-                 "service_actor": cred["service_actor"],
-                 "action_kind": campaign.action_kind,
-                 "action_target": campaign.action_target,
-             }]},
+             "slot_id": slot.slot_id, "owner_id": owner_id,
+             "proxy_id": record.proxy_id,
+             "username": cred["username"],
+             "password": cred["password"],
+             "service_actor": cred["service_actor"],
+             "action_kind": campaign.action_kind,
+             "action_target": campaign.action_target},
             session=self._session_for(sim, enclave),
             campaign_id=campaign.campaign_id, owner_id=owner_id,
         )

@@ -56,7 +56,7 @@ def _ground_truth(world: World, slot, logged: dict) -> dict:
     return {"performed": performed, "public_effect": backend.counted(username)}
 
 
-def _slot_entry(world: World, campaign, slot, logged: dict) -> dict:
+def _slot_entry(world: World, slot, logged: dict) -> dict:
     truth = _ground_truth(world, slot, logged)
     return {
         "slot_id": slot.slot_id,
@@ -83,7 +83,7 @@ def _slot_entry(world: World, campaign, slot, logged: dict) -> dict:
 
 def _campaign_entry(world: World, campaign, logged: dict) -> dict:
     slots = [
-        _slot_entry(world, campaign, s, logged)
+        _slot_entry(world, s, logged)
         for s in sorted(campaign.slots.values(), key=lambda s: s.index)
     ]
 
@@ -95,37 +95,33 @@ def _campaign_entry(world: World, campaign, logged: dict) -> dict:
                 burn_out += note.value
             elif kind == "refund":
                 refund_out += note.value
+    terminal_id = terminal.tx_id if terminal is not None else None
+    terminal_landed = _landed(world, terminal_id)
 
-    intended = {
-        "owner_rewards": sum(s.reward for s in campaign.slots.values()
-                             if s.settlement_tx is not None),
-        "deposit_returned": sum(s.deposit_share for s in campaign.slots.values()
-                                if s.settlement_tx is not None),
-        "fees": sum(s.fee for s in campaign.slots.values()
-                    if s.settlement_tx is not None),
-        "burned": sum(s.deposit_share for s in campaign.slots.values()
-                      if InterfaceEnclave._burns(s)),
-        "terminal_refund": refund_out,
-    }
-    landed = {
-        "owner_rewards": sum(s.reward for s in campaign.slots.values()
-                             if _landed(world, s.settlement_tx)),
-        "deposit_returned": sum(s.deposit_share for s in campaign.slots.values()
-                                if _landed(world, s.settlement_tx)),
-        "fees": sum(s.fee for s in campaign.slots.values()
-                    if _landed(world, s.settlement_tx)),
-        "burned": burn_out if terminal is not None and _landed(world, terminal.tx_id)
-        else 0,
-        "terminal_refund": refund_out if terminal is not None
-        and _landed(world, terminal.tx_id) else 0,
-    }
+    # one pass: a settled slot counts on the intended side, and on the landed
+    # side too once its settlement is on the chain
+    zero = {"owner_rewards": 0, "deposit_returned": 0, "fees": 0, "burned": 0}
+    intended, landed = dict(zero), dict(zero)
+    for s in slots:
+        settlement = s["settlement"]
+        for side, counted in ((intended, settlement["intended"]),
+                              (landed, settlement["landed"])):
+            if counted:
+                side["owner_rewards"] += s["reward"]
+                side["deposit_returned"] += s["deposit_share"]
+                side["fees"] += s["fee"]
+        if s["burns"]:
+            intended["burned"] += s["deposit_share"]
+    intended["terminal_refund"] = refund_out
+    landed["burned"] = burn_out if terminal_landed else 0
+    landed["terminal_refund"] = refund_out if terminal_landed else 0
     mismatches = [
         s["slot_id"] for s in slots
         if s["status"] == "confirmed" and s["effect_claimed"]
         and not s["ground_truth"]["public_effect"]
     ]
     collusive = world.spec.service(campaign.service_id).collusion
-    funding_tx = campaign.funding_tx
+    funding_id = campaign.funding_tx.tx_id if campaign.funding_tx is not None else None
     return {
         "campaign_id": campaign.campaign_id,
         "renter_id": campaign.renter_id,
@@ -139,11 +135,7 @@ def _campaign_entry(world: World, campaign, logged: dict) -> dict:
             "fee_allowance": campaign.fee_allowance,
             "total": campaign.total,
         },
-        "funding": {
-            "tx_id": funding_tx.tx_id if funding_tx is not None else None,
-            "landed": _landed(world, funding_tx.tx_id)
-            if funding_tx is not None else False,
-        },
+        "funding": {"tx_id": funding_id, "landed": _landed(world, funding_id)},
         "phases": {k: round(v, 9) for k, v in sorted(campaign.phase_marks.items())},
         "flags": {
             "claim_mismatches": mismatches,
@@ -154,8 +146,8 @@ def _campaign_entry(world: World, campaign, logged: dict) -> dict:
         "intended": intended,
         "landed": landed,
         "terminal": {
-            "tx_id": terminal.tx_id if terminal is not None else None,
-            "landed": _landed(world, terminal.tx_id) if terminal is not None else False,
+            "tx_id": terminal_id,
+            "landed": terminal_landed,
             "burn": burn_out,
             "refund": refund_out,
         },
@@ -193,158 +185,122 @@ def _drop_summary(world: World) -> list[dict]:
 # verdicts
 
 
-def _suppressors_for(world: World, *, campaign_id=None, owner_id=None,
-                     kinds=()) -> set[str]:
-    """Rule owners whose drops touched the given scope."""
+# An owner's unpaid slot is also lost when these drops keep its settlement,
+# or the confirmation that earns it, off the chain, whoever the message names.
+OWNER_LOSS_KINDS = ("tx_broadcast", "tx_copy", "svc_confirm")
+
+
+def _blame(world: World, actor_id: str, campaign_id: str,
+           owner_id: str | None = None) -> str | None:
+    """Who a loss in ``campaign_id`` is charged to: None when every rule that
+    dropped in its scope is the actor's own (self-inflicted), otherwise the
+    rule owners. The scope is every drop in the campaign or in none; for an
+    owner, only those naming the owner or of an ``OWNER_LOSS_KINDS`` kind."""
     found = set()
     for msg, _rule, rule_owner in world.sim.dropped:
-        if kinds and msg.kind not in kinds:
+        if msg.campaign_id not in (None, campaign_id):
             continue
-        if campaign_id is not None and msg.campaign_id not in (None, campaign_id):
-            continue
-        if owner_id is not None and msg.owner_id != owner_id:
-            continue
-        found.add(rule_owner)
-    return found
-
-
-def _blame(suppressors: set[str], actor_id: str) -> str | None:
-    """Who a loss is charged to: None when every rule that dropped in its
-    scope is the actor's own (self-inflicted), otherwise the rule owners."""
-    if suppressors and suppressors <= {actor_id}:
+        if owner_id is None or msg.owner_id == owner_id or msg.kind in OWNER_LOSS_KINDS:
+            found.add(rule_owner)
+    if found and found <= {actor_id}:
         return None
-    return ",".join(sorted(suppressors)) or "host"
+    return ",".join(sorted(found)) or "host"
+
+
+def _loss(by: str | None, self_inflicted: str, harmed: str) -> tuple[str, str]:
+    """The finding for a loss that ``_blame`` charged to ``by``."""
+    if by is None:
+        return "self_harm", self_inflicted
+    return "harmed", f"{harmed} (by {by})"
+
+
+def _verdict(findings: list[tuple[str, str]], self_harm: str = "") -> dict:
+    """Verdict from (kind, evidence) findings in report order: harmed beats
+    advantaged beats fair, and a fair party with a self-inflicted loss gets
+    the ``self_harm`` line last."""
+    kinds = {kind for kind, _text in findings}
+    verdict = ("harmed" if "harmed" in kinds else
+               "advantaged" if "advantaged" in kinds else "fair")
+    evidence = [text for _kind, text in findings]
+    if verdict == "fair" and "self_harm" in kinds:
+        evidence.append(self_harm)
+    return {"verdict": verdict, "evidence": evidence}
 
 
 def _judge_owner(world: World, owner_id: str, owned: list[tuple[dict, dict]]) -> dict:
     """Verdict for one owner from its (campaign, slot) entries, in report order."""
-    evidence = []
-    harmed = advantaged = False
-    self_harm = False
-    actor_id = f"owner:{owner_id}"
+    findings = []
     for campaign, slot in owned:
+        slot_id, reward = slot["slot_id"], fmt(slot["reward"])
         truth = slot["ground_truth"]
         paid = slot["settlement"]["landed"]
         if truth["public_effect"] and not paid:
-            by = _blame(_suppressors_for(
-                world, campaign_id=campaign["campaign_id"], owner_id=owner_id,
-            ) | _suppressors_for(
-                world, campaign_id=campaign["campaign_id"],
-                kinds=("tx_broadcast", "tx_copy", "svc_confirm"),
-            ), actor_id)
-            if by is None:
-                self_harm = True
-                evidence.append(
-                    f"{slot['slot_id']}: account acted, unpaid; "
-                    f"losses self-inflicted"
-                )
-            else:
-                harmed = True
-                if not campaign["funding"]["landed"]:
-                    by = f"renter:{campaign['renter_id']} (forged funding)"
-                evidence.append(
-                    f"{slot['slot_id']}: account acted ({slot['action']}), "
-                    f"reward {fmt(slot['reward'])} never landed (by {by})"
-                )
+            by = _blame(world, f"owner:{owner_id}", campaign["campaign_id"], owner_id)
+            if by is not None and not campaign["funding"]["landed"]:
+                by = f"renter:{campaign['renter_id']} (forged funding)"
+            findings.append(_loss(
+                by, f"{slot_id}: account acted, unpaid; losses self-inflicted",
+                f"{slot_id}: account acted ({slot['action']}), reward {reward} never landed",
+            ))
         elif paid and not truth["performed"]:
-            advantaged = True
-            evidence.append(
-                f"{slot['slot_id']}: paid {fmt(slot['reward'])} "
-                f"without the account acting"
-            )
+            findings.append(("advantaged",
+                             f"{slot_id}: paid {reward} without the account acting"))
         elif paid:
-            evidence.append(f"{slot['slot_id']}: acted and paid in full")
-    verdict = "harmed" if harmed else "advantaged" if advantaged else "fair"
-    if verdict == "fair" and self_harm:
-        evidence.append("self_harm: suppression rules belonged to this owner")
-    return {"verdict": verdict, "evidence": evidence}
+            findings.append(("fair", f"{slot_id}: acted and paid in full"))
+    return _verdict(findings, "self_harm: suppression rules belonged to this owner")
 
 
 def _judge_renter(world: World, renter_id: str, campaigns: list[dict]) -> dict:
-    evidence = []
-    harmed = advantaged = False
-    self_harm = False
-    actor_id = f"renter:{renter_id}"
+    """Verdict for one renter from its own campaign entries, in report order."""
+    findings = []
     for campaign in campaigns:
-        if campaign["renter_id"] != renter_id:
+        campaign_id = campaign["campaign_id"]
+        if not campaign["funding"]["landed"]:
+            effects = sum(1 for s in campaign["slots"]
+                          if s["ground_truth"]["public_effect"])
+            if effects:
+                findings.append(("advantaged", (
+                    f"{campaign_id}: {effects} public effects delivered, "
+                    f"funding never landed on the real chain")))
             continue
-        effects = sum(1 for s in campaign["slots"]
-                      if s["ground_truth"]["public_effect"])
-        funding_landed = campaign["funding"]["landed"]
-        if effects and not funding_landed:
-            advantaged = True
-            evidence.append(
-                f"{campaign['campaign_id']}: {effects} public effects delivered, "
-                f"funding never landed on the real chain"
-            )
-        if funding_landed:
-            intended_back = (campaign["intended"]["deposit_returned"]
-                            + campaign["intended"]["terminal_refund"])
-            landed_back = (campaign["landed"]["deposit_returned"]
-                           + campaign["landed"]["terminal_refund"])
-            if landed_back < intended_back:
-                by = _blame(_suppressors_for(
-                    world, campaign_id=campaign["campaign_id"],
-                ), actor_id)
-                if by is None:
-                    self_harm = True
-                    evidence.append(
-                        f"{campaign['campaign_id']}: refund shortfall "
-                        f"{fmt(intended_back - landed_back)} self-inflicted"
-                    )
-                else:
-                    harmed = True
-                    evidence.append(
-                        f"{campaign['campaign_id']}: {fmt(intended_back - landed_back)} "
-                        f"of intended returns never landed (by {by})"
-                    )
-            mismatches = campaign["flags"]["claim_mismatches"]
-            if mismatches:
-                evidence.append(
-                    f"{campaign['campaign_id']}: {len(mismatches)} confirmed "
-                    f"slot(s) claim effects the service never applied "
-                    f"({', '.join(mismatches)}); undetectable at confirmation"
-                )
-            burned = campaign["deposit_ledger"].get("burned", 0)
-            if burned:
-                burn_slots = [s["slot_id"] for s in campaign["slots"] if s["burns"]]
-                by = _blame(_suppressors_for(
-                    world, campaign_id=campaign["campaign_id"],
-                ), actor_id)
-                if by is None:
-                    self_harm = True
-                    evidence.append(
-                        f"{campaign['campaign_id']}: deposit burn {fmt(burned)} "
-                        f"({', '.join(burn_slots)}) traced to own rules"
-                    )
-                else:
-                    harmed = True
-                    evidence.append(
-                        f"{campaign['campaign_id']}: deposit {fmt(burned)} burned "
-                        f"({', '.join(burn_slots)}) (by {by})"
-                    )
-    verdict = "harmed" if harmed else "advantaged" if advantaged else "fair"
-    if verdict == "fair" and self_harm:
-        evidence.append("self_harm: losses trace to this renter's own rules")
-    return {"verdict": verdict, "evidence": evidence}
+        by = _blame(world, f"renter:{renter_id}", campaign_id)
+        intended, landed = campaign["intended"], campaign["landed"]
+        short = (intended["deposit_returned"] + intended["terminal_refund"]
+                 - landed["deposit_returned"] - landed["terminal_refund"])
+        if short > 0:
+            findings.append(_loss(
+                by, f"{campaign_id}: refund shortfall {fmt(short)} self-inflicted",
+                f"{campaign_id}: {fmt(short)} of intended returns never landed",
+            ))
+        mismatches = campaign["flags"]["claim_mismatches"]
+        if mismatches:
+            findings.append(("fair", (
+                f"{campaign_id}: {len(mismatches)} confirmed slot(s) claim effects "
+                f"the service never applied ({', '.join(mismatches)}); "
+                f"undetectable at confirmation")))
+        burned = campaign["deposit_ledger"].get("burned", 0)
+        if burned:
+            burn_slots = ", ".join(s["slot_id"] for s in campaign["slots"] if s["burns"])
+            findings.append(_loss(
+                by, f"{campaign_id}: deposit burn {fmt(burned)} ({burn_slots}) "
+                f"traced to own rules",
+                f"{campaign_id}: deposit {fmt(burned)} burned ({burn_slots})",
+            ))
+    return _verdict(findings, "self_harm: losses trace to this renter's own rules")
 
 
-def _judge_maintainer(world: World, campaigns: list[dict]) -> dict:
-    evidence = []
-    harmed = False
+def _judge_maintainer(campaigns: list[dict]) -> dict:
+    findings = []
     for campaign in campaigns:
-        missing = campaign["intended"]["fees"] - campaign["landed"]["fees"]
+        fees = campaign["intended"]["fees"]
+        missing = fees - campaign["landed"]["fees"]
         if missing > 0:
-            harmed = True
-            evidence.append(
-                f"{campaign['campaign_id']}: fees {fmt(missing)} never landed"
-            )
-        elif campaign["intended"]["fees"]:
-            evidence.append(
-                f"{campaign['campaign_id']}: fees {fmt(campaign['landed']['fees'])} "
-                f"landed in full"
-            )
-    return {"verdict": "harmed" if harmed else "fair", "evidence": evidence}
+            findings.append(("harmed",
+                             f"{campaign['campaign_id']}: fees {fmt(missing)} never landed"))
+        elif fees:
+            findings.append(("fair", f"{campaign['campaign_id']}: fees {fmt(fees)} "
+                                     f"landed in full"))
+    return _verdict(findings)
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +313,9 @@ def build_report(world: World) -> dict:
                  for c in sorted(world.all_campaigns(),
                                  key=lambda c: c.campaign_id)]
     owned: dict[str, list[tuple[dict, dict]]] = {}
+    rented: dict[str, list[dict]] = {}
     for campaign in campaigns:
+        rented.setdefault(campaign["renter_id"], []).append(campaign)
         for slot in campaign["slots"]:
             owned.setdefault(slot["owner_id"], []).append((campaign, slot))
     held = chain.balances()
@@ -369,10 +327,10 @@ def build_report(world: World) -> dict:
             for o in world.spec.owners
         },
         "renters": {
-            r.renter_id: _judge_renter(world, r.renter_id, campaigns)
+            r.renter_id: _judge_renter(world, r.renter_id, rented.get(r.renter_id, []))
             for r in world.spec.renters
         },
-        "maintainer": _judge_maintainer(world, campaigns),
+        "maintainer": _judge_maintainer(campaigns),
     }
     report = {
         "scenario": world.spec.name,
@@ -486,18 +444,12 @@ def render_report(report: dict) -> str:
                 f"by={drop['by']} {drop['src']}->{drop['dst']}"
             )
     lines.append("verdicts:")
-    for owner_id, v in report["verdicts"]["owners"].items():
-        lines.append(f"  owner {owner_id}: {v['verdict']}")
-        for e in v["evidence"]:
-            lines.append(f"    - {e}")
-    for renter_id, v in report["verdicts"]["renters"].items():
-        lines.append(f"  renter {renter_id}: {v['verdict']}")
-        for e in v["evidence"]:
-            lines.append(f"    - {e}")
-    m = report["verdicts"]["maintainer"]
-    lines.append(f"  maintainer: {m['verdict']}")
-    for e in m["evidence"]:
-        lines.append(f"    - {e}")
+    verdicts = report["verdicts"]
+    parties = [(f"owner {k}", v) for k, v in verdicts["owners"].items()]
+    parties += [(f"renter {k}", v) for k, v in verdicts["renters"].items()]
+    for party, v in parties + [("maintainer", verdicts["maintainer"])]:
+        lines.append(f"  {party}: {v['verdict']}")
+        lines.extend(f"    - {e}" for e in v["evidence"])
     if "p2p" in report:
         lines.append("p2p:")
         for cpu, count in report["p2p"]["bindings"].items():

@@ -97,9 +97,7 @@ class World:
     service_actors: dict[str, ServiceActorAdapter]
     groups: dict[str, InterfaceGroup]
     owners: dict[str, OwnerActor]
-    proxies: dict[str, ProxyActor]
     renters: dict[str, RenterActor]
-    primary_iface: str
     expected_campaign_ids: list[str]
     p2p: dict = field(default_factory=dict)
 
@@ -218,7 +216,6 @@ def build_world(spec: ScenarioSpec) -> World:
     primary_iface = primary.enclave.actor_id
 
     owners: dict[str, OwnerActor] = {}
-    proxies: dict[str, ProxyActor] = {}
     for ospec in spec.owners:
         proxy = ProxyActor(ospec.owner_id)
         backing = {e.service_id: services[e.service_id] for e in ospec.services}
@@ -232,7 +229,6 @@ def build_world(spec: ScenarioSpec) -> World:
         sim.register(proxy.actor_id, proxy)
         sim.register(owner.actor_id, owner)
         owners[ospec.owner_id] = owner
-        proxies[ospec.owner_id] = proxy
 
     renters: dict[str, RenterActor] = {}
     for rspec in spec.renters:
@@ -264,8 +260,7 @@ def build_world(spec: ScenarioSpec) -> World:
     world = World(
         spec=spec, sim=sim, node=node, mesh=mesh, services=services,
         service_actors=service_actors, groups=groups, owners=owners,
-        proxies=proxies, renters=renters, primary_iface=primary_iface,
-        expected_campaign_ids=expected_ids,
+        renters=renters, expected_campaign_ids=expected_ids,
     )
 
     if spec.topology.mode == "p2p":
@@ -438,14 +433,14 @@ def _selection_open(world: World) -> bool:
 
     An interface picks owners at quote time and at launch, and never again:
     substitutes come from ``campaign.spares``, fixed at launch. So selection
-    is open while a campaign is ``created`` or ``funded``, or while some
-    renter intent has neither a launched campaign (``running``, ``stopping``
-    or ``terminated``) nor a recorded failure. The second half covers a
+    is open while a campaign is ``created``, or while some renter intent
+    has neither a launched campaign (``running``, ``stopping`` or
+    ``terminated``) nor a recorded failure. The second half covers a
     ``quote_request`` still in flight, before its campaign exists.
     """
     reached = 0
     for campaign in world.all_campaigns():
-        if campaign.status in ("created", "funded"):
+        if campaign.status == "created":
             return True
         reached += 1
     expected = 0

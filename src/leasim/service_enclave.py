@@ -2,10 +2,11 @@
 
 Each slot goes through: consistency gate (owner chain view vs renter view),
 the service's multi-request pipeline over the proxy, an optional revert
-window, and external verification for observable actions. Slots in a batch
-execute sequentially in virtual time; the per-exchange latency draws are the
-only place campaign time is spent, which is what makes the phase arithmetic
-exact under zero-variance latencies.
+window, and external verification for observable actions. Each ``batch``
+message carries one slot, and an enclave's slots execute sequentially in
+virtual time; the per-exchange latency draws are the only place campaign time
+is spent, which is what makes the phase arithmetic exact under zero-variance
+latencies.
 """
 from __future__ import annotations
 
@@ -81,18 +82,9 @@ class ServiceEnclave:
     def receive(self, msg: Message, sim: Simulation) -> None:
         p = msg.payload
         if msg.kind == "batch":
-            for entry in p["slots"]:
-                run = SlotRun(
-                    slot_id=entry["slot_id"], campaign_id=p["campaign_id"],
-                    owner_id=entry["owner_id"], proxy_id=entry["proxy_id"],
-                    username=entry["username"], password=entry["password"],
-                    service_actor=entry["service_actor"], action_kind=entry["action_kind"],
-                    action_target=entry["action_target"],
-                    renter_headers=p["renter_headers"],
-                    revert_window=p["revert_window"], reply_to=p["reply_to"],
-                )
-                self.queue.append(run)
-                self._by_slot[run.slot_id] = run
+            run = SlotRun(**p)  # the payload is one slot's SlotRun fields
+            self.queue.append(run)
+            self._by_slot[run.slot_id] = run
             self._pump(sim)
         elif msg.kind == "cancel_campaign":
             self.cancelled.add(p["campaign_id"])

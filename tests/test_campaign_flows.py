@@ -25,7 +25,7 @@ from leasim import cli, runner, scenario
 from leasim.attestation import Secret
 from leasim.interface_enclave import RESOLVED, InterfaceEnclave
 from leasim.ledger import BURN_ADDRESS, BlockHeader, Chain, Transaction, make_transaction
-from leasim.report import build_report, report_digest, verify_world
+from leasim.report import _judge_owner, build_report, report_digest, verify_world
 from leasim.runner import POLL_AT, build_world, estimate_schedule, run_scenario
 from leasim.scenario import SAFE_LOADER, SchemaError, load_scenario, parse_scenario
 from leasim.simnet import Message, Session, Simulation
@@ -327,6 +327,52 @@ class TestBlameScopedToCampaign:
         assert [e.endswith("(by host)") for e in renters["r1"]["evidence"]] == [True]
         assert renters["r2"]["verdict"] == "fair"
         assert any("self-inflicted" in e for e in renters["r2"]["evidence"])
+
+
+class TestVerdictRulesNoScenarioReaches:
+    def test_renter_rule_that_burns_its_deposit_is_self_harm(self):
+        path = resources.files("leasim") / "scenarios" / "baseline.yaml"
+        raw = yaml.safe_load(path.read_text())
+        raw["host"] = {"cuts": [{"cut_point": 3, "owner_id": "o2",
+                                 "rule_owner": "renter:r1"}]}
+        verdicts = build_report(run_scenario(parse_scenario(raw)))["verdicts"]
+        assert verdicts["renters"]["r1"] == {"verdict": "fair", "evidence": [
+            "iface:0:c1: deposit burn 0.25 (iface:0:c1:s0001) traced to own rules",
+            "self_harm: losses trace to this renter's own rules",
+        ]}
+        assert verdicts["owners"]["o2"]["verdict"] == "harmed"
+        assert verdicts["owners"]["o2"]["evidence"][0].endswith("(by renter:r1)")
+        assert verdicts["maintainer"]["verdict"] == "fair"
+
+    @staticmethod
+    def owned(*slots):
+        """(campaign, slot) entries for one owner; each slot is (performed,
+        public_effect, paid). No world pays an owner that did not act, so
+        these are built by hand."""
+        campaign = {"campaign_id": "c1", "renter_id": "r1", "funding": {"landed": True}}
+        return [(campaign, {
+            "slot_id": f"c1:s{i}", "action": "upvote:item1", "reward": 2_000_000,
+            "ground_truth": {"performed": performed, "public_effect": effect},
+            "settlement": {"landed": paid},
+        }) for i, (performed, effect, paid) in enumerate(slots)]
+
+    def judge(self, *slots):
+        world = types.SimpleNamespace(sim=types.SimpleNamespace(dropped=[]))
+        return _judge_owner(world, "o1", self.owned(*slots))
+
+    def test_owner_paid_without_acting_is_advantaged(self):
+        assert self.judge((True, True, True), (False, False, True)) == {
+            "verdict": "advantaged", "evidence": [
+                "c1:s0: acted and paid in full",
+                "c1:s1: paid 2 without the account acting",
+            ]}
+
+    def test_harm_outranks_advantage(self):
+        assert self.judge((False, False, True), (True, True, False)) == {
+            "verdict": "harmed", "evidence": [
+                "c1:s0: paid 2 without the account acting",
+                "c1:s1: account acted (upvote:item1), reward 2 never landed (by host)",
+            ]}
 
 
 def ladder_shape(slots: int, service_enclaves: int, payment_enclaves: int) -> dict:
@@ -664,9 +710,9 @@ class TestOwnerPolls:
     @staticmethod
     def selection_closed_at(world) -> float | None:
         """Virtual time at which the last renter intent was launched or
-        refused, or None while some campaign still waits in created/funded."""
+        refused, or None while some campaign still waits in created."""
         campaigns = world.all_campaigns()
-        if any(c.status in ("created", "funded") for c in campaigns):
+        if any(c.status == "created" for c in campaigns):
             return None
         launches = [c.phase_marks["service_start"] for c in campaigns]
         refusals = [float(line.split(" ", 1)[0][2:]) for line in world.sim.log.lines
