@@ -3,9 +3,9 @@
 Attestation is digest equality against a genuine measurement set taken from
 scenario config. Sessions established this way are opaque to the host (it may
 still drop or delay the packets). Payment enclaves escrow a backup spend key
-with the interface enclave; the escrow is usable only once the enclave has
-been observed dead, and a swept share is marked so a resurrected enclave can
-never race the recovery.
+with the interface enclave, one escrow per share they hold; an escrow is
+usable only once its enclave has been observed dead, and a swept share is
+marked so a resurrected enclave can never race the recovery.
 
 Secrets (credentials, keys) are taint-tagged with the Secret wrapper (defined
 in simnet, which checks the wire, and re-exported here). The invariant that no
@@ -74,7 +74,7 @@ class AttestationMesh:
         self.genuine = set(genuine)
         self._session_seq = 0
         self.enlisted: dict[str, dict[str, EnlistRecord]] = {}  # interface -> enclave -> rec
-        self.escrows: dict[tuple[str, str], EscrowReceipt] = {}
+        self.escrows: dict[str, EscrowReceipt] = {}  # share address -> receipt
 
     # -- attestation -------------------------------------------------------
 
@@ -139,22 +139,23 @@ class AttestationMesh:
             interface_id=interface.enclave_id,
             key_handle=key_handle,
         )
-        self.escrows[(interface.enclave_id, payment.enclave_id)] = receipt
+        self.escrows[key_handle] = receipt
         sim.log.emit(
             sim.now, interface.enclave_id, "keys_escrowed", payment=payment.enclave_id
         )
         return receipt
 
     def authorize_recovery(self, sim: Simulation, interface_id: str,
-                           payment_id: str) -> EscrowReceipt:
-        """Release the escrowed key, only for an enclave observed dead."""
-        receipt = self.escrows.get((interface_id, payment_id))
-        if receipt is None:
-            raise NotEnlisted(payment_id)
+                           key_handle: str) -> EscrowReceipt:
+        """Release one share's escrowed key, only once its enclave is observed dead."""
+        receipt = self.escrows.get(key_handle)
+        if receipt is None or receipt.interface_id != interface_id:
+            raise NotEnlisted(key_handle)
+        payment_id = receipt.payment_id
         if not sim.net.is_killed(payment_id):
             raise RecoveryRefused(f"{payment_id} is alive")
         if receipt.used:
-            raise RecoveryRefused(f"escrow for {payment_id} already swept")
+            raise RecoveryRefused(f"escrow for {key_handle} already swept")
         receipt.used = True
         sim.log.emit(sim.now, interface_id, "recovery_authorized", payment=payment_id)
         return receipt

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-GOSSIP_BATCH = 64
+GOSSIP_BATCH = 64  # records per gossip message
+MAX_ROUNDS = 1000  # rounds_until_quiet gives up after this many
 
 MODES = ("centralized", "distributed", "p2p")
 
@@ -91,8 +92,7 @@ def merge(store: dict[str, object], fresh: dict[str, None],
     return taken
 
 
-def gossip_round(topology: Topology, state: GossipState,
-                 batch_size: int = GOSSIP_BATCH, prefer=first_wins,
+def gossip_round(topology: Topology, state: GossipState, prefer=first_wins,
                  send=None) -> list[tuple[str, str, dict[str, object]]]:
     """One synchronous round; returns the (src, dst, batch) messages sent.
 
@@ -109,8 +109,8 @@ def gossip_round(topology: Topology, state: GossipState,
         if not ids or node not in members:
             continue
         store = state.known[node]
-        batches = [{record_id: store[record_id] for record_id in ids[i:i + batch_size]}
-                   for i in range(0, len(ids), batch_size)]
+        batches = [{record_id: store[record_id] for record_id in ids[i:i + GOSSIP_BATCH]}
+                   for i in range(0, len(ids), GOSSIP_BATCH)]
         for neighbor in topology.neighbors(node):
             if neighbor in members:
                 sends += [(node, neighbor, batch) for batch in batches]
@@ -123,9 +123,9 @@ def gossip_round(topology: Topology, state: GossipState,
 
 
 def rounds_until_quiet(topology: Topology, state: GossipState,
-                       prefer=first_wins, limit: int = 1000) -> int:
+                       prefer=first_wins) -> int:
     """Run rounds until no messages flow; returns the number of active rounds."""
-    for done in range(limit):
+    for done in range(MAX_ROUNDS):
         if not gossip_round(topology, state, prefer=prefer):
             return done
     raise TopologyError("gossip did not converge")

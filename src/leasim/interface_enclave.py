@@ -113,7 +113,6 @@ class Campaign:
     slot_seq: int = 0
     open_slots: int = 0  # slots whose status is not in RESOLVED
     settle_outstanding: set[str] = field(default_factory=set)
-    payment_started: bool = False
     escrow_notes: list[tuple[str, int]] = field(default_factory=list)
     terminal_tx: ledger.Transaction | None = None
     phase_marks: dict[str, float] = field(default_factory=dict)
@@ -169,8 +168,7 @@ class InterfaceEnclave:
         self.changed: dict[str, None] = {}  # owner ids to gossip next round, in order
         self.campaigns: dict[str, Campaign] = {}
         self._campaign_seq = 0
-        self._pending_enroll: dict[str, dict] = {}  # nonce -> state
-        self._enroll_by_key: dict[str, dict] = {}  # state_key -> state
+        self._pending_enroll: dict[str, dict] = {}  # nonce -> enrollment record
         self.last_beat: dict[str, float] = {}
         self._rebalance_tried: dict[str, set[int]] = {}
         self._watcher_running = False
@@ -193,28 +191,28 @@ class InterfaceEnclave:
     # enrollment
 
     def _on_enroll(self, msg: Message, sim: Simulation) -> None:
+        """One record per enrollment, keyed by its nonce: the ``enroll``
+        payload, the services still to test, those accepted, and whether the
+        proxy echoed the nonce. Each test login carries the nonce as its
+        ``state_key``, and the logins run one at a time, so a response always
+        answers ``untested[0]``."""
         p = msg.payload
         nonce = f"n{sim.rng.getrandbits(64):016x}"
-        state = {
-            "owner_id": p["owner_id"],
-            "payout_address": p["payout_address"],
-            "proxy_id": p["proxy_id"],
-            "services": p["services"],  # sid -> {username, password, policy, service_actor}
-            "accepted": {},
-            "remaining": list(p["services"]),
+        self._pending_enroll[nonce] = {
+            **p,  # owner_id, payout_address, proxy_id, services
             "nonce": nonce,
-            "done": False,
+            "untested": list(p["services"]),
+            "accepted": {},
+            "echoed": False,
         }
-        self._pending_enroll[nonce] = state
         sim.send(self.actor_id, p["proxy_id"], "nonce_rt",
                  {"nonce": nonce, "reply_to": self.actor_id})
         sim.schedule(NONCE_TIMEOUT, lambda: self._nonce_timeout(sim, nonce))
 
     def _nonce_timeout(self, sim: Simulation, nonce: str) -> None:
         state = self._pending_enroll.get(nonce)
-        if state is None or state.get("echoed"):
+        if state is None or state["echoed"]:
             return
-        state["done"] = True
         del self._pending_enroll[nonce]
         sim.log.emit(sim.now, self.actor_id, "enroll_failed", owner=state["owner_id"],
                      error="ProxyUnreachable")
@@ -227,17 +225,13 @@ class InterfaceEnclave:
         self._validate_next_credential(sim, state)
 
     def _validate_next_credential(self, sim: Simulation, state: dict) -> None:
-        if not state["remaining"]:
+        if not state["untested"]:
             self._finish_enroll(sim, state)
             return
-        sid = state["remaining"].pop(0)
-        cred = state["services"][sid]
-        key = f"enroll:{state['owner_id']}:{sid}"
-        self._enroll_by_key[key] = state
-        state["current_sid"] = sid
+        cred = state["services"][state["untested"][0]]
         sim.send(
             self.actor_id, state["proxy_id"], "svc_request",
-            {"state_key": key, "step": 1, "username": cred["username"],
+            {"state_key": state["nonce"], "step": 1, "username": cred["username"],
              "password": cred["password"].value,
              "action_kind": "login", "action_target": "-",
              "reply_to": self.actor_id, "dst_service": cred["service_actor"]},
@@ -245,18 +239,16 @@ class InterfaceEnclave:
         )
 
     def _on_svc_response(self, msg: Message, sim: Simulation) -> None:
-        key = msg.payload.get("state_key", "")
-        state = self._enroll_by_key.pop(key, None)
-        if state is None or state["done"]:
+        state = self._pending_enroll.get(msg.payload["state_key"])
+        if state is None:
             return
-        sid = state["current_sid"]
+        sid = state["untested"].pop(0)
         if msg.payload["status"] == "ok":
             state["accepted"][sid] = state["services"][sid]
         self._validate_next_credential(sim, state)
 
     def _finish_enroll(self, sim: Simulation, state: dict) -> None:
-        state["done"] = True
-        self._pending_enroll.pop(state["nonce"], None)
+        del self._pending_enroll[state["nonce"]]
         owner_id = state["owner_id"]
         if not state["accepted"]:
             sim.log.emit(sim.now, self.actor_id, "enroll_failed", owner=owner_id,
@@ -429,8 +421,7 @@ class InterfaceEnclave:
         campaign.status = "running"
         campaign.phase_marks["service_start"] = sim.now
         self._start_watcher(sim)
-        if n == 0:
-            self._maybe_start_payment_phase(sim, campaign)
+        self._advance(sim, campaign)
 
     def _split_funds(self, sim: Simulation, campaign: Campaign,
                      payment_ids: list[str]) -> None:
@@ -455,7 +446,7 @@ class InterfaceEnclave:
                 head_note_id=share_note.note_id, head_value=share_note.value,
             )
             self.mesh.backup_keys(
-                sim, self._payment_identity(payment_id), self.identity,
+                sim, self.mesh.enlisted[self.actor_id][payment_id].enclave, self.identity,
                 key_handle=share_note.owner_address,
             )
             self.last_beat.setdefault(payment_id, sim.now)
@@ -469,12 +460,6 @@ class InterfaceEnclave:
                 session=self._session_for(sim, payment_id),
                 campaign_id=campaign.campaign_id,
             )
-
-    def _payment_identity(self, payment_id: str) -> EnclaveIdentity:
-        record = self.mesh.enlisted.get(self.actor_id, {}).get(payment_id)
-        if record is None:
-            raise ledger.LedgerError(f"payment enclave {payment_id} not enlisted")
-        return record.enclave
 
     def _add_slot(self, sim: Simulation, campaign: Campaign, owner_id: str,
                   price: int, *, replacing: Slot | None = None) -> Slot:
@@ -530,9 +515,8 @@ class InterfaceEnclave:
         slot = campaign.slots.get(p["slot_id"])
         if slot is None or slot.status in RESOLVED:
             return
-        slot.status = p["status"]
-        if slot.status in RESOLVED:
-            campaign.open_slots -= 1
+        slot.status = p["status"]  # ServiceEnclave._resolve sends only RESOLVED ones
+        campaign.open_slots -= 1
         slot.effect_claimed = p.get("performed", False)
         slot.detail = p.get("detail", "")
         # "failed" means the visibility probe found no public effect, so a
@@ -545,28 +529,7 @@ class InterfaceEnclave:
             slot.substituted_by = substitute.slot_id
             sim.log.emit(sim.now, self.actor_id, "slot_substituted",
                          slot=slot.slot_id, by=substitute.slot_id, owner=owner_id)
-        self._maybe_start_payment_phase(sim, campaign)
-
-    def _maybe_start_payment_phase(self, sim: Simulation, campaign: Campaign) -> None:
-        if campaign.status != "running" or campaign.payment_started:
-            return
-        if campaign.open_slots:
-            return
-        campaign.payment_started = True
-        campaign.phase_marks["service_end"] = sim.now
-        campaign.phase_marks["payment_start"] = sim.now
-        confirmed = sorted(
-            (s for s in campaign.slots.values() if s.status == "confirmed"),
-            key=lambda s: s.index,
-        )
-        sim.log.emit(sim.now, self.actor_id, "payment_phase",
-                     campaign=campaign.campaign_id, confirmed=len(confirmed))
-        if not confirmed:
-            self._maybe_terminate(sim, campaign)
-            return
-        for slot in confirmed:
-            campaign.settle_outstanding.add(slot.slot_id)
-            self._send_settle(sim, campaign, slot, campaign.shares[slot.share_index])
+        self._advance(sim, campaign)
 
     def _send_settle(self, sim: Simulation, campaign: Campaign, slot: Slot,
                      share: ShareInfo) -> None:
@@ -596,7 +559,7 @@ class InterfaceEnclave:
         share.head_note_id = change[0].note_id if change else None
         share.head_value = change[0].value if change else 0
         campaign.settle_outstanding.discard(slot.slot_id)
-        self._maybe_terminate(sim, campaign)
+        self._advance(sim, campaign)
 
     def _on_insufficient_share(self, msg: Message, sim: Simulation) -> None:
         p = msg.payload
@@ -621,7 +584,7 @@ class InterfaceEnclave:
         slot.settlement_tx = None
         campaign.settle_outstanding.discard(slot.slot_id)
         sim.log.emit(sim.now, self.actor_id, "settle_failed", slot=slot.slot_id)
-        self._maybe_terminate(sim, campaign)
+        self._advance(sim, campaign)
 
     # ------------------------------------------------------------------
     # heartbeats, crash recovery
@@ -655,7 +618,7 @@ class InterfaceEnclave:
     def _recover_share(self, sim: Simulation, campaign: Campaign,
                        share: ShareInfo) -> None:
         try:
-            self.mesh.authorize_recovery(sim, self.actor_id, share.payment_id)
+            self.mesh.authorize_recovery(sim, self.actor_id, share.address)
         except RecoveryRefused:
             # heartbeats lost but the enclave is provably alive: no key release,
             # no sweep; keep waiting
@@ -680,47 +643,64 @@ class InterfaceEnclave:
         self._stop_campaign(sim, campaign)
 
     def _stop_campaign(self, sim: Simulation, campaign: Campaign) -> None:
-        """Appendix-style emergency stop: cancel work, settle nothing further."""
-        if campaign.status == "stopping":
-            self._maybe_terminate(sim, campaign)
-            return
-        campaign.status = "stopping"
-        for enclave in sorted({s.service_enclave for s in campaign.slots.values()}):
-            sim.send(self.actor_id, enclave, "cancel_campaign",
-                     {"campaign_id": campaign.campaign_id},
-                     session=self._session_for(sim, enclave),
-                     campaign_id=campaign.campaign_id)
-        for slot in campaign.slots.values():
-            if slot.status not in RESOLVED:
-                slot.status = "cancelled"
-                campaign.open_slots -= 1
+        """Appendix-style emergency stop: cancel work, settle nothing further.
+
+        Runs again for each further share recovered: a dead share answers no
+        settlement, so none that it holds may stay outstanding.
+        """
+        if campaign.status != "stopping":
+            campaign.status = "stopping"
+            for enclave in sorted({s.service_enclave for s in campaign.slots.values()}):
+                sim.send(self.actor_id, enclave, "cancel_campaign",
+                         {"campaign_id": campaign.campaign_id},
+                         session=self._session_for(sim, enclave),
+                         campaign_id=campaign.campaign_id)
+            for slot in campaign.slots.values():
+                if slot.status not in RESOLVED:
+                    slot.status = "cancelled"
+                    campaign.open_slots -= 1
+            campaign.phase_marks.setdefault("service_end", sim.now)
+            campaign.phase_marks.setdefault("payment_start", sim.now)
         for slot_id in list(campaign.settle_outstanding):
-            slot = campaign.slots[slot_id]
-            share = campaign.shares[slot.share_index]
-            if not share.alive:
+            if not campaign.shares[campaign.slots[slot_id].share_index].alive:
                 campaign.settle_outstanding.discard(slot_id)
-        campaign.phase_marks.setdefault("service_end", sim.now)
-        campaign.phase_marks.setdefault("payment_start", sim.now)
-        self._maybe_terminate(sim, campaign)
+        self._advance(sim, campaign)
 
     # ------------------------------------------------------------------
-    # termination
+    # the campaign lifecycle
 
-    def _maybe_terminate(self, sim: Simulation, campaign: Campaign) -> None:
-        if campaign.status not in ("running", "stopping"):
+    def _advance(self, sim: Simulation, campaign: Campaign) -> None:
+        """Take a running or stopping campaign as far as it can go: into the
+        payment phase once no slot is open, release every live share once no
+        settlement is outstanding, and terminate once every share is released.
+        A stopped campaign skips the payment phase: ``_stop_campaign`` marks
+        its start."""
+        if campaign.status not in ("running", "stopping") or campaign.open_slots:
             return
+        marks = campaign.phase_marks
+        if "payment_start" not in marks:
+            marks["service_end"] = marks["payment_start"] = sim.now
+            confirmed = sorted(
+                (s for s in campaign.slots.values() if s.status == "confirmed"),
+                key=lambda s: s.index,
+            )
+            sim.log.emit(sim.now, self.actor_id, "payment_phase",
+                         campaign=campaign.campaign_id, confirmed=len(confirmed))
+            for slot in confirmed:
+                campaign.settle_outstanding.add(slot.slot_id)
+                self._send_settle(sim, campaign, slot, campaign.shares[slot.share_index])
         if campaign.settle_outstanding:
             return
-        if not campaign.payment_started and campaign.status == "running":
-            return
-        campaign.phase_marks.setdefault("payment_end", sim.now)
-        for share in campaign.shares.values():
-            if share.alive and not share.released:
-                sim.send(self.actor_id, share.payment_id, "release_share",
-                         {"campaign_id": campaign.campaign_id},
-                         session=self._session_for(sim, share.payment_id),
-                         campaign_id=campaign.campaign_id)
-        self._maybe_finalize(sim, campaign)
+        if "payment_end" not in marks:
+            marks["payment_end"] = sim.now
+            for share in campaign.shares.values():
+                if share.alive and not share.released:
+                    sim.send(self.actor_id, share.payment_id, "release_share",
+                             {"campaign_id": campaign.campaign_id},
+                             session=self._session_for(sim, share.payment_id),
+                             campaign_id=campaign.campaign_id)
+        if all(share.released for share in campaign.shares.values()):
+            self._terminate(sim, campaign)
 
     def _on_share_released(self, msg: Message, sim: Simulation) -> None:
         p = msg.payload
@@ -733,13 +713,9 @@ class InterfaceEnclave:
         if tx is not None:
             note = tx.outputs[0][0]
             campaign.escrow_notes.append((note.note_id, note.value))
-        self._maybe_finalize(sim, campaign)
+        self._advance(sim, campaign)
 
-    def _maybe_finalize(self, sim: Simulation, campaign: Campaign) -> None:
-        if campaign.status == "terminated":
-            return
-        if any(not s.released for s in campaign.shares.values()):
-            return
+    def _terminate(self, sim: Simulation, campaign: Campaign) -> None:
         burn_slots = [s for s in campaign.slots.values() if self._burns(s)]
         burn_total = sum(s.deposit_share for s in burn_slots)
         returned = sum(s.deposit_share for s in campaign.slots.values()

@@ -140,6 +140,10 @@ class RenterActor:
         self.address = self.actor_id
         self.forged_fork: ledger.Chain | None = None
         self.results: list[dict] = []
+        # what this renter's broadcast fundings spend, and the change they
+        # make, which it may spend before that change lands
+        self._spent: set[str] = set()
+        self._change: dict[str, ledger.Note] = {}
 
     # -- scripted plan -----------------------------------------------------
 
@@ -165,12 +169,17 @@ class RenterActor:
 
     # -- funding -----------------------------------------------------------
 
+    def _spendable(self) -> list[ledger.Note]:
+        """Honest-chain notes, less those this renter's own fundings spend,
+        then those fundings' change. A forged-fork renter's fundings live in
+        private forks, so it funds each fork from honest-chain notes alone."""
+        notes = {n.note_id: n for n in self.chain_supplier().unspent_notes(self.address)}
+        notes.update(self._change)
+        return [note for note_id, note in notes.items() if note_id not in self._spent]
+
     def _fund(self, sim: Simulation, quote: dict) -> None:
-        chain = self.chain_supplier()
         total = quote["total"]
-        note = next(
-            (n for n in chain.unspent_notes(self.address) if n.value >= total), None
-        )
+        note = next((n for n in self._spendable() if n.value >= total), None)
         if note is None:
             self.results.append({"kind": "underfunded", "campaign_id": quote["campaign_id"]})
             return
@@ -183,6 +192,8 @@ class RenterActor:
         if self.view_mode == "forged_fork":
             self._start_with_fork(sim, record)
         else:
+            self._spent.update(tx.inputs)
+            self._change.update((n.note_id, n) for n, kind in tx.outputs if kind == "change")
             sim.send(self.actor_id, self.node_id, "tx_broadcast", {"tx": tx})
             sim.schedule(self.poll_interval, lambda: self._poll_funding(sim, record))
 

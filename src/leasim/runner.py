@@ -570,7 +570,7 @@ def estimate_schedule(spec: ScenarioSpec) -> dict:
     for rspec in spec.renters:
         for c in rspec.campaigns:
             svc = spec.service(c.service_id)
-            steps = 5 if svc.kind == "social" else 2
+            steps = (SocialService if svc.kind == "social" else VotingService).PIPELINE_LENGTH
             pipeline_len = max(
                 pipeline_len, sum(latency.step_means[:steps])
             )

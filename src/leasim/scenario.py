@@ -358,6 +358,11 @@ def _check_references(spec: ScenarioSpec, source: str) -> None:
     if topology.mode == "centralized" and topology.interfaces:
         raise SchemaError(f"{source}.topology.interfaces",
                           "centralized mode takes no interface list")
+    if topology.mode == "p2p":
+        for key in ("cuts", "delays", "kills", "eclipse"):
+            if getattr(spec.host, key):
+                raise SchemaError(f"{source}.host.{key}", "p2p mode sends nothing over "
+                                  "the simulated wire, so it takes no host script")
 
     service_ids = _unique([s.service_id for s in spec.services],
                           f"{source}.services", "service")

@@ -50,7 +50,6 @@ class Session:
     session_id: str
     peer_a: str
     peer_b: str
-    established: bool = True
 
 
 @dataclass(frozen=True)
@@ -243,21 +242,21 @@ class HostControl:
         )
         return rule
 
-    def kill_enclave(self, actor_id: str, at_time: float, *, owner: str = "host") -> str:
+    def kill_enclave(self, actor_id: str, at_time: float) -> str:
         rule_id = self._next_rule_id("kill")
 
         def do_kill() -> None:
             if actor_id not in self.killed:
                 self.killed[actor_id] = (self._sim.now, rule_id)
-                self._sim.log.emit(self._sim.now, owner, "kill", target=actor_id, rule=rule_id)
+                self._sim.log.emit(self._sim.now, "host", "kill", target=actor_id, rule=rule_id)
 
         self._sim.schedule_at(at_time, do_kill)
         return rule_id
 
-    def set_eclipse(self, owner_id: str, feed, *, owner: str = "host") -> str:
+    def set_eclipse(self, owner_id: str, feed) -> str:
         rule_id = self._next_rule_id("eclipse")
         self.eclipse_feeds[owner_id] = feed
-        self._sim.log.emit(self._sim.now, owner, "eclipse_set", target=owner_id, rule=rule_id)
+        self._sim.log.emit(self._sim.now, "host", "eclipse_set", target=owner_id, rule=rule_id)
         return rule_id
 
     def is_killed(self, actor_id: str) -> bool:
@@ -453,6 +452,6 @@ class Simulation:
 
     def host_visible_payload(self, msg: Message) -> dict | None:
         """What the host's interception could read: None for attested traffic."""
-        if msg.session is not None and msg.session.established:
+        if msg.session is not None:
             return None
         return msg.payload

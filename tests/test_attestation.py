@@ -37,7 +37,7 @@ class TestAttest:
     def test_matching_measurement_yields_session(self):
         sim, mesh = mk_world()
         session = mesh.attest(sim, "iface", GOOD, identity("svc"))
-        assert session.established and {session.peer_a, session.peer_b} == {"iface", "svc"}
+        assert {session.peer_a, session.peer_b} == {"iface", "svc"}
 
     def test_mismatch_refused_before_any_secret_flows(self):
         sim, mesh = mk_world()
@@ -97,21 +97,40 @@ class TestEscrow:
     def test_recovery_refused_while_alive(self):
         sim, mesh, _ = self.setup_escrow()
         with pytest.raises(att.RecoveryRefused):
-            mesh.authorize_recovery(sim, "iface", "pay")
+            mesh.authorize_recovery(sim, "iface", "addr:share1")
 
     def test_recovery_after_crash_single_use(self):
         sim, mesh, receipt = self.setup_escrow()
         sim.net.kill_enclave("pay", at_time=1.0)
         sim.run()
-        out = mesh.authorize_recovery(sim, "iface", "pay")
+        out = mesh.authorize_recovery(sim, "iface", "addr:share1")
         assert out.key_handle == "addr:share1" and out.used
         with pytest.raises(att.RecoveryRefused):
-            mesh.authorize_recovery(sim, "iface", "pay")
+            mesh.authorize_recovery(sim, "iface", "addr:share1")
+
+    def test_each_share_of_one_enclave_recovers_once(self):
+        sim, mesh, _ = self.setup_escrow()
+        iface, pay = identity("iface", "interface"), identity("pay", "payment")
+        mesh.backup_keys(sim, pay, iface, key_handle="addr:share2")
+        sim.net.kill_enclave("pay", at_time=1.0)
+        sim.run()
+        first = mesh.authorize_recovery(sim, "iface", "addr:share1")
+        second = mesh.authorize_recovery(sim, "iface", "addr:share2")
+        assert (first.key_handle, second.key_handle) == ("addr:share1", "addr:share2")
+        with pytest.raises(att.RecoveryRefused):
+            mesh.authorize_recovery(sim, "iface", "addr:share2")
+
+    def test_recovery_only_by_the_escrowing_interface(self):
+        sim, mesh, _ = self.setup_escrow()
+        sim.net.kill_enclave("pay", at_time=1.0)
+        sim.run()
+        with pytest.raises(att.NotEnlisted):
+            mesh.authorize_recovery(sim, "iface2", "addr:share1")
 
     def test_recovery_without_escrow(self):
         sim, mesh = mk_world()
         with pytest.raises(att.NotEnlisted):
-            mesh.authorize_recovery(sim, "iface", "pay")
+            mesh.authorize_recovery(sim, "iface", "addr:share1")
 
 
 def reference_contains_secret(obj) -> bool:

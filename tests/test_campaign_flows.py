@@ -298,6 +298,102 @@ class TestCrashRecovery:
         assert verdicts["renters"]["r1"]["verdict"] == "harmed"
         assert verdicts["owners"]["o1"]["verdict"] == "fair"
 
+    def test_lost_heartbeats_of_a_live_enclave_release_no_key(self):
+        raw = ladder_shape(40, 1, 1)
+        raw["host"] = {"cuts": [{"kind": "heartbeat"}]}
+        world = run_scenario(parse_scenario(raw))
+        kinds = [line.split(" kind=", 1)[1].split(" ", 1)[0] for line in world.sim.log.lines]
+        assert "recovery_refused" in kinds and "share_recovered" not in kinds
+        campaign = only_campaign(world)
+        assert campaign.status == "terminated"
+        assert all(s.settlement_tx for s in campaign.slots.values())
+
+    def test_second_enclave_dying_after_the_stop_still_terminates(self):
+        # 60 slots on two payment enclaves: the payment phase runs from about
+        # t=348 to 496. The first share is recovered, and the campaign
+        # stopped, at t=421, while the second still has settlements queued;
+        # its enclave dies at t=425 and its share is recovered at t=481.
+        raw = ladder_shape(60, 1, 2)
+        raw["host"] = {"kills": [{"actor": "payenc:0:0", "at": 350.0},
+                                 {"actor": "payenc:0:1", "at": 425.0}]}
+        world = run_scenario(parse_scenario(raw))
+        campaign = only_campaign(world)
+        recovered = [line for line in world.sim.log.lines if "kind=share_recovered" in line]
+        assert len(recovered) == 2
+        assert campaign.status == "terminated" and not campaign.settle_outstanding
+        assert world.node.chain.balance(campaign.escrow_address) == 0
+        assert build_report(world)["verdicts"]["renters"]["r1"]["verdict"] == "harmed"
+
+
+def bundled_raw(name: str) -> dict:
+    return yaml.safe_load((resources.files("leasim") / "scenarios" / f"{name}.yaml").read_text())
+
+
+def upvotes(target: str) -> dict:
+    return {"service": "social", "action": "upvote", "target": target, "count": 3}
+
+
+def crash_three_campaigns() -> dict:
+    """crash_payment with a second campaign for r1 and a one-campaign renter
+    r2: every share sits on the payment enclave the host kills."""
+    raw = bundled_raw("crash_payment")
+    raw["services"][0]["items"] += ["item2", "item3"]
+    raw["renters"][0]["campaigns"].append(upvotes("item2"))
+    raw["renters"].append({"id": "r2", "balance": "1000", "campaigns": [upvotes("item3")]})
+    raw["timing"]["horizon"] = 1500.0
+    return raw
+
+
+def second_campaign(name: str) -> dict:
+    """A bundled one-campaign world with a second campaign for r1."""
+    raw = bundled_raw(name)
+    raw["services"][0]["items"].append("item2")
+    raw["renters"][0]["campaigns"].append(upvotes("item2"))
+    return raw
+
+
+class TestMultiCampaignWorlds:
+    """Each campaign keeps its own escrow key and its own funding note."""
+
+    @pytest.mark.parametrize("make", [
+        crash_three_campaigns,
+        lambda: second_campaign("baseline"),
+        lambda: second_campaign("cut1_forged_view"),
+    ], ids=["crash_payment+2", "baseline+1", "cut1_forged_view+1"])
+    def test_every_campaign_terminates_before_the_horizon(self, make):
+        spec = parse_scenario(make())
+        world = run_scenario(spec)
+        expected = sum(len(r.campaigns) for r in spec.renters)
+        assert [c.status for c in world.all_campaigns()] == ["terminated"] * expected
+        killed = world.sim.net.killed
+        ended = []
+        for line in world.sim.log.lines:
+            at = float(line.split(" ", 1)[0][2:])
+            if "kind=campaign_terminated" in line:
+                ended.append(at)
+            elif "kind=recovery_refused" in line:
+                payment = line.rsplit("payment=", 1)[1]
+                assert payment not in killed or at < killed[payment][0], line
+        assert len(ended) == expected and max(ended) < spec.timing.horizon
+        assert all(ok for _, ok, _ in verify_world(world))
+
+    def test_crash_recovers_every_share_of_the_dead_enclave(self):
+        world = run_scenario(parse_scenario(crash_three_campaigns()))
+        recovered = [line for line in world.sim.log.lines if "kind=share_recovered" in line]
+        assert len(recovered) == 3
+        verdicts = build_report(world)["verdicts"]["renters"]
+        assert verdicts["r2"]["verdict"] == "harmed"
+        assert any("(by host)" in line for line in verdicts["r2"]["evidence"])
+
+    def test_second_funding_spends_the_first_fundings_change(self):
+        world = run_scenario(parse_scenario(second_campaign("baseline")))
+        first, second = (c.funding_tx for c in world.all_campaigns())
+        change = [n.note_id for n, kind in first.outputs if kind == "change"]
+        assert list(second.inputs) == change
+        verdicts = build_report(world)["verdicts"]
+        assert {v["verdict"] for group in ("owners", "renters")
+                for v in verdicts[group].values()} == {"fair"}
+
 
 class TestBlameScopedToCampaign:
     """Two renters, one campaign each; the host cuts campaign 0's payment broadcasts."""
@@ -478,7 +574,7 @@ class TestOpenSlotCount:
         world, _checked = self.run_checking_count(yaml.safe_load(path.read_text()), monkeypatch)
         campaign = only_campaign(world)
         assert any(s.substituted_by for s in campaign.slots.values())
-        assert campaign.open_slots == 0 and campaign.payment_started
+        assert campaign.open_slots == 0 and "payment_start" in campaign.phase_marks
 
     def test_after_emergency_stop(self, monkeypatch):
         raw = ladder_shape(40, 1, 1)
@@ -936,6 +1032,22 @@ class TestScenarioLoader:
         path.write_text(yaml.safe_dump(raw))
         assert cli.main(["verify", "--scenario", str(path)]) == 2
         assert f"host.cuts[0].{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, entry", [
+        ("cuts", {"kind": "svc_request", "cut_point": 2}),
+        ("delays", {"extra": 1.0}),
+        ("kills", {"actor": "iface:n2", "at": 0.0}),
+        ("eclipse", {"owner": "o1", "source": "stale"}),
+    ])
+    def test_p2p_host_script_exits_2(self, tmp_path, capsys, key, entry):
+        """p2p sends nothing over the simulated wire, so a host script there
+        would be parsed and then ignored."""
+        raw = bundled_raw("p2p")
+        raw["host"] = {key: [entry]}
+        path = tmp_path / "p2p_host.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["verify", "--scenario", str(path)]) == 2
+        assert f"host.{key}: p2p mode" in capsys.readouterr().err
 
     def test_cut_scope_bounds_accepted(self):
         raw = yaml.safe_load(

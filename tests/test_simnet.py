@@ -259,7 +259,7 @@ class TestRuleIndex:
         sim, _ = mk_sim()
         mesh = AttestationMesh({good})
         sim.net.set_cut(simnet.CUT_OWNER_CHAIN, kind="attest_handshake", dst="svc")
-        assert mesh.attest(sim, "iface", good, target).established
+        assert mesh.attest(sim, "iface", good, target).peer_b == "svc"
         sim.net.set_cut(kind="attest_handshake", dst="svc")
         with pytest.raises(Unreachable):
             mesh.attest(sim, "iface", good, target)
