@@ -27,7 +27,10 @@ snapshots, so any actor can hold a view without copy hazards. The mempool
 validates each pending transaction against the copy it is building and mines
 its block from that copy; it keeps transactions with unknown inputs pending
 (settlement copies may land before their parent) and drops conflicting spends
-permanently.
+permanently. What stays pending after ``assemble`` waits on an input no chain
+holds, so it does not keep the chain node mining: once every campaign is
+settled the node stops after its grace blocks and logs each such transaction
+as ``tx_orphaned``.
 
 Each header object is hashed at most once: whether its recomputed digest
 equals its ``own_digest`` is cached on the header itself
@@ -446,7 +449,9 @@ class Mempool:
 
     Inclusion validates against the chain at block-assembly time: conflicting
     spends are rejected permanently, transactions with unknown inputs stay
-    pending (their parent may still arrive via another delivery path).
+    pending (their parent may still arrive via another delivery path). They
+    stay pending only while the chain node mines; they do not hold it, and
+    it logs each one still pending as ``tx_orphaned`` when it stops.
     """
 
     pending: dict[str, Transaction] = field(default_factory=dict)

@@ -8,6 +8,7 @@ off the returned World.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import ledger
@@ -39,19 +40,23 @@ GENUINE = Measurement("genuine-v1")
 class ChainNodeActor:
     """The (untrusted) chain node: mempool plus a fixed mining cadence.
 
-    Mines every block_interval; once the runner reports all campaigns settled
-    it mines grace_blocks more (so late transactions confirm) and stops, which
-    lets the event queue drain naturally.
+    Mines every block_interval. Once done_check holds (every campaign
+    settled; it never turns false again) it mines grace_blocks more, counted
+    from the first block after it holds, so late transactions confirm; then
+    it stops, which lets the event queue drain. Transactions still pending
+    after a block wait on an input no chain holds (``Mempool.assemble`` runs
+    to a fixpoint), so they do not hold mining; each is logged
+    ``tx_orphaned`` at the stop.
     """
 
     def __init__(self, node_id: str, chain: ledger.Chain, *,
-                 block_interval: float, grace_blocks: int):
+                 block_interval: float, grace_blocks: int,
+                 done_check: Callable[[], bool]):
         self.node_id = node_id
         self.chain = chain
         self.pool = ledger.Mempool()
         self.block_interval = block_interval
-        self.grace_blocks = grace_blocks
-        self.done_check = None  # set by the runner
+        self.done_check = done_check
         self._grace_left = grace_blocks
         self.stopped = False
 
@@ -66,15 +71,15 @@ class ChainNodeActor:
         self.chain, included = self.pool.assemble(self.chain)
         sim.log.emit(sim.now, self.node_id, "block_mined",
                      height=self.chain.height, txs=len(included))
-        if self.done_check is not None and self.done_check() and not self.pool.pending:
+        if self.done_check():
             self._grace_left -= 1
             if self._grace_left <= 0:
                 self.stopped = True
+                for tx_id in self.pool.pending:
+                    sim.log.emit(sim.now, self.node_id, "tx_orphaned", tx=tx_id)
                 sim.log.emit(sim.now, self.node_id, "mining_stopped",
                              height=self.chain.height)
                 return
-        else:
-            self._grace_left = self.grace_blocks
         sim.schedule(self.block_interval, lambda: self._tick(sim))
 
 
@@ -133,6 +138,8 @@ def build_world(spec: ScenarioSpec) -> World:
     node = ChainNodeActor(
         "node:main", chain, block_interval=spec.chain.block_interval,
         grace_blocks=spec.chain.confirmation_depth + 1,
+        # world is bound below, before the first block is mined
+        done_check=lambda: _campaigns_settled(world),
     )
     sim.register(node.node_id, node)
     node.start(sim)
@@ -265,11 +272,9 @@ def build_world(spec: ScenarioSpec) -> World:
 
     if spec.topology.mode == "p2p":
         _setup_p2p(world)
-        return world
-
-    _enroll_and_schedule(world)
-    _install_host_script(world)
-    node.done_check = lambda: _campaigns_settled(world)
+    else:
+        _enroll_and_schedule(world)
+        _install_host_script(world)
     return world
 
 
@@ -414,6 +419,11 @@ def _eclipse_feed(world: World, ecl):
 
 
 def _campaigns_settled(world: World) -> bool:
+    """True once every renter intent has an outcome: a failure recorded or
+    its campaign terminated. A p2p world runs all its slots inside
+    ``_setup_p2p``, so it is settled as soon as ``build_world`` returns."""
+    if world.spec.topology.mode == "p2p":
+        return True
     outcomes = 0
     expected = sum(len(r.intents) for r in world.renters.values())
     for renter in world.renters.values():

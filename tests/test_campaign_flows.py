@@ -134,6 +134,26 @@ class TestForgedFunding:
         world = world_for("cut1_forged_view")
         assert world.services["social"].items["item1"].counters == {"upvote": 1}
 
+    def test_forged_spends_are_orphaned_and_mining_stops(self):
+        """The interface's spends of the forged escrow note can never land;
+        they do not keep the node mining to the horizon."""
+        world = world_for("cut1_forged_view")
+        assert (world.sim.now, world.node.chain.height) == (105.0, 7)
+        funding = only_campaign(world).funding_tx
+        assert not world.node.chain.has_tx(funding.tx_id)
+        # each pending transaction spends the forged escrow note or the
+        # output of one submitted before it (split, settle, release, terminate)
+        notes = {note.note_id for note, kind in funding.outputs if kind == "funding"}
+        for tx in world.node.pool.pending.values():
+            assert notes.issuperset(tx.inputs)
+            notes.update(note.note_id for note, _kind in tx.outputs)
+        kinds = [line.split(" kind=", 1)[1].split(" ", 1)[0]
+                 for line in world.sim.log.lines]
+        orphaned = [line.rsplit(" tx=", 1)[1] for line in world.sim.log.lines
+                    if " kind=tx_orphaned " in line]
+        assert orphaned == list(world.node.pool.pending) and len(orphaned) == 4
+        assert kinds[-5:] == ["tx_orphaned"] * 4 + ["mining_stopped"]
+
 
 class TestOwnerChainCut:
     def test_skip_and_substitute(self):
@@ -702,6 +722,14 @@ class TestDistributed:
 
 
 class TestP2P:
+    def test_mining_stops_after_grace(self):
+        """Every p2p slot runs while the world is built, so the node stops
+        after its grace blocks."""
+        world = world_for("p2p")
+        assert (world.sim.now, world.node.chain.height) == (105.0, 7)
+        assert world.sim.log.lines[-1] == (
+            "t=105.000000 actor=node:main kind=mining_stopped height=7")
+
     def test_cpu_flood_collapses_to_one_binding(self):
         world = world_for("p2p")
         assert world.p2p["registry"].accepted_count("cpu:flood") == 1
@@ -779,6 +807,30 @@ class TestInvariantsEverywhere:
 BUNDLED = sorted(p.name.removesuffix(".yaml")
                  for p in (resources.files("leasim") / "scenarios").iterdir()
                  if p.name.endswith(".yaml"))
+
+
+class TestMiningStops:
+    """Machine-independent mining counts of the bundled scenarios. The
+    smallest-nonce search makes each block's hash attempts exact."""
+
+    BLOCKS = {
+        "baseline": 15, "collusion_social": 16, "collusion_voting": 15,
+        "crash_payment": 20, "cut1_forged_view": 8, "cut2_owner_skip": 16,
+        "cut3_response": 16, "cut45_all": 15, "cut45_single_path": 15,
+        "distributed": 15, "eclipse": 15, "p2p": 8, "replay": 38, "revert": 16,
+    }
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_node_stops_before_horizon(self, name):
+        world = world_for(name)
+        assert world.node.stopped
+        assert world.sim.now < world.spec.timing.horizon
+        assert len(world.node.chain.blocks) == self.BLOCKS[name]
+
+    def test_total_hash_attempts(self):
+        assert sorted(self.BLOCKS) == BUNDLED
+        assert sum(block.header.pow_nonce + 1 for name in BUNDLED
+                   for block in world_for(name).node.chain.blocks) == 859_657
 
 
 def poll_events(world, fate: str = "send") -> list[tuple[str, str]]:

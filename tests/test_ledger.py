@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from leasim import ledger, powcore, runner, scenario
 from leasim.coins import coins
+from leasim.simnet import Simulation
 from tests.conftest import extend, mk_chain
 
 DIFF = 8  # test-scale difficulty
@@ -394,6 +395,60 @@ class TestSubmitAndMempool:
         pool.submit(parent, chain)
         chain, included = pool.assemble(chain)
         assert included == [parent.tx_id, child.tx_id] and not pool.pending
+
+
+class TestChainNodeStop:
+    """The node's grace countdown ignores transactions waiting on a missing
+    input; it stops grace_blocks blocks after the done check first holds."""
+
+    INTERVAL, GRACE = 10.0, 3
+
+    def run_node(self, chain, arrivals):
+        """Mine with a done check that always holds; ``arrivals`` are
+        (time, tx) broadcasts to the node. Returns the node and its log."""
+        sim = Simulation(0)
+        node = runner.ChainNodeActor("node:main", chain, block_interval=self.INTERVAL,
+                                     grace_blocks=self.GRACE, done_check=lambda: True)
+        sim.register(node.node_id, node)
+        node.start(sim)
+        for at, tx in arrivals:
+            sim.schedule_at(at, lambda tx=tx: sim.send("renter:a", node.node_id,
+                                                       "tx_broadcast", {"tx": tx}))
+        sim.run(until=1000.0)
+        return node, [line.split(" ", 1)[1] for line in sim.log.lines
+                      if " actor=node:main " in line]
+
+    @staticmethod
+    def parent_and_child(chain):
+        parent = spend(chain, "a", [("mid", 100, "change")])
+        child = ledger.make_transaction(
+            [parent.outputs[0][0].note_id], [("far", 100, "change")], {"mid"})
+        return parent, child
+
+    def test_child_lands_with_parent_that_arrives_during_grace(self):
+        chain = mk_chain(DIFF, {"a": 100})
+        parent, child = self.parent_and_child(chain)
+        node, log = self.run_node(chain, [(0.0, child), (15.0, parent)])
+        assert node.stopped and node.chain.height == self.GRACE
+        assert node.chain.blocks[2].txs == (parent, child)
+        assert not node.pool.pending
+        assert [line for line in log if "kind=recv:" not in line] == [
+            "actor=node:main kind=block_mined height=1 txs=0",
+            "actor=node:main kind=block_mined height=2 txs=2",
+            "actor=node:main kind=block_mined height=3 txs=0",
+            "actor=node:main kind=mining_stopped height=3",
+        ]
+
+    def test_child_without_parent_is_orphaned_once(self):
+        chain = mk_chain(DIFF, {"a": 100})
+        _parent, child = self.parent_and_child(chain)
+        node, log = self.run_node(chain, [(0.0, child)])
+        assert node.stopped and node.chain.height == self.GRACE
+        assert not node.chain.has_tx(child.tx_id)
+        assert list(node.pool.pending) == [child.tx_id]
+        assert log[-2:] == [f"actor=node:main kind=tx_orphaned tx={child.tx_id}",
+                            "actor=node:main kind=mining_stopped height=3"]
+        assert sum("kind=tx_orphaned" in line for line in log) == 1
 
 
 def _included_by_append_block(chain, offered):

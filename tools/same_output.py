@@ -11,8 +11,8 @@ each prints the SHA-256 of the JSON report (``canonical_json``), of the text
 report (``render_report``) and of the ``leasim verify`` lines. Both sides run
 the same scenario files, so only the program differs.
 
-Exit status: 0 with "62 scenarios identical", 1 naming the first scenario
-whose output differs, 2 when a child fails.
+Exit status: 0 with "62 scenarios identical"; 1 with one line per scenario
+whose output differs, then "K of 62 scenarios differ"; 2 when a child fails.
 """
 from __future__ import annotations
 
@@ -99,12 +99,16 @@ def main(argv: list[str]) -> int:
             print(f"{side}: child exited {code}\n{err}", file=sys.stderr)
             return 2
         outputs.append(out.splitlines())
+    differ = 0
     for (name, _path), base, ours in zip(found, *outputs):
         if ours != base:
+            differ += 1
             kinds = [kind for kind, a, b in zip(("json", "text", "verify"),
                                                 ours.split(), base.split()) if a != b]
             print(f"{name}: {', '.join(kinds)} output differs from {rev}")
-            return 1
+    if differ:
+        print(f"{differ} of {len(found)} scenarios differ")
+        return 1
     print(f"{len(found)} scenarios identical")
     return 0
 
