@@ -50,13 +50,6 @@ class EnclaveIdentity:
     kind: str  # interface | service | payment
     measurement: Measurement
     public_key: str
-    host_id: str
-
-
-@dataclass
-class EnlistRecord:
-    enclave: EnclaveIdentity
-    public_key: str
 
 
 @dataclass
@@ -73,7 +66,8 @@ class AttestationMesh:
     def __init__(self, genuine: set[Measurement]):
         self.genuine = set(genuine)
         self._session_seq = 0
-        self.enlisted: dict[str, dict[str, EnlistRecord]] = {}  # interface -> enclave -> rec
+        # interface id -> enclave id -> the enlisted enclave's identity
+        self.enlisted: dict[str, dict[str, EnclaveIdentity]] = {}
         self.escrows: dict[str, EscrowReceipt] = {}  # share address -> receipt
 
     # -- attestation -------------------------------------------------------
@@ -102,12 +96,12 @@ class AttestationMesh:
             msg_id=0, src=caller_id, dst=target.enclave_id, kind="attest_handshake",
             payload={}, send_time=sim.now,
         )
-        return sim.net._drop_rule_for(probe, sim.now) is not None
+        return sim.net._fate(probe, sim.now, 0.0)[0] is not None
 
     # -- enlistment --------------------------------------------------------
 
     def enlist(self, sim: Simulation, interface: EnclaveIdentity,
-               other: EnclaveIdentity) -> EnlistRecord:
+               other: EnclaveIdentity) -> EnclaveIdentity:
         """Mutual attestation, then key exchange; idempotent per enclave_id."""
         registry = self.enlisted.setdefault(interface.enclave_id, {})
         if other.enclave_id in registry:
@@ -120,10 +114,9 @@ class AttestationMesh:
                 raise MeasurementMismatch(side.enclave_id)
         self.attest(sim, interface.enclave_id, other.measurement, other)
         self.attest(sim, other.enclave_id, interface.measurement, interface)
-        record = EnlistRecord(enclave=other, public_key=other.public_key)
-        registry[other.enclave_id] = record
+        registry[other.enclave_id] = other
         sim.log.emit(sim.now, interface.enclave_id, "enlisted", enclave=other.enclave_id)
-        return record
+        return other
 
     def is_enlisted(self, interface_id: str, enclave_id: str) -> bool:
         return enclave_id in self.enlisted.get(interface_id, {})

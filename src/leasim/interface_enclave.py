@@ -446,7 +446,7 @@ class InterfaceEnclave:
                 head_note_id=share_note.note_id, head_value=share_note.value,
             )
             self.mesh.backup_keys(
-                sim, self.mesh.enlisted[self.actor_id][payment_id].enclave, self.identity,
+                sim, self.mesh.enlisted[self.actor_id][payment_id], self.identity,
                 key_handle=share_note.owner_address,
             )
             self.last_beat.setdefault(payment_id, sim.now)

@@ -37,18 +37,19 @@ class OwnerActor:
 
     # -- chain view --------------------------------------------------------
 
-    def view_headers(self, sim: Simulation, from_height: int) -> list[ledger.BlockHeader]:
+    def view_headers(self, sim: Simulation, lo: int, hi: int) -> list[ledger.BlockHeader]:
+        """Headers at heights ``lo`` through ``hi`` that this owner can see."""
         feed = sim.net.eclipse_feeds.get(self.owner_id)
         if feed is not None:
-            return feed(from_height)
-        return self.chain_supplier().headers_from(from_height)
+            return feed(lo, hi)
+        return self.chain_supplier().headers_from(lo, hi)
 
     # -- message handling --------------------------------------------------
 
     def receive(self, msg: Message, sim: Simulation) -> None:
         p = msg.payload
         if msg.kind == "chain_query":
-            headers = self.view_headers(sim, p.get("from_height", 0))
+            headers = self.view_headers(sim, *p["heights"])
             sim.send(
                 self.actor_id, self.proxy_id, "chain_view",
                 {"headers": headers, "reply_to": p["reply_to"],

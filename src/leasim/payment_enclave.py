@@ -28,6 +28,15 @@ class FundShare:
     iface_id: str
     issued: list[ledger.Transaction] = field(default_factory=list)
     released: bool = False
+    # cost of this share's orders waiting in the enclave's queue. The order
+    # being proved has left the queue and is not counted, so a later settle
+    # can overspend the share; ROADMAP item 1 counts it, on purpose.
+    queued: int = 0
+
+
+def _cost(order: dict) -> int:
+    """What settling ``order`` spends from its share."""
+    return order["reward"] + order["deposit_share"] + order["fee"]
 
 
 class PaymentEnclave:
@@ -87,16 +96,13 @@ class PaymentEnclave:
         share = self.shares.get(order["campaign_id"])
         if share is None or share.released:
             return
-        cost = order["reward"] + order["deposit_share"] + order["fee"]
-        committed = sum(
-            o["reward"] + o["deposit_share"] + o["fee"] for o in self.queue
-            if o["campaign_id"] == order["campaign_id"]
-        )
-        if share.head_value - committed < cost:
+        cost = _cost(order)
+        if share.head_value - share.queued < cost:
             sim.send(self.actor_id, share.iface_id, "insufficient_share",
                      {"campaign_id": share.campaign_id, "slot_id": order["slot_id"]},
                      campaign_id=share.campaign_id)
             return
+        share.queued += cost
         self.queue.append(order)
         self._pump(sim)
 
@@ -105,13 +111,14 @@ class PaymentEnclave:
             return
         self.busy = True
         order = self.queue.pop(0)
+        self.shares[order["campaign_id"]].queued -= _cost(order)
         # proof generation is the per-tx cost; the tx exists only after it
         sim.schedule_for(self.actor_id, self.latency.draw_snark(sim.rng),
                          lambda: self._issue(order, sim))
 
     def _issue(self, order: dict, sim: Simulation) -> None:
         share = self.shares[order["campaign_id"]]
-        cost = order["reward"] + order["deposit_share"] + order["fee"]
+        cost = _cost(order)
         outputs = [
             (order["owner_payout"], order["reward"], "reward"),
             (order["renter_refund"], order["deposit_share"], "deposit_return"),

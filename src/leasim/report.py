@@ -353,6 +353,8 @@ def build_report(world: World) -> dict:
         "drops": _drop_summary(world),
         "verdicts": verdicts,
     }
+    if world.node.orphaned:
+        report["sim"]["orphaned"] = world.node.orphaned
     if world.p2p:
         report["p2p"] = {
             "registrations": world.p2p["registrations"],
@@ -380,6 +382,8 @@ def render_report(report: dict) -> str:
         f"chain height={report['sim']['chain_height']} "
         f"events={report['sim']['events']}",
     ]
+    if "orphaned" in report["sim"]:
+        lines.append(f"  orphaned txs: {' '.join(report['sim']['orphaned'])}")
     for campaign in report["campaigns"]:
         q = campaign["quote"]
         lines.append(

@@ -59,6 +59,7 @@ class ChainNodeActor:
         self.done_check = done_check
         self._grace_left = grace_blocks
         self.stopped = False
+        self.orphaned: list[str] = []  # tx ids still pending at the stop
 
     def receive(self, msg, sim: Simulation) -> None:
         if msg.kind == "tx_broadcast":
@@ -75,7 +76,8 @@ class ChainNodeActor:
             self._grace_left -= 1
             if self._grace_left <= 0:
                 self.stopped = True
-                for tx_id in self.pool.pending:
+                self.orphaned = list(self.pool.pending)
+                for tx_id in self.orphaned:
                     sim.log.emit(sim.now, self.node_id, "tx_orphaned", tx=tx_id)
                 sim.log.emit(sim.now, self.node_id, "mining_stopped",
                              height=self.chain.height)
@@ -87,7 +89,6 @@ class ChainNodeActor:
 class InterfaceGroup:
     name: str
     enclave: InterfaceEnclave
-    identity: EnclaveIdentity
     service_encs: list[ServiceEnclave]
     payment_encs: list[PaymentEnclave]
 
@@ -124,7 +125,7 @@ class World:
 def _identity(actor_id: str, kind: str) -> EnclaveIdentity:
     return EnclaveIdentity(
         enclave_id=actor_id, kind=kind, measurement=GENUINE,
-        public_key=f"pk:{actor_id}", host_id="host0",
+        public_key=f"pk:{actor_id}",
     )
 
 
@@ -217,7 +218,7 @@ def build_world(spec: ScenarioSpec) -> World:
             mesh.enlist(sim, identity, enc.identity)
         for enc in payment_encs:
             mesh.enlist(sim, identity, enc.identity)
-        groups[name] = InterfaceGroup(name, iface, identity, service_encs, payment_encs)
+        groups[name] = InterfaceGroup(name, iface, service_encs, payment_encs)
 
     primary = groups[group_names[0]]
     primary_iface = primary.enclave.actor_id
@@ -245,7 +246,7 @@ def build_world(spec: ScenarioSpec) -> World:
             for c in rspec.campaigns
         ]
         session = mesh.attest(sim, f"renter:{rspec.renter_id}", GENUINE,
-                              primary.identity)
+                              primary.enclave.identity)
         renter = RenterActor(
             rspec.renter_id, node.node_id,
             chain_supplier=lambda: node.chain,
@@ -302,7 +303,7 @@ def _enroll_and_schedule(world: World) -> None:
         owner = world.owners[ospec.owner_id]
         group = _owner_home(world, ospec)
         iface_id = group.enclave.actor_id
-        session = world.mesh.attest(sim, owner.actor_id, GENUINE, group.identity)
+        session = world.mesh.attest(sim, owner.actor_id, GENUINE, group.enclave.identity)
         payload_services = {}
         for entry in ospec.services:
             payload_services[entry.service_id] = {
@@ -407,13 +408,13 @@ def _eclipse_feed(world: World, ecl):
     if ecl.source == "renter_fork":
         renter = world.renters[ecl.renter_id]
 
-        def fork_feed(from_height: int):
-            return (renter.forged_fork or world.node.chain).headers_from(from_height)
+        def fork_feed(lo: int, hi: int):
+            return (renter.forged_fork or world.node.chain).headers_from(lo, hi)
 
         return fork_feed
 
-    def stale_feed(from_height: int):
-        return world.node.chain.headers_from(from_height, ecl.height)
+    def stale_feed(lo: int, hi: int):
+        return world.node.chain.headers_from(lo, min(hi, ecl.height))
 
     return stale_feed
 

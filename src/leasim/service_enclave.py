@@ -114,10 +114,11 @@ class ServiceEnclave:
             return
         self.active = run
         run.status = "gating"
-        base = min(h.height for h in run.renter_headers) if run.renter_headers else 0
+        # the interface verified the renter view, so its heights run first to last
+        heights = (run.renter_headers[0].height, run.renter_headers[-1].height)
         sim.send(
             self.actor_id, run.proxy_id, "chain_query",
-            {"reply_to": self.actor_id, "from_height": base, "slot_id": run.slot_id},
+            {"reply_to": self.actor_id, "heights": heights, "slot_id": run.slot_id},
             campaign_id=run.campaign_id, owner_id=run.owner_id,
         )
         self._arm_timeout(sim, run, GATE_TIMEOUT, "skipped_unreachable",

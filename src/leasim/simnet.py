@@ -134,24 +134,12 @@ class DropRule:
         return True
 
 
-@dataclass
-class DelayRule:
-    rule_id: str
-    owner: str
-    extra: float
-    cut_point: int | None = None
-    kind: str | None = None
-    dst: str | None = None
+@dataclass(kw_only=True)
+class DelayRule(DropRule):
+    """Matches as a DropRule does; a matching message is delayed by ``extra``
+    instead of dropped."""
 
-    def matches(self, msg: Message) -> bool:
-        for want, got in (
-            (self.cut_point, msg.cut_point),
-            (self.kind, msg.kind),
-            (self.dst, msg.dst),
-        ):
-            if want is not None and want != got:
-                return False
-        return True
+    extra: float
 
 
 _DIGEST_CHUNK = 4096  # lines joined and encoded per hasher update
@@ -164,10 +152,21 @@ class EventLog:
         self.lines: list[str] = []
         self._hasher = hashlib.sha256()  # of the first ``_hashed`` lines, each + "\n"
         self._hashed = 0
+        self._stamp_at: float | None = None  # the time ``_stamp`` shows
+        self._stamp = ""
+
+    def write(self, time: float, actor: str, rest: str) -> None:
+        """Append ``t=<time> actor=<actor> kind=<rest>``, the format of every
+        line. The time prefix is formatted once per instant: many lines
+        share one."""
+        if time != self._stamp_at:
+            self._stamp_at = time
+            self._stamp = f"t={time:.6f} actor="
+        self.lines.append(f"{self._stamp}{actor} kind={rest}")
 
     def emit(self, time: float, actor: str, kind: str, **ids) -> None:
         pairs = "".join([f" {key}={value}" for key, value in ids.items()])
-        self.lines.append(f"t={time:.6f} actor={actor} kind={kind}{pairs}")
+        self.write(time, actor, kind + pairs)
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -192,24 +191,21 @@ class HostControl:
     mutation. Anything else the host "does" in a scenario must be expressed
     through these.
 
-    ``drop_rules``/``delay_rules`` list the rules in install order; install
-    them through ``set_cut``/``add_delay``. A message is checked only against
-    the rules that can match it: the drop rules scoped to its cut point (or to
-    none) and to its ``owner_id`` (or to none), and the delay rules scoped to
-    its cut point (or to none). Those candidate lists are filled lazily per
-    key, in install order, and live until the next rule of their kind is
-    installed, which empties the index. An owner that no drop rule names has
-    the candidates of a message with no owner, so it shares their key.
+    ``rules`` lists the drop and delay rules in install order; install them
+    through ``set_cut``/``add_delay``. A message is checked only against the
+    rules that can match it: those scoped to its cut point (or to none) and
+    to its ``owner_id`` (or to none). Those candidate lists are filled lazily
+    per key, in install order, and live until the next rule is installed,
+    which empties the index. An owner that no rule names has the candidates
+    of a message with no owner, so it shares their key.
     """
 
     def __init__(self, sim: Simulation) -> None:
         self._sim = sim
-        self.drop_rules: list[DropRule] = []
-        self.delay_rules: list[DelayRule] = []
-        # (cut_point, owner_id) -> drop rules that can match, in install order
-        self._drops_for: dict[tuple[int | None, str | None], list[DropRule]] = {}
-        self._scoped_owners: set[str | None] = set()  # owner_ids the drop rules name
-        self._delays_for: dict[int | None, list[DelayRule]] = {}  # cut_point -> rules
+        self.rules: list[DropRule] = []
+        # (cut_point, owner_id) -> rules that can match, in install order
+        self._candidates: dict[tuple[int | None, str | None], list[DropRule]] = {}
+        self._scoped_owners: set[str | None] = set()  # owner_ids the rules name
         self.killed: dict[str, tuple[float, str]] = {}  # actor_id -> (time, rule_id)
         self.eclipse_feeds: dict[str, object] = {}  # owner_id -> chain supplier
         self._rule_seq = 0
@@ -218,13 +214,16 @@ class HostControl:
         self._rule_seq += 1
         return f"{prefix}{self._rule_seq}"
 
+    def _install(self, rule: DropRule) -> None:
+        self.rules.append(rule)
+        self._scoped_owners.add(rule.owner_id)
+        self._candidates.clear()
+
     def set_cut(self, cut_point: int | None = None, *, owner: str = "host", **scope) -> DropRule:
         rule = DropRule(
             rule_id=self._next_rule_id("cut"), owner=owner, cut_point=cut_point, **scope
         )
-        self.drop_rules.append(rule)
-        self._scoped_owners.add(rule.owner_id)
-        self._drops_for.clear()
+        self._install(rule)
         self._sim.log.emit(
             self._sim.now, owner, "rule_set", rule=rule.rule_id,
             cut=cut_point if cut_point is not None else "-", match=rule.kind or "-",
@@ -235,8 +234,7 @@ class HostControl:
         rule = DelayRule(
             rule_id=self._next_rule_id("delay"), owner=owner, extra=extra, **scope
         )
-        self.delay_rules.append(rule)
-        self._delays_for.clear()
+        self._install(rule)
         self._sim.log.emit(
             self._sim.now, owner, "rule_set", rule=rule.rule_id, delay=f"{extra:.6f}"
         )
@@ -262,32 +260,25 @@ class HostControl:
     def is_killed(self, actor_id: str) -> bool:
         return actor_id in self.killed
 
-    def _drop_rule_for(self, msg: Message, now: float) -> DropRule | None:
-        """The first rule, in install order, that drops ``msg`` at ``now``."""
+    def _fate(self, msg: Message, now: float,
+              latency: float) -> tuple[DropRule | None, float]:
+        """``(rule, latency)`` for ``msg`` sent at ``now``: the first drop rule
+        that matches it, in install order, or None and ``latency`` plus every
+        matching delay rule's extra, added in install order."""
         owner_id = msg.owner_id
         key = (msg.cut_point, owner_id if owner_id in self._scoped_owners else None)
-        rules = self._drops_for.get(key)
+        rules = self._candidates.get(key)
         if rules is None:
-            rules = self._drops_for[key] = [
-                rule for rule in self.drop_rules
+            rules = self._candidates[key] = [
+                rule for rule in self.rules
                 if rule.cut_point in (None, key[0]) and rule.owner_id in (None, key[1])
             ]
         for rule in rules:
             if rule.matches(msg, now):
-                return rule
-        return None
-
-    def _delayed(self, msg: Message, latency: float) -> float:
-        """``latency`` plus every matching delay rule's extra, in install order."""
-        rules = self._delays_for.get(msg.cut_point)
-        if rules is None:
-            rules = self._delays_for[msg.cut_point] = [
-                rule for rule in self.delay_rules if rule.cut_point in (None, msg.cut_point)
-            ]
-        for rule in rules:
-            if rule.matches(msg):
+                if not isinstance(rule, DelayRule):
+                    return rule, latency
                 latency += rule.extra
-        return latency
+        return None, latency
 
 
 class Simulation:
@@ -309,8 +300,6 @@ class Simulation:
         self._queue: list[tuple[float, int, object, Message | None]] = []
         self._seq = 0
         self._msg_seq = 0
-        self._stamp_at: float | None = None  # the sim.now that _stamp_text shows
-        self._stamp_text = ""
         self.dropped: list[tuple[Message, str, str]] = []  # (msg, rule_id, rule_owner)
         self.dropped_unknown = 0  # messages to an unregistered actor
         # msg_ids of delivered messages; a Message is freed once its handler returns
@@ -357,17 +346,6 @@ class Simulation:
             raise ValueError(f"duplicate actor id {actor_id}")
         self.actors[actor_id] = actor
 
-    def _stamp(self) -> str:
-        """``t=<now> actor=``, the start of an event line at ``self.now``.
-
-        Formatted once per virtual instant: many messages share one.
-        """
-        now = self.now
-        if now != self._stamp_at:
-            self._stamp_at = now
-            self._stamp_text = f"t={now:.6f} actor="
-        return self._stamp_text
-
     def _check_cleartext(self, msg: Message) -> None:
         """Record ``msg`` as the leak if the host can read a Secret in it.
         Called as each message is delivered or dropped."""
@@ -389,11 +367,7 @@ class Simulation:
         step: int | None = None,
     ) -> Message:
         """Schedule delivery unless a drop rule fires; drops are attributed.
-
-        Message lines are the hottest in the log, so they are written here
-        and in ``_deliver`` straight into ``log.lines``, in the format
-        ``EventLog.emit`` gives them (details as in docs/formats.md).
-        """
+        Message lines carry the details docs/formats.md lists."""
         self._msg_seq += 1
         now = self.now
         msg = Message(self._msg_seq, src, dst, kind, payload, now, session,
@@ -405,22 +379,19 @@ class Simulation:
             tail += f" campaign={campaign_id}"
         if owner_id is not None:
             tail += f" owner={owner_id}"
-        net, lines = self.net, self.log.lines
+        net, write = self.net, self.log.write
         killed = net.killed.get(src)
         if killed is not None:
-            lines.append(f"{self._stamp()}{src} kind=send_blocked:{kind} rule={killed[1]}{tail}")
+            write(now, src, f"send_blocked:{kind} rule={killed[1]}{tail}")
             return msg
-        if net.drop_rules:
-            rule = net._drop_rule_for(msg, now)
+        if net.rules:
+            rule, latency = net._fate(msg, now, latency)
             if rule is not None:
                 self._check_cleartext(msg)
                 self.dropped.append((msg, rule.rule_id, rule.owner))
-                lines.append(f"{self._stamp()}{src} kind=drop:{kind} rule={rule.rule_id}"
-                             f" by={rule.owner}{tail}")
+                write(now, src, f"drop:{kind} rule={rule.rule_id} by={rule.owner}{tail}")
                 return msg
-        if net.delay_rules:
-            latency = net._delayed(msg, latency)
-        lines.append(f"{self._stamp()}{src} kind=send:{kind}{tail}")
+        write(now, src, f"send:{kind}{tail}")
         when = now + latency
         if when < now:
             raise ValueError("cannot schedule into the past")
@@ -429,23 +400,21 @@ class Simulation:
         return msg
 
     def _deliver(self, msg: Message) -> None:
-        dst = msg.dst
-        lines = self.log.lines
+        dst, now = msg.dst, self.now
         killed = self.net.killed.get(dst)
         if killed is not None:
             rule_id = killed[1]
-            lines.append(f"{self._stamp()}{dst} kind=drop_dead:{msg.kind}"
-                         f" msg={msg.msg_id} rule={rule_id}")
+            self.log.write(now, dst, f"drop_dead:{msg.kind} msg={msg.msg_id} rule={rule_id}")
             self._check_cleartext(msg)
             self.dropped.append((msg, rule_id, "host"))
             return
         actor = self.actors.get(dst)
         if actor is None:
-            lines.append(f"{self._stamp()}{dst} kind=drop_unknown:{msg.kind} msg={msg.msg_id}")
+            self.log.write(now, dst, f"drop_unknown:{msg.kind} msg={msg.msg_id}")
             self._check_cleartext(msg)
             self.dropped_unknown += 1
             return
-        lines.append(f"{self._stamp()}{dst} kind=recv:{msg.kind} msg={msg.msg_id} src={msg.src}")
+        self.log.write(now, dst, f"recv:{msg.kind} msg={msg.msg_id} src={msg.src}")
         self._check_cleartext(msg)
         self.delivered.append(msg.msg_id)
         actor.receive(msg, self)

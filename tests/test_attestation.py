@@ -14,8 +14,8 @@ GOOD = att.Measurement("m-good")
 EVIL = att.Measurement("m-evil")
 
 
-def identity(enclave_id, kind="service", measurement=GOOD, host="h1"):
-    return att.EnclaveIdentity(enclave_id, kind, measurement, f"pk:{enclave_id}", host)
+def identity(enclave_id, kind="service", measurement=GOOD):
+    return att.EnclaveIdentity(enclave_id, kind, measurement, f"pk:{enclave_id}")
 
 
 class Sink:

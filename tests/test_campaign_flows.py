@@ -21,11 +21,11 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import leasim
-from leasim import cli, runner, scenario
+from leasim import cli, ledger, runner, scenario
 from leasim.attestation import Secret
 from leasim.interface_enclave import RESOLVED, InterfaceEnclave
 from leasim.ledger import BURN_ADDRESS, BlockHeader, Chain, Transaction, make_transaction
-from leasim.report import _judge_owner, build_report, report_digest, verify_world
+from leasim.report import _judge_owner, build_report, render_report, report_digest, verify_world
 from leasim.runner import POLL_AT, build_world, estimate_schedule, run_scenario
 from leasim.scenario import SAFE_LOADER, SchemaError, load_scenario, parse_scenario
 from leasim.simnet import Message, Session, Simulation
@@ -154,6 +154,18 @@ class TestForgedFunding:
         assert orphaned == list(world.node.pool.pending) and len(orphaned) == 4
         assert kinds[-5:] == ["tx_orphaned"] * 4 + ["mining_stopped"]
 
+    def test_report_names_the_orphaned_transactions(self):
+        world = world_for("cut1_forged_view")
+        orphaned = [line.rsplit(" tx=", 1)[1] for line in world.sim.log.lines
+                    if " kind=tx_orphaned " in line]
+        report = report_for("cut1_forged_view")
+        assert report["sim"]["orphaned"] == orphaned
+        assert f"  orphaned txs: {' '.join(orphaned)}\n" in render_report(report)
+        # like p2p, the entry appears only when there is something to name
+        for name in ALL_SCENARIOS:
+            if name != "cut1_forged_view":
+                assert "orphaned" not in report_for(name)["sim"], name
+
 
 class TestOwnerChainCut:
     def test_skip_and_substitute(self):
@@ -269,6 +281,38 @@ class TestEclipse:
         assert "ben" not in world.services["social"].exposed_accounts("item1")
         assert build_report(world)["verdicts"]["owners"]["o2"]["verdict"] == "fair"
         assert all(ok for _, ok, _ in verify_world(world))
+
+
+class TestGateHeights:
+    """The gate asks each owner only for the heights of the renter's view."""
+
+    def run_with_bad_header_past_tip(self, feed_of):
+        """baseline, with every owner's view ending in a header whose digest
+        is wrong, one height past the chain tip (so past the renter's view)."""
+        world = build_world(load_scenario(
+            str(resources.files("leasim") / "scenarios" / "baseline.yaml")))
+
+        def view() -> list[BlockHeader]:
+            headers = world.node.chain.headers()
+            tip = headers[-1]
+            return headers + [BlockHeader(tip.height + 1, tip.own_digest,
+                                          tip.payload_digest, 0, b"bad")]
+
+        for owner_id in world.owners:
+            world.sim.net.eclipse_feeds[owner_id] = feed_of(view)
+        world.sim.run(until=world.spec.timing.horizon)
+        return only_campaign(world)
+
+    def test_bad_header_past_the_renters_tip_is_not_asked_for(self):
+        campaign = self.run_with_bad_header_past_tip(
+            lambda view: lambda lo, hi: [h for h in view() if lo <= h.height <= hi])
+        assert slot_statuses(campaign) == ["confirmed"] * 3
+
+    def test_headers_sent_past_the_asked_heights_are_all_checked(self):
+        campaign = self.run_with_bad_header_past_tip(
+            lambda view: lambda lo, hi: [h for h in view() if lo <= h.height])
+        assert [(s.status, s.detail) for s in campaign.slots.values()] == [
+            ("skipped_inconsistent", "malformed view: side a: digest mismatch at height 7")] * 3
 
 
 class TestRevertWindow:
@@ -545,6 +589,44 @@ class TestEventTrafficScaling:
         events = {n: len(run_scenario(parse_scenario(ladder_shape(n, 4, 4))).sim.log.lines)
                   for n in (100, 200)}
         assert events[200] / events[100] <= 2.1
+
+
+class _UnreadQueue(list):
+    """A payment queue that fails the run if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("the payment queue was iterated")
+
+
+class TestPerSlotWork:
+    """Per-slot work independent of the slot count: a gate compares only the
+    renter's heights, and a settle does not sum the payment queue."""
+
+    def gate_sizes(self, monkeypatch, slots: int) -> list[int]:
+        sizes = []
+        check = ledger.check_consistency
+
+        def counting(a, b, difficulty_bits):
+            sizes.append(len(a) + len(b))
+            return check(a, b, difficulty_bits)
+
+        monkeypatch.setattr(ledger, "check_consistency", counting)
+        spec = parse_scenario(ladder_shape(slots, 2, 2))
+        world = build_world(spec)
+        for group in world.groups.values():
+            for enc in group.payment_encs:
+                enc.queue = _UnreadQueue()
+        world.sim.run(until=spec.timing.horizon)
+        campaign = only_campaign(world)
+        assert len(sizes) == slots
+        assert all(s.settlement_tx for s in campaign.slots.values())
+        return sizes
+
+    def test_gate_headers_and_settle_work_do_not_grow(self, monkeypatch):
+        depth = parse_scenario(ladder_shape(1, 1, 1)).chain.confirmation_depth
+        small = self.gate_sizes(monkeypatch, 40)
+        large = self.gate_sizes(monkeypatch, 160)
+        assert max(small) == max(large) <= 2 * depth
 
 
 class TestDeliveredMessagesFreed:

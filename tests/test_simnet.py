@@ -198,7 +198,8 @@ class TestRuleIndex:
                 cut = rng.choice([None, *simnet.CUT_POINTS])
                 msg = sim.send("a", "b", rng.choice(["x", "y"]), {}, cut_point=cut,
                                owner_id=rng.choice([None, "o1", "o2", "o3"]))
-                first = next((r for r in sim.net.drop_rules if r.matches(msg, sim.now)), None)
+                drops = [r for r in sim.net.rules if not isinstance(r, simnet.DelayRule)]
+                first = next((r for r in drops if r.matches(msg, sim.now)), None)
                 dropped = sim.dropped and sim.dropped[-1][0] is msg
                 assert (sim.dropped[-1][1] if dropped else None) == (
                     first.rule_id if first else None)
@@ -255,7 +256,7 @@ class TestRuleIndex:
 
     def test_attest_handshake_cut_reads_the_wildcard_bucket(self):
         good = Measurement("m")
-        target = EnclaveIdentity("svc", "service", good, "pk", "host")
+        target = EnclaveIdentity("svc", "service", good, "pk")
         sim, _ = mk_sim()
         mesh = AttestationMesh({good})
         sim.net.set_cut(simnet.CUT_OWNER_CHAIN, kind="attest_handshake", dst="svc")
@@ -388,6 +389,14 @@ class TestEventLog:
         assert log.lines == ["t=1.500000 actor=a kind=k zeta=2 alpha=x",
                              "t=0.000000 actor=b kind=bare"]
 
+    def test_write_takes_the_line_after_kind(self):
+        log = simnet.EventLog()
+        log.write(1.5, "a", "k x=1")
+        log.emit(1.5, "a", "k", x=1)
+        log.write(2.0, "b", "bare")
+        assert log.lines == ["t=1.500000 actor=a kind=k x=1"] * 2 + [
+            "t=2.000000 actor=b kind=bare"]
+
 
 def emitted(time, actor, kind, **details):
     """The line EventLog.emit writes for these arguments."""
@@ -407,7 +416,7 @@ SCOPES = [
 
 
 class TestMessageLines:
-    """Send and delivery write their lines themselves, in emit's format."""
+    """Send and delivery lines, through EventLog.write, in emit's format."""
 
     @pytest.mark.parametrize("scope,ids", SCOPES)
     def test_send_and_recv(self, scope, ids):
