@@ -32,6 +32,16 @@ holds, so it does not keep the chain node mining: once every campaign is
 settled the node stops after its grace blocks and logs each such transaction
 as ``tx_orphaned``.
 
+A block is posted when it is assembled and resolved on first read: the
+header ``Chain._mine`` builds hands its nonce search to ``powcore.post``
+and leaves ``pow_nonce`` and ``own_digest`` unset. The first read of either
+calls ``powcore.mine_nonce``, which joins the search, and sets both; after
+that they are plain attributes. The next block's ``prev_digest`` is usually
+that first read, so the search runs on the helper's CPU while the event
+loop runs the block interval's events. A header built directly, or copied with
+``dataclasses.replace``, holds both fields from the start. Either way the
+values, ``==``, ``hash`` and ``repr`` are the same.
+
 Each header object is hashed at most once: whether its recomputed digest
 equals its ``own_digest`` is cached on the header itself
 (``BlockHeader.digest_ok``) and lives exactly as long as that object. The
@@ -82,6 +92,29 @@ class BlockHeader:
     payload_digest: bytes
     pow_nonce: int
     own_digest: bytes
+
+    @classmethod
+    def posted(cls, height: int, prev_digest: bytes, payload_digest: bytes,
+               difficulty_bits: int) -> BlockHeader:
+        """A header whose nonce search is posted now and joined on the first
+        read of ``pow_nonce`` or ``own_digest``."""
+        header = cls.__new__(cls)
+        header.__dict__.update(height=height, prev_digest=prev_digest,
+                               payload_digest=payload_digest, _bits=difficulty_bits)
+        powcore.post(height, prev_digest, payload_digest, difficulty_bits)
+        return header
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is not set: a posted header's
+        # nonce and digest before the first read.
+        fields = self.__dict__
+        if name not in ("pow_nonce", "own_digest") or "_bits" not in fields:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        nonce, digest = powcore.mine_nonce(self.height, self.prev_digest,
+                                           self.payload_digest, fields["_bits"])
+        del fields["_bits"]
+        fields.update(pow_nonce=nonce, own_digest=digest)
+        return fields[name]
 
     def recompute_digest(self) -> bytes:
         return powcore.header_digest(
@@ -253,12 +286,11 @@ class Chain:
     @classmethod
     def _mine(cls, difficulty_bits: int, blocks: tuple[Block, ...], state: _State,
               txs: list[Transaction] | tuple[Transaction, ...]) -> Chain:
-        """Mine a block of ``txs``, already applied to ``state``, on ``blocks``."""
+        """Mine a block of ``txs``, already applied to ``state``, on
+        ``blocks``: the search is posted here and joined on first read."""
         height = len(blocks)
         prev_digest = blocks[-1].header.own_digest if blocks else ZERO_DIGEST
-        payload = payload_digest_for(txs)
-        nonce, digest = powcore.mine_nonce(height, prev_digest, payload, difficulty_bits)
-        header = BlockHeader(height, prev_digest, payload, nonce, digest)
+        header = BlockHeader.posted(height, prev_digest, payload_digest_for(txs), difficulty_bits)
         return cls(difficulty_bits, blocks + (Block(header, tuple(txs)),), state)
 
     @classmethod

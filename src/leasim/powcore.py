@@ -21,27 +21,47 @@ byte, so it runs one SHA-256 compression instead of two. Within a high the
 tails are tried in order from 0, so the first hit in a high is that high's
 smallest clearing nonce.
 
-Two searchers, one answer. ``mine_nonce`` splits the highs between the
-calling process and one forked helper process. Each searcher's walk is a
-generator of highs, and the one ``_search`` loop tries the highs that a
-walk yields. The caller walks every high upward from 0 and publishes each
-as its position before it takes it. The helper walks the odd highs upward
-and claims each as its front before it searches it; when the caller has
-passed it, it jumps to the first odd high at or above the caller's
-position. The caller skips an odd high that the helper has claimed, and
-searches every other high itself. Each stops at its first hit or past the
-other's, and the caller returns the smaller.
+A search in the background, joined on demand. ``post`` hands a header's
+search to one forked helper process and returns at once, so the helper
+hashes on a second CPU while the caller gets on with other work.
+``mine_nonce`` is the only call that returns a header's ``(nonce,
+digest)``: it joins the posted search where the helper stands, or posts
+and joins at once when nothing was posted for that header. A process has
+at most one posted job, and a new post supersedes the old one: the helper
+abandons it, and a read of the old header posts it again. Each searcher's
+walk is a generator of highs, and the one ``_search`` loop tries the highs
+that a walk yields.
+
+The helper's walk. While the caller is absent, the helper walks every high
+upward from 0, claiming each as its front before it searches it, and stops
+at its first hit, which is then the smallest clearing nonce. When it sees
+the caller joined, it records the next high as its split point before it
+claims anything at or above it, and from there walks only the odd highs,
+jumping to the first odd high at or above the caller's position when the
+caller has passed it. It stops past the caller's hit or once the caller is
+on a newer job.
+
+The caller's walk. It walks every high upward from 0 and publishes each as
+its position before it takes it; its first published position is its
+join. It skips a high ``h`` at or below the helper's front when ``h`` is
+odd or below the split point, and searches every other high itself. It
+reads the front before the split point: the helper writes the split point
+before its front reaches it, so a front read at or past the split point
+comes with that split point, and a front read before the split shows a
+high the helper claimed in its walk over every high. Each searcher stops
+at its first hit or past the other's, and the caller returns the smaller.
 
 That is the smallest clearing nonce: every high below it was searched by
-one of the two. The helper claims odd highs in increasing order and
-finishes each before the next, so every high the caller skipped below the
-helper's front is done. The helper may still be on the last high the
-caller skipped; the caller gives it as long as the caller took per high,
-then searches that high itself. The helper only ever jumps over highs the
-caller has already passed, and the caller only skips a high it has seen
-claimed, so no high is left out. A high may be searched by both, which
-costs time but not correctness. Each searcher hands over its digest with
-its nonce, so nothing is hashed twice.
+one of the two. The helper claims highs in increasing order and finishes
+each before the next, so every high below its front that it claimed is
+done: each one below the split point, and each odd one after it. The
+helper may still be on the last high the caller skipped; the caller gives
+it as long as the caller took per high, then searches that high itself.
+The helper only ever jumps over highs the caller has already passed, and
+the caller only skips a high it has seen claimed, so no high is left out.
+A high may be searched by both, which costs time but not correctness.
+Each searcher hands over its digest with its nonce, so nothing is hashed
+twice, and a search the helper finished alone costs the caller no hash.
 
 So the caller never waits on the helper for long. A helper that starts
 late joins ahead of the caller, one that loses its CPU is overtaken, and
@@ -51,29 +71,30 @@ it takes only a CPU that nothing else wants.
 
 The two share a small array (an anonymous ``mmap``). Each searcher writes
 only its own words: the job it is on, the high of its hit, its position or
-front, and for the helper its hit's nonce and digest. It resets them
-before it publishes the job, and publishes its hit after the nonce and
-digest. A searcher reads the other's words only while both are on the
-same job, so a search left running by an interrupted call cannot bound a
-later one, and a helper that sees the caller on a newer job abandons its
-stale search. A read may come late, but within a job each word moves one
-way only, so a late read costs a repeated high at most. Jobs reach the
-helper over a pipe, tagged with a sequence number.
+front, and for the helper its split point and its hit's nonce and digest.
+It resets them before it publishes the job, and publishes its hit after
+the nonce and digest. A searcher reads the other's words only while both
+are on the same job, so a search left running by an interrupted call
+cannot bound a later one, and a helper that sees the caller on a newer job
+abandons its stale search. A read may come late, but within a job each
+word moves one way only, so a late read costs a repeated high at most.
+Jobs reach the helper over a pipe, tagged with a sequence number.
 
-The helper's lifecycle. It is forked on the first ``mine_nonce`` call and
-reused after that; a process has at most one. It closes the caller's end
-of the job pipe, so it exits on end-of-file when the caller dies, and it
-ignores SIGINT, which the caller handles. The caller writes jobs without
-blocking and drops a job that finds the pipe full. An ``atexit`` hook
-closes the job pipe and reaps the helper, so no zombie outlives the
-caller. A process forked from the caller drops the inherited pipe end and
-forks its own helper; it never writes to its parent's. If the helper dies,
-the next job finds the pipe broken: that call reaps it and searches alone,
-and the call after forks a new helper. Where the split cannot run, the
-caller searches every high itself with the same ``_search``: with fewer
-than two usable CPUs, without ``os.fork`` or ``os.sched_getaffinity``, on
-a CPU other than x86-64, or while the process has other threads, which a
-fork would not copy and which could interleave on the pipe.
+The helper's lifecycle. It is forked on the first post and reused after
+that; a process has at most one. It closes the caller's end of the job
+pipe, so it exits on end-of-file when the caller dies, and it ignores
+SIGINT, which the caller handles. The caller writes jobs without blocking
+and drops a job that finds the pipe full. An ``atexit`` hook closes the
+job pipe and reaps the helper, so no zombie outlives the caller. A process
+forked from the caller drops the inherited pipe end and forks its own
+helper; it never writes to its parent's. If the helper dies, the next post
+finds the pipe broken, or the next join finds it exited: that call reaps
+it and searches alone, and the next post forks a new helper. Where the
+split cannot run, ``post`` does nothing and the caller searches every high
+itself with the same ``_search``: with fewer than two usable CPUs, without
+``os.fork`` or ``os.sched_getaffinity``, on a CPU other than x86-64, or
+while the process has other threads, which a fork would not copy and which
+could interleave on the pipe.
 """
 from __future__ import annotations
 
@@ -105,9 +126,11 @@ _JOB = struct.Struct(">qq32s32sq")
 # The shared array's words (8 bytes each). The caller writes the first
 # three, the helper the rest.
 _CALLER_JOB, _CALLER_HIT, _CALLER_POS = 0, 1, 2
-_HELPER_JOB, _HELPER_HIT, _HELPER_FRONT, _HELPER_NONCE = 3, 4, 5, 6
-_HELPER_DIGEST = slice(7, 11)
-_WORDS = 11
+_HELPER_JOB, _HELPER_HIT, _HELPER_FRONT, _HELPER_SPLIT, _HELPER_NONCE = 3, 4, 5, 6, 7
+_HELPER_DIGEST = slice(8, 12)
+_WORDS = 12
+# The caller's position while it has posted a job and not joined it.
+_ABSENT = -1
 # The shared array relies on aligned 8-byte stores becoming visible in
 # program order, which x86-64 guarantees and weaker memory models do not.
 _CAN_SPLIT = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -157,7 +180,7 @@ def _helpers_hit(words, seq: int) -> tuple[int, bytes] | None:
 
 
 def _lead_walk(words, seq: int, skipped: list[int]):
-    """The caller's walk: every high upward but the odd ones the helper has
+    """The caller's walk: every high upward but the ones the helper has
     claimed, which go into ``skipped``. It stops past the helper's hit."""
     high = 0
     while True:
@@ -165,7 +188,8 @@ def _lead_walk(words, seq: int, skipped: list[int]):
         if words[_HELPER_JOB] == seq:
             if high > words[_HELPER_HIT]:
                 return
-            if high & 1 and high <= words[_HELPER_FRONT]:
+            # The front is read before the split point (see the module docstring).
+            if high <= words[_HELPER_FRONT] and (high & 1 or high < words[_HELPER_SPLIT]):
                 skipped.append(high)
                 high += 1
                 continue
@@ -174,7 +198,8 @@ def _lead_walk(words, seq: int, skipped: list[int]):
 
 
 def _lead(words, seq: int, prefix, bound: bytes) -> tuple[int, bytes]:
-    """The caller's part of job ``seq``, which it has already published."""
+    """The caller's part of job ``seq``, which it has posted: its first
+    published position joins the helper."""
     skipped: list[int] = []
     started = time.perf_counter()
     best = _search(prefix, bound, _lead_walk(words, seq, skipped))
@@ -198,11 +223,20 @@ def _lead(words, seq: int, prefix, bound: bytes) -> tuple[int, bytes]:
 
 
 def _follow(words, seq: int):
-    """The helper's walk: the odd highs upward, each claimed as its front
-    before it is searched. It jumps ahead of the caller when the caller has
-    passed it, and stops past the caller's hit or once the caller is on a
-    newer job."""
-    high = 1
+    """The helper's walk, each high claimed as its front before it is
+    searched: every high upward while the caller is absent, then, from the
+    split point, the odd highs. It jumps ahead of the caller when the caller
+    has passed it, and stops past the caller's hit or once the caller is on
+    a newer job."""
+    high = 0
+    while words[_CALLER_POS] == _ABSENT:
+        words[_HELPER_FRONT] = high
+        if words[_CALLER_JOB] != seq:
+            return
+        yield high
+        high += 1
+    words[_HELPER_SPLIT] = high
+    high |= 1
     while True:
         passed = words[_CALLER_POS]
         if high < passed:
@@ -215,12 +249,13 @@ def _follow(words, seq: int):
 
 
 def _serve(job_r: int, words) -> None:
-    """The helper's loop: search the odd highs of each job until the job
-    pipe closes. A hit goes into ``words``, nonce and digest first."""
+    """The helper's loop: search each job until the job pipe closes. A hit
+    goes into ``words``, nonce and digest first."""
     while job := os.read(job_r, _JOB.size):
         seq, height, prev_digest, payload_digest, bits = _JOB.unpack(job)
         words[_HELPER_HIT] = _NO_HIT
         words[_HELPER_FRONT] = -1
+        words[_HELPER_SPLIT] = _NO_HIT
         words[_HELPER_JOB] = seq
         found = _search(_prefix(height, prev_digest, payload_digest), _BOUNDS[bits], _follow(words, seq))
         if found is not None:
@@ -230,11 +265,14 @@ def _serve(job_r: int, words) -> None:
 
 
 class _Helper:
-    """The forked process that searches the odd highs, seen from the caller."""
+    """The forked process that searches in the background, seen from the caller."""
 
     def __init__(self) -> None:
         self.owner = os.getpid()
         self.seq = 0
+        # The job of post ``seq``, (height, prev_digest, payload_digest,
+        # difficulty_bits), until the caller joins it.
+        self.posted: tuple[int, bytes, bytes, int] | None = None
         self.words = memoryview(mmap.mmap(-1, _WORDS * 8)).cast("q")
         job_r, self.job_w = os.pipe()
         self.pid = os.fork()
@@ -250,22 +288,28 @@ class _Helper:
         os.close(job_r)
         os.set_blocking(self.job_w, False)
 
-    def mine(self, height: int, prev_digest: bytes, payload_digest: bytes,
-             difficulty_bits: int, prefix, bound: bytes) -> tuple[int, bytes]:
-        """Publish the job, hand it to the helper and lead the search.
+    def post(self, job: tuple[int, bytes, bytes, int]) -> None:
+        """Publish ``job`` with the caller absent and hand it to the helper.
 
         Raises BrokenPipeError if the helper is gone.
         """
         self.seq += 1
-        seq, words = self.seq, self.words
+        self.posted = job
+        words = self.words
         words[_CALLER_HIT] = _NO_HIT
-        words[_CALLER_POS] = 0
-        words[_CALLER_JOB] = seq
+        words[_CALLER_POS] = _ABSENT
+        words[_CALLER_JOB] = self.seq
         try:
-            os.write(self.job_w, _JOB.pack(seq, height, prev_digest, payload_digest, difficulty_bits))
+            os.write(self.job_w, _JOB.pack(self.seq, *job))
         except BlockingIOError:
-            pass  # the helper is a pipeful of jobs behind: search alone
-        return _lead(words, seq, prefix, bound)
+            pass  # the helper is a pipeful of jobs behind: the caller searches alone
+
+    def exited(self) -> bool:
+        """Whether the helper has exited; reaps it if so."""
+        try:
+            return os.waitpid(self.pid, os.WNOHANG)[0] != 0
+        except ChildProcessError:  # already reaped elsewhere
+            return True
 
     def close(self) -> None:
         """Stop the helper and reap it. A search it is still running sees
@@ -282,8 +326,8 @@ _helper: _Helper | None = None
 
 
 def _helper_here() -> _Helper | None:
-    """This process's helper, forked on first use; None when the caller
-    must search alone."""
+    """This process's helper, forked on first use; None when the split
+    cannot run."""
     global _helper
     if _helper is not None and _helper.owner != os.getpid():
         # Inherited through a fork: the parent's helper, not this process's.
@@ -305,16 +349,40 @@ def _stop_helper() -> None:
         helper.close()
 
 
+def _post(helper: _Helper, job: tuple[int, bytes, bytes, int]) -> _Helper | None:
+    """Post ``job`` to ``helper``; None if the helper was gone."""
+    try:
+        helper.post(job)
+    except BrokenPipeError:
+        _stop_helper()  # reaps the dead helper; the next post forks a new one
+        return None
+    return helper
+
+
+def post(height: int, prev_digest: bytes, payload_digest: bytes, difficulty_bits: int) -> None:
+    """Start the nonce search for this header in the background and return
+    at once; ``mine_nonce`` with the same arguments joins it. Does nothing
+    where the split cannot run."""
+    if difficulty_bits > 0 and (helper := _helper_here()) is not None:
+        _post(helper, (height, prev_digest, payload_digest, difficulty_bits))
+
+
 def mine_nonce(height: int, prev_digest: bytes, payload_digest: bytes, difficulty_bits: int) -> tuple[int, bytes]:
-    """Smallest nonce whose header digest clears the difficulty target, with that digest."""
+    """Smallest nonce whose header digest clears the difficulty target, with
+    that digest. Joins the search ``post`` started for this header, or
+    posts it first when it is not the one posted."""
     if difficulty_bits <= 0:
         return 0, header_digest(height, prev_digest, payload_digest, 0)
-    bound = _BOUNDS[difficulty_bits]
-    prefix = _prefix(height, prev_digest, payload_digest)
+    job = (height, prev_digest, payload_digest, difficulty_bits)
     helper = _helper_here()
     if helper is not None:
-        try:
-            return helper.mine(height, prev_digest, payload_digest, difficulty_bits, prefix, bound)
-        except BrokenPipeError:
-            _stop_helper()  # reaps the dead helper; the next call forks a new one
-    return _search(prefix, bound, itertools.count())
+        if helper.posted != job:  # never posted, or superseded by a later post
+            helper = _post(helper, job)
+        elif helper.exited():  # died since the post: reap it and search alone
+            _stop_helper()
+            helper = None
+    prefix, bound = _prefix(height, prev_digest, payload_digest), _BOUNDS[difficulty_bits]
+    if helper is None:
+        return _search(prefix, bound, itertools.count())
+    helper.posted = None
+    return _lead(helper.words, helper.seq, prefix, bound)

@@ -21,7 +21,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import leasim
-from leasim import cli, ledger, runner, scenario
+from leasim import cli, ledger, powcore, runner, scenario
 from leasim.attestation import Secret
 from leasim.interface_enclave import RESOLVED, InterfaceEnclave
 from leasim.ledger import BURN_ADDRESS, BlockHeader, Chain, Transaction, make_transaction
@@ -627,6 +627,54 @@ class TestPerSlotWork:
         small = self.gate_sizes(monkeypatch, 40)
         large = self.gate_sizes(monkeypatch, 160)
         assert max(small) == max(large) <= 2 * depth
+
+
+class TestMiningOverlap:
+    """Each block's nonce search runs in the background from the moment the
+    block is assembled until its digest is first read. A read in the same
+    virtual instant would make the event loop wait on the search, so none
+    may happen while the simulation runs. ``cut1_forged_view`` is left out:
+    its renter mines six private-fork blocks in one instant."""
+
+    def reads_in_the_mining_instant(self, monkeypatch, spec) -> list[int]:
+        """Heights of blocks first read in the virtual instant they were
+        posted, while ``spec``'s world runs."""
+        clock: list = []  # the running Simulation, once there is one
+        posted_at: dict = {}
+        same_instant: list[int] = []
+        post, mine_nonce = powcore.post, powcore.mine_nonce
+
+        def now() -> float:
+            return clock[0].now if clock else 0.0
+
+        def posting(*job):
+            posted_at[job] = now()
+            return post(*job)
+
+        def reading(*job):
+            if clock and posted_at.pop(job, None) == now():
+                same_instant.append(job[0])
+            return mine_nonce(*job)
+
+        monkeypatch.setattr(powcore, "post", posting)
+        monkeypatch.setattr(powcore, "mine_nonce", reading)
+        world = build_world(spec)
+        clock.append(world.sim)
+        world.sim.run(until=spec.timing.horizon)
+        clock.clear()
+        assert len(posted_at) < len(world.node.chain.blocks)  # blocks were read
+        return same_instant
+
+    def test_ladder_shape_reads_no_block_in_its_mining_instant(self, monkeypatch):
+        spec = parse_scenario(dict(ladder_shape(40, 4, 4), latency={"model": "normal"}))
+        assert self.reads_in_the_mining_instant(monkeypatch, spec) == []
+
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in (resources.files("leasim") / "scenarios").iterdir()
+        if p.name.endswith(".yaml") and p.stem != "cut1_forged_view"))
+    def test_bundled_scenario_reads_no_block_in_its_mining_instant(self, monkeypatch, name):
+        spec = load_scenario(str(resources.files("leasim") / "scenarios" / f"{name}.yaml"))
+        assert self.reads_in_the_mining_instant(monkeypatch, spec) == []
 
 
 class TestDeliveredMessagesFreed:

@@ -7,6 +7,7 @@ for consistency, and hashlib recomputation for header mutations.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from collections import Counter
 from importlib import resources
 
@@ -315,6 +316,60 @@ class TestHeaderCheckCache:
         ok, diag = world.node.chain.verify_full()
         assert ok, diag
         assert max(hashed.values()) == 1
+
+
+def oracle_header(height: int, prev: bytes, payload: bytes, bits: int) -> ledger.BlockHeader:
+    """A header built directly, its nonce found by trying each from 0."""
+    nonce = 0
+    while True:
+        digest = hashlib.sha256(height.to_bytes(8, "big") + prev + payload
+                                + nonce.to_bytes(8, "big")).digest()
+        if int.from_bytes(digest, "big") >> (256 - bits) == 0:
+            return ledger.BlockHeader(height, prev, payload, nonce, digest)
+        nonce += 1
+
+
+def unread(header: ledger.BlockHeader) -> bool:
+    return "pow_nonce" not in vars(header) and "own_digest" not in vars(header)
+
+
+class TestPostedHeader:
+    """A header mined in the background, read first through any one of its
+    uses, agrees field for field with one built directly."""
+
+    USES = {
+        "pow_nonce": lambda h: h.pow_nonce,
+        "own_digest": lambda h: h.own_digest,
+        "digest_ok": lambda h: h.digest_ok,
+        "eq": lambda h: h == oracle_header(h.height, h.prev_digest, h.payload_digest, DIFF),
+        "hash": hash,
+        "repr": repr,
+        "replace": lambda h: dataclasses.replace(h, height=h.height),
+    }
+
+    @pytest.mark.parametrize("use", sorted(USES))
+    def test_first_read_agrees_with_a_direct_header(self, use):
+        tip = extend(mk_chain(DIFF, seed_tag=f"posted-{use}"), 2).tip
+        assert unread(tip)
+        direct = oracle_header(tip.height, tip.prev_digest, tip.payload_digest, DIFF)
+        assert self.USES[use](tip) == self.USES[use](direct)
+        assert vars(tip) == vars(direct)  # plain attributes from now on
+        assert (tip.pow_nonce, tip.own_digest) == (direct.pow_nonce, direct.own_digest)
+
+    def test_chain_of_posted_blocks_rebuilds_and_verifies(self):
+        chain = extend(mk_chain(DIFF, seed_tag="posted-chain"), 4)
+        assert unread(chain.tip)
+        assert ledger.Chain.from_blocks(DIFF, chain.blocks).height == 4
+        assert chain.verify_full() == (True, "ok")
+        for header in chain.headers():
+            assert header == oracle_header(header.height, header.prev_digest,
+                                           header.payload_digest, DIFF)
+
+    def test_a_copy_made_before_the_first_read_is_complete(self):
+        tip = extend(mk_chain(DIFF, seed_tag="posted-copy"), 1).tip
+        copy = dataclasses.replace(tip, pow_nonce=0)
+        assert not unread(copy) and copy.pow_nonce == 0
+        assert copy.own_digest == tip.own_digest and not copy.digest_ok
 
 
 class TestHeadersFrom:

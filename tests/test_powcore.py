@@ -322,6 +322,10 @@ def test_helper_killed_mid_search_leaves_the_answer_right(header_answers):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    # A killed helper that waits for a busy CPU dies only once it runs.
+    deadline = time.monotonic() + 30
+    while process_state(dead) not in (None, "Z") and time.monotonic() < deadline:
+        time.sleep(0.01)
     # The next job finds the pipe broken: that call reaps the dead helper.
     assert powcore.mine_nonce(*_HEADERS[1]) == header_answers[1]
     assert process_state(dead) is None
@@ -375,9 +379,21 @@ def shared_words():
 
 
 def caller_on(words, seq, hit=powcore._NO_HIT, pos=0):
-    """Publish the caller's words for job ``seq``, as ``_Helper.mine`` does."""
+    """Publish the caller's words for job ``seq``: joined at ``pos``, or
+    absent as ``_Helper.post`` leaves them with ``pos=powcore._ABSENT``."""
     words[powcore._CALLER_HIT], words[powcore._CALLER_POS] = hit, pos
     words[powcore._CALLER_JOB] = seq
+
+
+def helper_on(words, seq, front, hit=powcore._NO_HIT, split=powcore._NO_HIT, found=None):
+    """Put the helper's words where a helper on job ``seq`` can stand:
+    ``found`` is the (nonce, digest) of its hit, when ``hit`` is one."""
+    words[powcore._HELPER_HIT], words[powcore._HELPER_FRONT] = hit, front
+    words[powcore._HELPER_SPLIT] = split
+    if found is not None:
+        words[powcore._HELPER_NONCE] = found[0]
+        words[powcore._HELPER_DIGEST] = memoryview(found[1]).cast("q")
+    words[powcore._HELPER_JOB] = seq
 
 
 # Headers whose answers lie in high 0, in odd highs 1, 5 and 7 and in even
@@ -386,29 +402,47 @@ _LEAD_HEADERS = [(height, bytes([height]) * 32, b"\x5a" * 32, 10)
                  for height in (0, 1, 2, 3, 5, 6, 17, 20)]
 
 
+def background_states(seq, header, answer):
+    """Every state a helper that was posted ``header`` as job ``seq`` can be
+    in when the caller reads its words, as ``helper_on`` arguments."""
+    answer_high = answer[0] >> 8
+    # Not on the job yet: its words are an older job's, which bound nothing.
+    states = [dict(seq=seq - 1, front=answer_high + 9, hit=0, found=(5, bytes(32)))]
+    # Alone, on every high in turn: on any of them up to its first hit,
+    # which is the answer, or holding that hit.
+    states += [dict(seq=seq, front=front) for front in range(answer_high + 1)]
+    states.append(dict(seq=seq, front=answer_high, hit=answer_high, found=answer))
+    # Switched at a split point: every high below it done and none a hit.
+    # Then it is before its first odd claim, on an odd high up to its first
+    # odd hit from there, or holding that hit.
+    for split in range(answer_high + 1):
+        odd = smallest_odd_high_hit(*header, high=split | 1)
+        odd_high = odd[0] >> 8
+        states.append(dict(seq=seq, front=split - 1, split=split))
+        states += [dict(seq=seq, front=front, split=split)
+                   for front in range(split | 1, odd_high + 1, 2)]
+        states.append(dict(seq=seq, front=odd_high, hit=odd_high, split=split, found=odd))
+    return states
+
+
 def test_lead_meets_the_helper_where_it_stands():
-    """The caller's part of a job, against every state a helper that starts
-    with the job can stop in: not on the job yet, stuck on any odd high up to
-    its first hit, or holding that hit. The answer is the oracle's in each."""
+    """The caller's part of a job, against every state a helper can be in
+    when the caller joins: not on the job yet, alone on any high up to its
+    first hit, holding that hit, or switched to the odd highs at any split
+    point, on any odd front up to its first hit there or holding that hit.
+    A helper that had the caller from the start is the split at 0. The
+    answer is the oracle's in each."""
     seq = 5
     highs = set()
-    for height, prev, payload, bits in _LEAD_HEADERS:
-        answer = oracle_mine(height, prev, payload, bits)
+    for header in _LEAD_HEADERS:
+        answer = oracle_mine(*header)
         highs.add(answer[0] >> 8)
-        odd_nonce, odd_digest = smallest_odd_high_hit(height, prev, payload, bits)
-        odd_high = odd_nonce >> 8
-        prefix, bound = powcore._prefix(height, prev, payload), powcore._BOUNDS[bits]
-        helper_states = [(seq - 1, powcore._NO_HIT, 1)]  # still on an older job
-        helper_states += [(seq, powcore._NO_HIT, front) for front in range(1, odd_high + 1, 2)]
-        helper_states.append((seq, odd_high, odd_high))
-        for job, hit, front in helper_states:
+        prefix, bound = powcore._prefix(*header[:3]), powcore._BOUNDS[header[3]]
+        for state in background_states(seq, header, answer):
             words = shared_words()
-            words[powcore._HELPER_HIT], words[powcore._HELPER_FRONT] = hit, front
-            words[powcore._HELPER_NONCE] = odd_nonce
-            words[powcore._HELPER_DIGEST] = memoryview(odd_digest).cast("q")
-            words[powcore._HELPER_JOB] = job
-            caller_on(words, seq)
-            assert powcore._lead(words, seq, prefix, bound) == answer, (height, job, hit, front)
+            helper_on(words, **state)
+            caller_on(words, seq, pos=powcore._ABSENT)
+            assert powcore._lead(words, seq, prefix, bound) == answer, (header[0], state)
     assert highs == {0, 1, 2, 4, 5, 6, 7, 14}
 
 
@@ -435,8 +469,21 @@ def test_serve_loop_in_process():
         return (words[powcore._HELPER_JOB], words[powcore._HELPER_HIT],
                 words[powcore._HELPER_FRONT])
 
-    # The caller is on this job without a hit: the helper's first odd-high hit.
+    # The caller is absent: the helper searches every high in order and
+    # stops at the smallest clearing nonce, with no split.
     words = shared_words()
+    caller_on(words, 7, pos=powcore._ABSENT)
+    serve(words, (7, height, prev, payload, bits))
+    answer = oracle_mine(*_HEADERS[0])
+    assert helper_words(words) == (7, answer[0] >> 8, answer[0] >> 8)
+    assert words[powcore._HELPER_SPLIT] == powcore._NO_HIT
+    assert powcore._helpers_hit(words, 7) == answer
+    # The caller has posted a newer job and is absent: the stale job stops
+    # at its first claim.
+    caller_on(words, 9, pos=powcore._ABSENT)
+    serve(words, (8, height, prev, payload, bits))
+    assert helper_words(words) == (8, powcore._NO_HIT, 0)
+    # The caller is on this job without a hit: the helper's first odd-high hit.
     caller_on(words, 1)
     serve(words, (1, height, prev, payload, bits))
     assert helper_words(words) == (1, odd_high, odd_high)
@@ -462,6 +509,82 @@ def test_serve_loop_in_process():
     caller_on(words, 6)
     serve(words, (5, height, prev, payload, bits), (6, height, prev, payload, bits))
     assert helper_words(words) == (6, odd_high, odd_high)
+
+
+def test_helper_records_the_split_before_it_claims_past_it():
+    """The helper's walk takes every high while the caller is absent. Once
+    the caller joins, the split point is written before the front reaches
+    it, and only odd highs follow."""
+    words = shared_words()
+    helper_on(words, 1, front=-1)  # as _serve resets them for a job
+    caller_on(words, 1, pos=powcore._ABSENT)
+    walk = powcore._follow(words, 1)
+    assert [next(walk) for _ in range(4)] == [0, 1, 2, 3]
+    assert words[powcore._HELPER_SPLIT] == powcore._NO_HIT
+    caller_on(words, 1, pos=0)  # the caller joins while the helper is on high 3
+    assert next(walk) == 5
+    assert (words[powcore._HELPER_SPLIT], words[powcore._HELPER_FRONT]) == (4, 5)
+    assert [next(walk) for _ in range(2)] == [7, 9]
+    caller_on(words, 1, pos=20)  # the caller has passed the helper: it jumps
+    assert next(walk) == 21
+    caller_on(words, 1, hit=21, pos=22)
+    assert list(walk) == []  # past the caller's hit
+
+
+@needs_two_cpus
+def test_a_job_the_helper_finished_alone_costs_the_caller_no_hash(monkeypatch, header_answers):
+    powcore.post(*_HEADERS[1])
+    words, seq = powcore._helper.words, powcore._helper.seq
+    deadline = time.monotonic() + 60
+    while not (words[powcore._HELPER_JOB] == seq and words[powcore._HELPER_HIT] != powcore._NO_HIT):
+        assert time.monotonic() < deadline, "the helper never finished the posted job"
+        time.sleep(0.001)
+    searched = []
+    search = powcore._search
+
+    def counting(prefix, bound, highs):
+        def counted():
+            for high in highs:
+                searched.append(high)
+                yield high
+        return search(prefix, bound, counted())
+
+    monkeypatch.setattr(powcore, "_search", counting)
+    assert powcore.mine_nonce(*_HEADERS[1]) == header_answers[1]
+    assert searched == []
+    assert powcore._helper.posted is None  # joined, not posted again
+
+
+@needs_two_cpus
+def test_a_superseded_post_is_posted_again_when_read(header_answers):
+    """Chain A's tip is posted, then chain B's supersedes it. Reading A's
+    tip posts it again and joins it; reading B's tip does the same."""
+    chain_a, chain_b = _HEADERS[2], _HEADERS[3]
+    powcore.post(*chain_a)
+    first = powcore._helper.seq
+    powcore.post(*chain_b)
+    assert powcore._helper.posted == chain_b
+    assert powcore.mine_nonce(*chain_a) == header_answers[2]
+    assert powcore.mine_nonce(*chain_b) == header_answers[3]
+    assert powcore._helper.seq == first + 3 and powcore._helper.posted is None
+
+
+@needs_two_cpus
+def test_helper_killed_between_post_and_read(header_answers):
+    """The read finds the helper exited: it reaps it and searches alone,
+    and the next post forks a new helper."""
+    powcore.mine_nonce(*_HEADERS[0])
+    dead = powcore._helper.pid
+    powcore.post(*_HEADERS[1])
+    os.kill(dead, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while process_state(dead) != "Z" and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert powcore.mine_nonce(*_HEADERS[1]) == header_answers[1]
+    assert process_state(dead) is None and powcore._helper is None
+    powcore.post(*_HEADERS[2])
+    assert powcore._helper.pid != dead
+    assert powcore.mine_nonce(*_HEADERS[2]) == header_answers[2]
 
 
 def test_other_threads_make_the_caller_search_alone():
