@@ -32,14 +32,23 @@ holds, so it does not keep the chain node mining: once every campaign is
 settled the node stops after its grace blocks and logs each such transaction
 as ``tx_orphaned``.
 
-A block is posted when it is assembled and resolved on first read: the
-header ``Chain._mine`` builds hands its nonce search to ``powcore.post``
-and leaves ``pow_nonce`` and ``own_digest`` unset. The first read of either
-calls ``powcore.mine_nonce``, which joins the search, and sets both; after
-that they are plain attributes. The next block's ``prev_digest`` is usually
-that first read, so the search runs on the helper's CPU while the event
-loop runs the block interval's events. A header built directly, or copied with
-``dataclasses.replace``, holds both fields from the start. Either way the
+A block is posted when it is assembled and resolved on first read. The
+header ``Chain._mine`` builds names its parent: the parent's digest when
+that is known, or else the parent header itself, whose search may still be
+running. It hands its nonce search to ``powcore.post`` and leaves
+``pow_nonce`` and ``own_digest`` unset, and ``prev_digest`` too while the
+parent is unread. A block on the block posted last is queued behind it: the
+helper starts the block's search when its parent's ends, with the digest
+that search found, so assembling the next block reads nothing and the
+event loop never waits for a nonce. A post on any other block supersedes
+the queue, and a block whose parent's search was superseded before its
+digest was known is not posted at all. The first read
+of any of the three fields resolves the header's unread ancestors, oldest
+first, each through one ``powcore.mine_nonce`` call, which takes the
+helper's result or joins its search. A read of ``prev_digest`` stops at the
+parent; a read of the nonce or digest resolves the header too. After that
+they are plain attributes. A header built directly, or copied with
+``dataclasses.replace``, holds every field from the start. Either way the
 values, ``==``, ``hash`` and ``repr`` are the same.
 
 Each header object is hashed at most once: whether its recomputed digest
@@ -64,6 +73,9 @@ BURN_ADDRESS = "burn"  # no key exists for this address, by construction
 OUTPUT_KINDS = ("funding", "reward", "deposit_return", "fee", "refund", "change", "burn")
 
 DEFAULT_DIFFICULTY_BITS = 12
+
+# A posted header's fields that are filled in on their first read.
+_ON_READ = ("prev_digest", "pow_nonce", "own_digest")
 
 
 class LedgerError(Exception):
@@ -94,27 +106,51 @@ class BlockHeader:
     own_digest: bytes
 
     @classmethod
-    def posted(cls, height: int, prev_digest: bytes, payload_digest: bytes,
+    def posted(cls, height: int, parent: BlockHeader | bytes, payload_digest: bytes,
                difficulty_bits: int) -> BlockHeader:
-        """A header whose nonce search is posted now and joined on the first
-        read of ``pow_nonce`` or ``own_digest``."""
+        """A header whose nonce search is posted now. ``parent`` is the
+        parent header, or ``ZERO_DIGEST`` for a genesis block. While the
+        parent is unread this header holds the parent and its search is
+        queued behind the parent's; ``prev_digest``, ``pow_nonce`` and
+        ``own_digest`` are filled in on first read."""
         header = cls.__new__(cls)
-        header.__dict__.update(height=height, prev_digest=prev_digest,
-                               payload_digest=payload_digest, _bits=difficulty_bits)
-        powcore.post(height, prev_digest, payload_digest, difficulty_bits)
+        fields = header.__dict__
+        fields.update(height=height, payload_digest=payload_digest, _bits=difficulty_bits)
+        if isinstance(parent, bytes) or "_bits" not in vars(parent):
+            prev = fields["prev_digest"] = parent if isinstance(parent, bytes) else parent.own_digest
+        else:
+            fields["_parent"] = parent
+            prev = vars(parent)["_job"]
+        fields["_job"] = powcore.post(height, prev, payload_digest, difficulty_bits)
         return header
 
     def __getattr__(self, name: str):
         # Reached only for an attribute that is not set: a posted header's
-        # nonce and digest before the first read.
-        fields = self.__dict__
-        if name not in ("pow_nonce", "own_digest") or "_bits" not in fields:
+        # fields before the first read.
+        if name not in _ON_READ or "_bits" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        nonce, digest = powcore.mine_nonce(self.height, self.prev_digest,
-                                           self.payload_digest, fields["_bits"])
-        del fields["_bits"]
-        fields.update(pow_nonce=nonce, own_digest=digest)
-        return fields[name]
+        unread = []  # this header's unread ancestors, youngest first
+        header = self
+        while (parent := vars(header).get("_parent")) is not None and "_bits" in vars(parent):
+            unread.append(parent)
+            header = parent
+        for header in reversed(unread):
+            header._resolve(mine=True)
+        self._resolve(mine=name != "prev_digest")
+        return self.__dict__[name]
+
+    def _resolve(self, mine: bool) -> None:
+        """Fill in ``prev_digest`` from the parent, which is read, and with
+        ``mine`` the nonce and digest too."""
+        fields = self.__dict__
+        if "_parent" in fields:
+            fields["prev_digest"] = fields["_parent"].own_digest
+            del fields["_parent"]
+        if mine:
+            nonce, digest = powcore.mine_nonce(self.height, fields["prev_digest"],
+                                               self.payload_digest, fields["_bits"])
+            del fields["_bits"], fields["_job"]
+            fields.update(pow_nonce=nonce, own_digest=digest)
 
     def recompute_digest(self) -> bytes:
         return powcore.header_digest(
@@ -287,10 +323,10 @@ class Chain:
     def _mine(cls, difficulty_bits: int, blocks: tuple[Block, ...], state: _State,
               txs: list[Transaction] | tuple[Transaction, ...]) -> Chain:
         """Mine a block of ``txs``, already applied to ``state``, on
-        ``blocks``: the search is posted here and joined on first read."""
-        height = len(blocks)
-        prev_digest = blocks[-1].header.own_digest if blocks else ZERO_DIGEST
-        header = BlockHeader.posted(height, prev_digest, payload_digest_for(txs), difficulty_bits)
+        ``blocks``: the search is posted here, queued behind the parent's
+        when that is still unread, and resolved on first read."""
+        parent = blocks[-1].header if blocks else ZERO_DIGEST
+        header = BlockHeader.posted(len(blocks), parent, payload_digest_for(txs), difficulty_bits)
         return cls(difficulty_bits, blocks + (Block(header, tuple(txs)),), state)
 
     @classmethod

@@ -630,31 +630,34 @@ class TestPerSlotWork:
 
 
 class TestMiningOverlap:
-    """Each block's nonce search runs in the background from the moment the
-    block is assembled until its digest is first read. A read in the same
-    virtual instant would make the event loop wait on the search, so none
-    may happen while the simulation runs. ``cut1_forged_view`` is left out:
-    its renter mines six private-fork blocks in one instant."""
+    """Each block's nonce search runs in the background, queued behind its
+    parent's, from the moment the block is assembled until its digest is
+    first read. A read in the same virtual instant would make the event
+    loop wait on the search, so none may happen while the simulation runs.
+    ``cut1_forged_view`` is left out: its renter mines six private-fork
+    blocks in one instant."""
 
     def reads_in_the_mining_instant(self, monkeypatch, spec) -> list[int]:
         """Heights of blocks first read in the virtual instant they were
         posted, while ``spec``'s world runs."""
         clock: list = []  # the running Simulation, once there is one
-        posted_at: dict = {}
+        posted_at: dict = {}  # (height, payload_digest) -> virtual time of the post
+        read: list = []  # (height, payload_digest) of each read, in order
         same_instant: list[int] = []
         post, mine_nonce = powcore.post, powcore.mine_nonce
 
         def now() -> float:
             return clock[0].now if clock else 0.0
 
-        def posting(*job):
-            posted_at[job] = now()
-            return post(*job)
+        def posting(height, prev, payload_digest, bits):
+            posted_at[height, payload_digest] = now()
+            return post(height, prev, payload_digest, bits)
 
-        def reading(*job):
-            if clock and posted_at.pop(job, None) == now():
-                same_instant.append(job[0])
-            return mine_nonce(*job)
+        def reading(height, prev_digest, payload_digest, bits):
+            read.append((height, payload_digest))
+            if clock and posted_at.get((height, payload_digest)) == now():
+                same_instant.append(height)
+            return mine_nonce(height, prev_digest, payload_digest, bits)
 
         monkeypatch.setattr(powcore, "post", posting)
         monkeypatch.setattr(powcore, "mine_nonce", reading)
@@ -662,7 +665,10 @@ class TestMiningOverlap:
         clock.append(world.sim)
         world.sim.run(until=spec.timing.horizon)
         clock.clear()
-        assert len(posted_at) < len(world.node.chain.blocks)  # blocks were read
+        assert world.node.chain.verify_full() == (True, "ok")
+        # Every block went through both hooks, and was read once.
+        blocks = [(b.header.height, b.header.payload_digest) for b in world.node.chain.blocks]
+        assert set(blocks) <= set(posted_at) and sorted(read) == sorted(blocks)
         return same_instant
 
     def test_ladder_shape_reads_no_block_in_its_mining_instant(self, monkeypatch):
@@ -675,6 +681,53 @@ class TestMiningOverlap:
     def test_bundled_scenario_reads_no_block_in_its_mining_instant(self, monkeypatch, name):
         spec = load_scenario(str(resources.files("leasim") / "scenarios" / f"{name}.yaml"))
         assert self.reads_in_the_mining_instant(monkeypatch, spec) == []
+
+    @pytest.mark.parametrize("cpus", ["all", "one"])
+    def test_ladder_shape_reads_blocks_only_to_verify_funding(self, monkeypatch, cpus):
+        """Assembling a block reads nothing of its parent, so the chain
+        node's tick never waits for a nonce: with the helper, which queues
+        the block's search behind the parent's, and on one CPU, where
+        nothing is posted and each block is mined at its first read. While
+        the world runs, only funding verification reads a block."""
+        if cpus == "one" and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("needs os.sched_setaffinity")
+        readers: list[set[str]] = []  # the functions on the stack of each read
+        posted: list = []  # the jobs posts returned
+        mine_nonce, post = powcore.mine_nonce, powcore.post
+
+        def posting(*job):
+            posted.append(post(*job))
+            return posted[-1]
+
+        def reading(*job):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_qualname)
+                frame = frame.f_back
+            readers.append(names)
+            return mine_nonce(*job)
+
+        spec = parse_scenario(dict(ladder_shape(40, 4, 4), latency={"model": "normal"}))
+        cpus_before = os.sched_getaffinity(0)
+        if cpus == "one":
+            os.sched_setaffinity(0, {min(cpus_before)})
+        try:
+            world = build_world(spec)
+            monkeypatch.setattr(powcore, "mine_nonce", reading)
+            monkeypatch.setattr(powcore, "post", posting)
+            jobs_before = powcore._helper.seq if powcore._helper else 0
+            world.sim.run(until=spec.timing.horizon)
+        finally:
+            os.sched_setaffinity(0, cpus_before)
+        assert world.node.chain.height > 10 and readers
+        assert not [names for names in readers if {"Chain._mine", "Mempool.assemble"} & names]
+        assert all("InterfaceEnclave._verify_funding" in names for names in readers)
+        queued = [job for job in posted if job is not None]
+        if cpus == "one" or powcore._helper is None:
+            assert not queued
+        else:  # every block queued behind its parent, and no read posted one afresh
+            assert len(queued) == len(posted) == world.node.chain.height
+            assert powcore._helper.seq - jobs_before == len(queued)
 
 
 class TestDeliveredMessagesFreed:

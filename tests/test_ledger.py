@@ -243,6 +243,41 @@ class TestVerifyHeaders:
         assert not ledger.verify_headers_detail(headers, DIFF)[0]
 
 
+    @staticmethod
+    def chain_headers(kind: str, tag: str) -> list[ledger.BlockHeader]:
+        """Four headers of one chain: built directly ("plain"), or posted and
+        not read yet, each but the first holding its unread parent instead of
+        its prev_digest ("posted")."""
+        headers = extend(mk_chain(DIFF, seed_tag=tag), 3).headers()
+        if kind == "plain":
+            return [oracle_header(h.height, h.prev_digest, h.payload_digest, DIFF)
+                    for h in headers]
+        assert all(unread(h) and "prev_digest" not in vars(h) for h in headers[1:])
+        return headers
+
+    @pytest.mark.parametrize("kind", ["plain", "posted"])
+    def test_each_refusal(self, kind):
+        payload = hashlib.sha256(b"refusal").digest()
+        headers = self.chain_headers(kind, f"refusals-{kind}")
+        if kind == "plain":
+            negative = ledger.BlockHeader(-1, headers[0].own_digest, payload, 0, bytes(32))
+            genesis = oracle_header(0, headers[2].own_digest, payload, DIFF)
+        else:
+            negative = ledger.BlockHeader.posted(-1, headers[1], payload, 0)
+            genesis = ledger.BlockHeader.posted(0, headers[2], payload, DIFF)
+            assert "prev_digest" not in vars(negative) and "prev_digest" not in vars(genesis)
+        assert ledger.verify_headers_detail([negative], DIFF) == (False, "negative height -1")
+        assert ledger.verify_headers_detail([headers[0], headers[2]], DIFF) == (
+            False, "height gap 0 -> 2")
+        assert ledger.verify_headers_detail([genesis], DIFF) == (
+            False, "genesis prev digest not zero")
+        missed = next(h.height for h in headers if not powcore.meets_target(h.own_digest, 2 * DIFF))
+        assert ledger.verify_headers_detail(headers, 2 * DIFF) == (
+            False, f"pow target missed at height {missed}")
+        assert genesis.prev_digest == headers[2].own_digest
+        assert ledger.verify_headers_detail(headers, DIFF) == (True, "ok")
+
+
 def _flip(digest: bytes) -> bytes:
     return bytes([digest[0] ^ 1]) + digest[1:]
 
@@ -370,6 +405,42 @@ class TestPostedHeader:
         copy = dataclasses.replace(tip, pow_nonce=0)
         assert not unread(copy) and copy.pow_nonce == 0
         assert copy.own_digest == tip.own_digest and not copy.digest_ok
+
+
+class TestPostedChains:
+    """Blocks queued behind unread parents, forks on older blocks and a
+    second genesis, read in any order, each agree with a header built
+    directly."""
+
+    def test_forks_and_a_new_genesis_read_as_direct_headers(self):
+        base = extend(mk_chain(DIFF, seed_tag="posted-fork"), 1)
+        main = extend(base, 3)
+        fork = extend(base, 2)  # on block 1: not the block posted last
+        other = mk_chain(DIFF, seed_tag="posted-other")
+        main = extend(main, 1)  # on main's tip: not the block posted last
+        assert unread(main.tip) and unread(fork.tip) and unread(other.tip)
+        for chain in (fork, other, main):
+            assert chain.verify_full() == (True, "ok")
+            for header in reversed(chain.headers()):
+                assert header == oracle_header(header.height, header.prev_digest,
+                                               header.payload_digest, DIFF)
+        assert fork.blocks[1] is main.blocks[1]
+
+    def test_reading_the_tip_reads_every_unread_ancestor_once(self, monkeypatch):
+        reads = []
+        mine_nonce = powcore.mine_nonce
+
+        def reading(*job):
+            reads.append(job[0])
+            return mine_nonce(*job)
+
+        chain = extend(mk_chain(DIFF, seed_tag="posted-order"), 5)
+        monkeypatch.setattr(powcore, "mine_nonce", reading)
+        assert chain.tip.prev_digest  # resolves the ancestors, not the tip
+        assert reads == [0, 1, 2, 3, 4] and unread(chain.tip)
+        assert chain.tip.own_digest
+        assert reads == [0, 1, 2, 3, 4, 5]
+        assert all(not unread(h) and "_parent" not in vars(h) for h in chain.headers())
 
 
 class TestHeadersFrom:

@@ -1,7 +1,10 @@
 """Hash kernel: known answers, brute-force search and an independent digest oracle."""
 from __future__ import annotations
 
+import collections
+import fcntl
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -285,6 +288,35 @@ def test_interrupted_search_leaves_no_stale_state(header_answers):
 
 
 @needs_two_cpus
+def test_a_join_cut_short_is_posted_afresh_when_read_again():
+    """The header whose join was interrupted is read again: its job is
+    posted afresh, never joined a second time, and the answer is the
+    oracle's."""
+    header = (4, hashlib.sha256(b"mid-prev-4").digest(), hashlib.sha256(b"mid-payload-4").digest(), 16)
+    answer = single_searcher(*header)
+    assert answer[0] == 98783  # about 390 highs: the interrupt lands mid-search
+    powcore.mine_nonce(*_HEADERS[0])
+
+    def interrupt(_signum, frame):
+        if frame.f_globals.get("__name__") == powcore.__name__:
+            raise _Interrupted
+        signal.setitimer(signal.ITIMER_REAL, 0.001)
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.002)
+        with pytest.raises(_Interrupted):
+            powcore.mine_nonce(*header)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    posted = powcore._helper.seq
+    assert powcore._helper.unread[0].joined
+    assert powcore.mine_nonce(*header) == answer
+    assert powcore._helper.seq == posted + 1 and not powcore._helper.unread
+
+
+@needs_two_cpus
 def test_dead_helper_is_reaped_and_replaced(header_answers):
     powcore.mine_nonce(*_HEADERS[0])
     dead = powcore._helper.pid
@@ -379,10 +411,27 @@ def shared_words():
 
 
 def caller_on(words, seq, hit=powcore._NO_HIT, pos=0):
-    """Publish the caller's words for job ``seq``: joined at ``pos``, or
-    absent as ``_Helper.post`` leaves them with ``pos=powcore._ABSENT``."""
+    """Publish the caller's words as a caller joined on job ``seq``, the
+    first job of the live queue, at ``pos`` with a hit in high ``hit``."""
+    words[powcore._CALLER_LIVE] = seq
     words[powcore._CALLER_HIT], words[powcore._CALLER_POS] = hit, pos
     words[powcore._CALLER_JOB] = seq
+
+
+def caller_before(words, seq, done=0):
+    """Publish the caller's words as a caller that posted job ``seq`` as the
+    first of the live queue, holds every result up to job ``done`` and is
+    not on any job of this queue yet."""
+    words[powcore._CALLER_LIVE], words[powcore._CALLER_DONE] = seq, done
+    words[powcore._CALLER_JOB] = 0
+
+
+def in_slot(words, seq, found):
+    """Put ``found``, a (nonce, digest), in job ``seq``'s result slot."""
+    at = powcore._slot(seq)
+    words[at + 1] = found[0]
+    words[at + 2:at + powcore._SLOT_WORDS] = memoryview(found[1]).cast("q")
+    words[at] = seq
 
 
 def helper_on(words, seq, front, hit=powcore._NO_HIT, split=powcore._NO_HIT, found=None):
@@ -391,8 +440,7 @@ def helper_on(words, seq, front, hit=powcore._NO_HIT, split=powcore._NO_HIT, fou
     words[powcore._HELPER_HIT], words[powcore._HELPER_FRONT] = hit, front
     words[powcore._HELPER_SPLIT] = split
     if found is not None:
-        words[powcore._HELPER_NONCE] = found[0]
-        words[powcore._HELPER_DIGEST] = memoryview(found[1]).cast("q")
+        in_slot(words, seq, found)
     words[powcore._HELPER_JOB] = seq
 
 
@@ -430,8 +478,9 @@ def test_lead_meets_the_helper_where_it_stands():
     when the caller joins: not on the job yet, alone on any high up to its
     first hit, holding that hit, or switched to the odd highs at any split
     point, on any odd front up to its first hit there or holding that hit.
-    A helper that had the caller from the start is the split at 0. The
-    answer is the oracle's in each."""
+    A helper that had the caller from the start is the split at 0. Last,
+    a helper that found the answer alone and moved on to the next queued
+    job, whose words bound nothing here. The answer is the oracle's in each."""
     seq = 5
     highs = set()
     for header in _LEAD_HEADERS:
@@ -441,25 +490,48 @@ def test_lead_meets_the_helper_where_it_stands():
         for state in background_states(seq, header, answer):
             words = shared_words()
             helper_on(words, **state)
-            caller_on(words, seq, pos=powcore._ABSENT)
+            caller_before(words, seq)
             assert powcore._lead(words, seq, prefix, bound) == answer, (header[0], state)
+            assert words[powcore._CALLER_JOB] == seq  # it joined the job
+        words = shared_words()
+        in_slot(words, seq, answer)
+        helper_on(words, seq + 1, front=(answer[0] >> 8) + 9, hit=1, found=(7, bytes(32)))
+        caller_before(words, seq)
+        assert powcore._lead(words, seq, prefix, bound) == answer, (header[0], "moved on")
     assert highs == {0, 1, 2, 4, 5, 6, 7, 14}
 
 
-def serve(words, *jobs):
-    """Run the helper's loop here on ``jobs``, up to the pipe's end."""
+def serve(words, *records):
+    """Run the helper's loop here on ``records``, up to the pipe's end."""
     job_r, job_w = os.pipe()
     try:
-        for job in jobs:
-            os.write(job_w, powcore._JOB.pack(*job))
+        for record in records:
+            os.write(job_w, powcore._RECORD.pack(*record))
         os.close(job_w)
         powcore._serve(job_r, words)
     finally:
         os.close(job_r)
 
 
+def plain(seq, header):
+    """The record of a job that carries its prev_digest."""
+    return (seq, powcore._PLAIN, *header)
+
+
+def chained(seq, header):
+    """The record of a job on the digest of job ``seq - 1``."""
+    height, _prev, payload, bits = header
+    return (seq, powcore._CHAINED, height, bytes(32), payload, bits)
+
+
+def answer_of(seq, digest):
+    """The record of the caller's answer for job ``seq``."""
+    return (seq, powcore._ANSWER, 0, digest, bytes(32), 0)
+
+
 def test_serve_loop_in_process():
-    """The helper's loop over a pipe, with the test as the caller."""
+    """The helper's loop over a pipe, one job at a time, with the test as
+    the caller."""
     height, prev, payload, bits = _HEADERS[0]
     odd_nonce, odd_digest = smallest_odd_high_hit(*_HEADERS[0])
     odd_high = odd_nonce >> 8
@@ -469,55 +541,119 @@ def test_serve_loop_in_process():
         return (words[powcore._HELPER_JOB], words[powcore._HELPER_HIT],
                 words[powcore._HELPER_FRONT])
 
-    # The caller is absent: the helper searches every high in order and
-    # stops at the smallest clearing nonce, with no split.
+    # The caller is not on the job: the helper searches every high in order
+    # and stops at the smallest clearing nonce, with no split.
     words = shared_words()
-    caller_on(words, 7, pos=powcore._ABSENT)
-    serve(words, (7, height, prev, payload, bits))
+    caller_before(words, 7)
+    serve(words, plain(7, _HEADERS[0]))
     answer = oracle_mine(*_HEADERS[0])
     assert helper_words(words) == (7, answer[0] >> 8, answer[0] >> 8)
     assert words[powcore._HELPER_SPLIT] == powcore._NO_HIT
     assert powcore._helpers_hit(words, 7) == answer
-    # The caller has posted a newer job and is absent: the stale job stops
-    # at its first claim.
-    caller_on(words, 9, pos=powcore._ABSENT)
-    serve(words, (8, height, prev, payload, bits))
-    assert helper_words(words) == (8, powcore._NO_HIT, 0)
+    # A newer job supersedes this one: it is never started.
+    caller_before(words, 9)
+    serve(words, plain(8, _HEADERS[0]))
+    assert helper_words(words) == (7, answer[0] >> 8, answer[0] >> 8)
     # The caller is on this job without a hit: the helper's first odd-high hit.
-    caller_on(words, 1)
-    serve(words, (1, height, prev, payload, bits))
-    assert helper_words(words) == (1, odd_high, odd_high)
-    assert powcore._helpers_hit(words, 1) == (odd_nonce, odd_digest)
+    caller_on(words, 11)
+    serve(words, plain(11, _HEADERS[0]))
+    assert helper_words(words) == (11, odd_high, odd_high)
+    assert powcore._helpers_hit(words, 11) == (odd_nonce, odd_digest)
     # The caller hit in high 0: nothing odd can be smaller.
-    caller_on(words, 2, hit=0)
-    serve(words, (2, height, prev, payload, bits))
-    assert helper_words(words) == (2, powcore._NO_HIT, 1)
+    caller_on(words, 12, hit=0)
+    serve(words, plain(12, _HEADERS[0]))
+    assert helper_words(words) == (12, powcore._NO_HIT, 1)
+    assert powcore._helpers_hit(words, 12) is None
     # The caller has passed the helper's first hit: the helper jumps ahead
     # of the caller and finds the next odd-high hit.
-    caller_on(words, 3, pos=odd_high + 1)
-    serve(words, (3, height, prev, payload, bits))
+    caller_on(words, 13, pos=odd_high + 1)
+    serve(words, plain(13, _HEADERS[0]))
     later_nonce, later_digest = smallest_odd_high_hit(*_HEADERS[0], high=odd_high + 2)
-    assert helper_words(words) == (3, later_nonce >> 8, later_nonce >> 8)
-    assert powcore._helpers_hit(words, 3) == (later_nonce, later_digest)
+    assert helper_words(words) == (13, later_nonce >> 8, later_nonce >> 8)
+    assert powcore._helpers_hit(words, 13) == (later_nonce, later_digest)
     # The caller is on the helper's hit high: the helper claims that high
     # too, for the caller may have seen it claimed and skipped it.
-    caller_on(words, 4, pos=odd_high)
-    serve(words, (4, height, prev, payload, bits))
-    assert helper_words(words) == (4, odd_high, odd_high)
-    # The caller is on a newer job: this one is stale, and only the latest
-    # of two queued jobs is searched.
-    caller_on(words, 6)
-    serve(words, (5, height, prev, payload, bits), (6, height, prev, payload, bits))
-    assert helper_words(words) == (6, odd_high, odd_high)
+    caller_on(words, 14, pos=odd_high)
+    serve(words, plain(14, _HEADERS[0]))
+    assert helper_words(words) == (14, odd_high, odd_high)
+    # Of two queued jobs, the one the later supersedes is never started.
+    caller_on(words, 16)
+    serve(words, plain(15, _HEADERS[1]), plain(16, _HEADERS[0]))
+    assert helper_words(words) == (16, odd_high, odd_high)
+    assert powcore._helpers_hit(words, 15) is None
+
+
+def single_searcher(height, prev, payload, bits):
+    """The oracle: one searcher trying every high from 0 in order."""
+    return powcore._search(powcore._prefix(height, prev, payload), powcore._BOUNDS[bits],
+                           itertools.count())
+
+
+# Links of a chain, (height, payload_digest, difficulty_bits), and the
+# digest its first link is on.
+_CHAIN_PREV = hashlib.sha256(b"pipe-genesis").digest()
+
+
+def chain_links(n, bits, tag=b"pipe"):
+    return [(height, hashlib.sha256(b"%s-payload-%d" % (tag, height)).digest(), bits)
+            for height in range(n)]
+
+
+def chain_headers(links, prev=_CHAIN_PREV):
+    """Each link's header, (height, prev_digest, payload_digest, bits), on
+    the single searcher's digest of the link before it."""
+    headers = []
+    for height, payload, bits in links:
+        headers.append((height, prev, payload, bits))
+        prev = single_searcher(*headers[-1])[1]
+    return headers
+
+
+def test_serve_runs_a_queue_in_posting_order():
+    """Chained jobs start when the job before them ends, on the digest that
+    job found or on the caller's answer for it, and never overwrite a slot
+    the caller has not taken."""
+    headers = chain_headers(chain_links(_SLOTS_PLUS := powcore._SLOTS + 1, 6))
+    answers = [single_searcher(*header) for header in headers]
+    # Alone on the whole queue: each job on the digest of the one before.
+    words = shared_words()
+    caller_before(words, 21)
+    serve(words, plain(21, headers[0]), *(chained(21 + i, h) for i, h in enumerate(headers[1:4], 1)))
+    assert [powcore._helpers_hit(words, 21 + i) for i in range(4)] == answers[:4]
+    assert words[powcore._HELPER_SPLIT] == powcore._NO_HIT
+    # The caller joined job 31: job 32 starts on the caller's answer for it.
+    caller_on(words, 31)
+    serve(words, plain(31, headers[0]), chained(32, headers[1]), answer_of(31, answers[0][1]))
+    assert powcore._helpers_hit(words, 32) == answers[1]
+    # Without that answer, job 42 never starts.
+    caller_on(words, 41)
+    serve(words, plain(41, headers[0]), chained(42, headers[1]))
+    assert words[powcore._HELPER_JOB] == 41 and powcore._helpers_hit(words, 42) is None
+    # Jobs whose results the caller holds are skipped, and the next starts
+    # on the caller's answer.
+    caller_before(words, 51, done=52)
+    serve(words, plain(51, headers[0]), chained(52, headers[1]), chained(53, headers[2]),
+          answer_of(52, answers[1][1]))
+    assert powcore._helpers_hit(words, 51) is None and powcore._helpers_hit(words, 52) is None
+    assert powcore._helpers_hit(words, 53) == answers[2]
+    # With no result taken, the helper stops one slot short of reusing the
+    # first job's: every result it found is still there to take.
+    caller_before(words, 61)
+    serve(words, plain(61, headers[0]),
+          *(chained(61 + i, h) for i, h in enumerate(headers[1:], 1)))
+    assert words[powcore._HELPER_JOB] == 61 + powcore._SLOTS - 1
+    assert [powcore._helpers_hit(words, 61 + i) for i in range(powcore._SLOTS)] == answers[:-1]
+    assert powcore._helpers_hit(words, 61 + _SLOTS_PLUS - 1) is None
 
 
 def test_helper_records_the_split_before_it_claims_past_it():
-    """The helper's walk takes every high while the caller is absent. Once
-    the caller joins, the split point is written before the front reaches
-    it, and only odd highs follow."""
+    """The helper's walk takes every high while the caller is not on the
+    job. Once the caller joins, the split point is written before the front
+    reaches it, and only odd highs follow. A superseded job stops in either
+    walk."""
     words = shared_words()
-    helper_on(words, 1, front=-1)  # as _serve resets them for a job
-    caller_on(words, 1, pos=powcore._ABSENT)
+    helper_on(words, 1, front=-1)  # as _run resets them for a job
+    caller_before(words, 1)
     walk = powcore._follow(words, 1)
     assert [next(walk) for _ in range(4)] == [0, 1, 2, 3]
     assert words[powcore._HELPER_SPLIT] == powcore._NO_HIT
@@ -529,6 +665,17 @@ def test_helper_records_the_split_before_it_claims_past_it():
     assert next(walk) == 21
     caller_on(words, 1, hit=21, pos=22)
     assert list(walk) == []  # past the caller's hit
+    for joined in (False, True):
+        helper_on(words, 2, front=-1)
+        if joined:
+            caller_on(words, 2)
+        else:
+            caller_before(words, 2)
+        walk = powcore._follow(words, 2)
+        first = next(walk)
+        words[powcore._CALLER_LIVE] = 3  # a later post supersedes job 2
+        assert next(walk, None) is None
+        assert words[powcore._HELPER_FRONT] == first + 1 + joined
 
 
 @needs_two_cpus
@@ -539,6 +686,14 @@ def test_a_job_the_helper_finished_alone_costs_the_caller_no_hash(monkeypatch, h
     while not (words[powcore._HELPER_JOB] == seq and words[powcore._HELPER_HIT] != powcore._NO_HIT):
         assert time.monotonic() < deadline, "the helper never finished the posted job"
         time.sleep(0.001)
+    searched = count_searched_highs(monkeypatch)
+    assert powcore.mine_nonce(*_HEADERS[1]) == header_answers[1]
+    assert searched == []
+    assert powcore._helper.seq == seq  # taken from its slot, not posted again
+
+
+def count_searched_highs(monkeypatch) -> list[int]:
+    """Record every high ``_search`` tries from now on."""
     searched = []
     search = powcore._search
 
@@ -550,9 +705,7 @@ def test_a_job_the_helper_finished_alone_costs_the_caller_no_hash(monkeypatch, h
         return search(prefix, bound, counted())
 
     monkeypatch.setattr(powcore, "_search", counting)
-    assert powcore.mine_nonce(*_HEADERS[1]) == header_answers[1]
-    assert searched == []
-    assert powcore._helper.posted is None  # joined, not posted again
+    return searched
 
 
 @needs_two_cpus
@@ -562,11 +715,229 @@ def test_a_superseded_post_is_posted_again_when_read(header_answers):
     chain_a, chain_b = _HEADERS[2], _HEADERS[3]
     powcore.post(*chain_a)
     first = powcore._helper.seq
-    powcore.post(*chain_b)
-    assert powcore._helper.posted == chain_b
+    job_b = powcore.post(*chain_b)
+    assert list(powcore._helper.unread) == [job_b]
     assert powcore.mine_nonce(*chain_a) == header_answers[2]
     assert powcore.mine_nonce(*chain_b) == header_answers[3]
-    assert powcore._helper.seq == first + 3 and powcore._helper.posted is None
+    assert powcore._helper.seq == first + 3 and not powcore._helper.unread
+
+
+def post_chain(headers):
+    """Post ``headers`` as one chain: the first on its prev_digest, each
+    next one on the job ``post`` returned for the one before it."""
+    jobs = []
+    for height, prev, payload, bits in headers:
+        jobs.append(powcore.post(height, jobs[-1] if jobs else prev, payload, bits))
+    return jobs
+
+
+def read_chain(headers):
+    """Read each header in chain order, as resolving a header's unread
+    ancestors oldest first does."""
+    return [powcore.mine_nonce(*header) for header in headers]
+
+
+def wait_for_result(job, timeout_s: float = 60) -> None:
+    """Wait until the helper has found ``job``'s nonce."""
+    words = powcore._helper.words
+    deadline = time.monotonic() + timeout_s
+    while powcore._helpers_hit(words, job.seq) is None:
+        assert time.monotonic() < deadline, "the helper never finished the job"
+        time.sleep(0.001)
+
+
+def count_joins(monkeypatch) -> list[int]:
+    """Record the job of every search the caller joins from now on."""
+    joined = []
+    lead = powcore._lead
+
+    def counting(words, seq, prefix, bound):
+        joined.append(seq)
+        return lead(words, seq, prefix, bound)
+
+    monkeypatch.setattr(powcore, "_lead", counting)
+    return joined
+
+
+@needs_two_cpus
+def test_helper_runs_a_posted_chain_before_any_read(monkeypatch):
+    headers = chain_headers(chain_links(6, 12))
+    answers = [single_searcher(*header) for header in headers]
+    jobs = post_chain(headers)
+    assert all(job is not None for job in jobs)
+    assert powcore._helper.last is jobs[-1] and list(powcore._helper.unread) == jobs
+    wait_for_result(jobs[-1])
+    searched = count_searched_highs(monkeypatch)
+    assert read_chain(headers) == answers
+    assert searched == []  # every result was the helper's, found alone
+    assert not powcore._helper.unread
+
+
+@needs_two_cpus
+def test_first_read_mid_chain_joins_the_queue_in_order(monkeypatch):
+    headers = chain_headers(chain_links(6, 14, b"mid"))
+    joined = count_joins(monkeypatch)
+    jobs = post_chain(headers)
+    assert read_chain(headers) == [single_searcher(*header) for header in headers]
+    assert joined and set(joined) <= {job.seq for job in jobs}  # no job posted again
+    assert joined == sorted(joined)
+
+
+@needs_two_cpus
+def test_a_job_chained_on_a_joined_one_starts_on_the_callers_answer():
+    """The caller joins the first job at once, so only its answer gives the
+    helper the digest the next job is on."""
+    headers = chain_headers(chain_links(2, 14, b"answer"))
+    answers = [single_searcher(*header) for header in headers]
+    assert answers[0][0] >> 8 > 0  # the helper cannot find it in its first high alone
+    assert powcore.mine_nonce(*headers[0]) == answers[0]  # posted and joined at once
+    height, _prev, payload, bits = headers[1]
+    job = powcore.post(height, powcore._helper.last, payload, bits)
+    wait_for_result(job, timeout_s=30)
+    assert powcore.mine_nonce(*headers[1]) == answers[1]
+
+
+def test_collect_leaves_a_joined_job_to_the_caller():
+    """A hit the helper wrote for a job the caller joined may be an odd
+    high's, not the smallest: only the caller settles that job."""
+    helper = powcore._Helper.__new__(powcore._Helper)  # the caller's side only
+    helper.words, helper.running = shared_words(), collections.deque()
+    joined = powcore._Job(1, bytes(32), b"\x5a" * 32, 10)
+    alone = powcore._Job(2, None, b"\x5a" * 32, 10)  # chained on ``joined``
+    joined.seq, joined.joined, alone.seq = 3, True, 4
+    helper.running.extend((joined, alone))
+    odd_hit, next_hit = (300, b"\x01" * 32), (400, b"\x02" * 32)
+    in_slot(helper.words, 3, odd_hit)
+    in_slot(helper.words, 4, next_hit)
+    helper.collect()
+    assert list(helper.running) == [joined, alone] and joined.result is None
+    joined.joined = False  # as if the helper had found it alone
+    helper.collect()
+    assert not helper.running and (joined.result, alone.result) == (odd_hit, next_hit)
+    assert alone.prev_digest == odd_hit[1] and helper.words[powcore._CALLER_DONE] == 4
+
+
+@needs_two_cpus
+def test_helper_killed_with_jobs_queued(header_answers):
+    headers = chain_headers(chain_links(5, 14, b"killed"))
+    powcore.mine_nonce(*_HEADERS[0])
+    dead = powcore._helper.pid
+    post_chain(headers)
+    os.kill(dead, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while process_state(dead) != "Z" and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert read_chain(headers) == [single_searcher(*header) for header in headers]
+    assert process_state(dead) is None and powcore._helper.pid != dead
+
+
+@needs_two_cpus
+def test_more_unread_jobs_than_result_slots(monkeypatch):
+    """Posted while the helper is stopped, no result is taken before the
+    helper runs. It finds one slot's worth, stops short of the first reused
+    slot and goes on once the reads take results."""
+    headers = chain_headers(chain_links(powcore._SLOTS + 4, 8, b"slots"))
+    powcore.mine_nonce(*_HEADERS[0])
+    helper = powcore._helper
+    os.kill(helper.pid, signal.SIGSTOP)
+    try:
+        jobs = post_chain(headers)
+    finally:
+        os.kill(helper.pid, signal.SIGCONT)
+    full = jobs[powcore._SLOTS - 1]
+    wait_for_result(full)
+    time.sleep(0.05)
+    assert helper.words[powcore._HELPER_JOB] == full.seq  # stopped short
+    assert read_chain(headers) == [single_searcher(*header) for header in headers]
+
+
+@needs_two_cpus
+def test_a_post_that_does_not_extend_the_last_supersedes_the_queue(monkeypatch):
+    """A new genesis and a fork on an older block each supersede the queue,
+    and every superseded header still resolves to the oracle's answer."""
+    headers = chain_headers(chain_links(4, 12, b"old"))
+    answers = [single_searcher(*header) for header in headers]
+    jobs = post_chain(headers)
+    genesis = (0, hashlib.sha256(b"new-genesis").digest(), headers[0][2], 12)
+    new = powcore.post(*genesis)
+    assert list(powcore._helper.unread) == [new]
+    assert read_chain(headers) == answers
+    assert powcore.mine_nonce(*genesis) == single_searcher(*genesis)
+    # A fork on block 1 once its result is known: a post on its digest.
+    jobs = post_chain(headers)
+    wait_for_result(jobs[-1])
+    fork = (2, answers[1][1], hashlib.sha256(b"fork").digest(), 12)
+    forked = powcore.post(fork[0], jobs[1], fork[2], fork[3])
+    assert list(powcore._helper.unread) == [forked] and forked.prev_digest == answers[1][1]
+    assert read_chain(headers) == answers
+    assert powcore.mine_nonce(*fork) == single_searcher(*fork)
+    # A fork on block 1 before its result is known is not posted at all.
+    helper = powcore._helper
+    os.kill(helper.pid, signal.SIGSTOP)
+    try:
+        jobs = post_chain(headers)
+        assert powcore.post(fork[0], jobs[1], fork[2], fork[3]) is None
+        assert list(helper.unread) == jobs
+    finally:
+        os.kill(helper.pid, signal.SIGCONT)
+    assert read_chain(headers[:2]) + [powcore.mine_nonce(*fork)] == answers[:2] + [
+        single_searcher(*fork)]
+    assert read_chain(headers) == answers
+
+
+@needs_two_cpus
+def test_a_dropped_chained_job_resolves_alone(monkeypatch):
+    """With the helper stopped, chained posts fill the job pipe and the
+    later ones are dropped. The helper never sees those jobs; each is
+    searched at its read, and every answer is the oracle's."""
+    powcore.mine_nonce(*_HEADERS[0])
+    helper = powcore._helper
+    capacity = fcntl.fcntl(helper.job_w, fcntl.F_GETPIPE_SZ)
+    headers = chain_headers(chain_links(2 * capacity // powcore._RECORD.size, 4, b"full"))
+    os.kill(helper.pid, signal.SIGSTOP)
+    try:
+        jobs = post_chain(headers)
+    finally:
+        os.kill(helper.pid, signal.SIGCONT)
+    assert read_chain(headers) == [single_searcher(*header) for header in headers]
+    assert helper.words[powcore._HELPER_JOB] < jobs[-1].seq  # never reached it
+    assert powcore._helper is helper
+
+
+@needs_two_cpus
+def test_a_child_forked_after_a_post_reads_through_its_own_helper(header_answers):
+    powcore.post(*_HEADERS[1])
+    parent_helper = powcore._helper.pid
+    child = os.fork()
+    if child == 0:
+        ok = False
+        try:
+            ok = (powcore.mine_nonce(*_HEADERS[1]) == header_answers[1]
+                  and powcore._helper.owner == os.getpid()
+                  and powcore._helper.pid != parent_helper)
+            powcore._stop_helper()
+        finally:
+            os._exit(0 if ok else 1)
+    assert wait_for_exit(child) == 0
+    assert powcore.mine_nonce(*_HEADERS[1]) == header_answers[1]
+    assert powcore._helper.pid == parent_helper
+
+
+@needs_two_cpus
+def test_a_helper_owned_by_another_process_is_dropped(header_answers):
+    """What a fork leaves the child: a helper with a posted job that belongs
+    to another process. The next read closes that pipe end without writing
+    to it and resolves the header through a helper of its own."""
+    powcore.post(*_HEADERS[1])
+    inherited = powcore._helper
+    inherited.owner = os.getppid()  # as seen from a child of this process
+    try:
+        assert powcore.mine_nonce(*_HEADERS[1]) == header_answers[1]
+        assert powcore._helper is not inherited and powcore._helper.owner == os.getpid()
+    finally:
+        # Its pipe end is closed, so it exits; as this process's child it
+        # is reaped here.
+        assert wait_for_exit(inherited.pid) == 0
 
 
 @needs_two_cpus
