@@ -47,7 +47,8 @@ def cmd_run(args) -> int:
     if args.report_out:
         Path(args.report_out).write_text(canonical_json(report) + "\n")
     if args.log_out:
-        Path(args.log_out).write_text(world.sim.log.text())
+        with open(args.log_out, "wb") as out:
+            out.writelines(world.sim.log.encoded())
     if args.json:
         print(canonical_json(report))
     else:

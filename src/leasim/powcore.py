@@ -135,6 +135,7 @@ import signal
 import struct
 import threading
 import time
+import traceback
 
 BACKEND = "pure"
 
@@ -378,12 +379,17 @@ class _Helper:
         job_r, self.job_w = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
+            status = 1
             try:
                 os.close(self.job_w)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 _serve(job_r, self.words)
+                status = 0  # the job pipe closed
+            except Exception:
+                # Straight to fd 2: the exit below flushes no Python buffer.
+                os.write(2, ("leasim PoW helper failed:\n" + traceback.format_exc()).encode())
             finally:
-                os._exit(0)
+                os._exit(status)
         # Set here, not in the child, so it holds before the first job is sent.
         os.setpriority(os.PRIO_PROCESS, self.pid, 19)
         os.close(job_r)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 CUT_RENTER_CHAIN = 1
@@ -142,15 +143,24 @@ class DelayRule(DropRule):
     extra: float
 
 
-_DIGEST_CHUNK = 4096  # lines joined and encoded per hasher update
+_DIGEST_CHUNK = 512  # lines sealed into one UTF-8 chunk
 
 
 class EventLog:
-    """Append-only event log; one line per event, stable field order."""
+    """Append-only event log; one line per event, stable field order.
+
+    The log's text is its lines, each followed by "\\n". Every
+    ``_DIGEST_CHUNK`` lines are sealed into one chunk of that text, encoded
+    as UTF-8, and their ``str`` objects are dropped; only the lines written
+    since the last seal stay open as ``str``. ``lines`` reads them all back.
+    A line holds no "\\n".
+    """
 
     def __init__(self) -> None:
-        self.lines: list[str] = []
-        self._hasher = hashlib.sha256()  # of the first ``_hashed`` lines, each + "\n"
+        self._chunks: list[bytes] = []  # sealed, each ``_DIGEST_CHUNK`` lines
+        self._open: list[str] = []  # written since the last seal
+        self._sealed = 0  # lines in ``_chunks``
+        self._hasher = hashlib.sha256()  # of the first ``_hashed`` chunks
         self._hashed = 0
         self._stamp_at: float | None = None  # the time ``_stamp`` shows
         self._stamp = ""
@@ -162,26 +172,85 @@ class EventLog:
         if time != self._stamp_at:
             self._stamp_at = time
             self._stamp = f"t={time:.6f} actor="
-        self.lines.append(f"{self._stamp}{actor} kind={rest}")
+        lines = self._open
+        lines.append(f"{self._stamp}{actor} kind={rest}")
+        if len(lines) == _DIGEST_CHUNK:
+            lines.append("")  # so the join ends the last line with "\n"
+            self._chunks.append("\n".join(lines).encode())
+            self._sealed += _DIGEST_CHUNK
+            self._open = []
 
     def emit(self, time: float, actor: str, kind: str, **ids) -> None:
         pairs = "".join([f" {key}={value}" for key, value in ids.items()])
         self.write(time, actor, kind + pairs)
 
+    @property
+    def lines(self) -> LogLines:
+        """Every line written, oldest first, as a read-only view."""
+        return LogLines(self)
+
+    def _open_text(self) -> bytes:
+        """The open lines' part of ``text()``, encoded."""
+        if self._open or not self._chunks:  # an empty log's text is "\n"
+            return ("\n".join(self._open) + "\n").encode()
+        return b""
+
+    def encoded(self):
+        """Yield ``text()`` encoded as UTF-8, in pieces: the sealed chunks as
+        they are, then the open lines."""
+        yield from self._chunks
+        yield self._open_text()
+
     def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        return b"".join(self.encoded()).decode()
 
     def digest(self) -> str:
-        """SHA-256 of ``text()``. Each call hashes only the lines added since
-        the last one, a chunk at a time, so the log's text is never built."""
-        lines = self.lines
-        if not lines:
-            return hashlib.sha256(b"\n").hexdigest()  # text() of an empty log
-        for start in range(self._hashed, len(lines), _DIGEST_CHUNK):
-            chunk = lines[start:start + _DIGEST_CHUNK]
-            self._hasher.update(("\n".join(chunk) + "\n").encode())
-        self._hashed = len(lines)
-        return self._hasher.copy().hexdigest()
+        """SHA-256 of ``text()``. Each call hashes only the chunks sealed
+        since the last one, plus the open lines."""
+        chunks = self._chunks
+        for chunk in chunks[self._hashed:]:
+            self._hasher.update(chunk)
+        self._hashed = len(chunks)
+        hasher = self._hasher.copy()
+        hasher.update(self._open_text())
+        return hasher.hexdigest()
+
+
+class LogLines(Sequence):
+    """A read-only view of an EventLog's lines, sealed and open, in order.
+
+    ``len`` costs nothing, iteration decodes one chunk at a time, and an
+    index decodes only the chunk that holds its line. Equal to a list or
+    view of the same lines."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: EventLog) -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return self._log._sealed + len(self._log._open)
+
+    def __iter__(self):
+        log = self._log
+        for chunk in log._chunks:
+            yield from chunk.decode().split("\n")[:-1]
+        yield from log._open
+
+    def __getitem__(self, index: int) -> str:
+        log, size = self._log, len(self)
+        if not -size <= index < size:
+            raise IndexError("log line index out of range")
+        index %= size
+        if index >= log._sealed:
+            return log._open[index - log._sealed]
+        chunk, at = divmod(index, _DIGEST_CHUNK)
+        return log._chunks[chunk].decode().split("\n")[at]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, LogLines)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 class HostControl:
@@ -367,11 +436,22 @@ class Simulation:
         step: int | None = None,
     ) -> Message:
         """Schedule delivery unless a drop rule fires; drops are attributed.
-        Message lines carry the details docs/formats.md lists."""
-        self._msg_seq += 1
+        Message lines carry the details docs/formats.md lists.
+
+        Raises ValueError, having numbered, logged and scheduled nothing,
+        when the delivery time, after delay rules, is before now."""
         now = self.now
-        msg = Message(self._msg_seq, src, dst, kind, payload, now, session,
+        msg = Message(self._msg_seq + 1, src, dst, kind, payload, now, session,
                       cut_point, campaign_id, owner_id, step)
+        net = self.net
+        killed = net.killed.get(src)
+        rule = None
+        if killed is None and net.rules:
+            rule, latency = net._fate(msg, now, latency)
+        when = now + latency
+        if killed is None and rule is None and when < now:
+            raise ValueError("cannot schedule into the past")
+        self._msg_seq += 1
         tail = f" msg={self._msg_seq} src={src} dst={dst}"
         if cut_point is not None:
             tail += f" cut={cut_point}"
@@ -379,22 +459,16 @@ class Simulation:
             tail += f" campaign={campaign_id}"
         if owner_id is not None:
             tail += f" owner={owner_id}"
-        net, write = self.net, self.log.write
-        killed = net.killed.get(src)
+        write = self.log.write
         if killed is not None:
             write(now, src, f"send_blocked:{kind} rule={killed[1]}{tail}")
             return msg
-        if net.rules:
-            rule, latency = net._fate(msg, now, latency)
-            if rule is not None:
-                self._check_cleartext(msg)
-                self.dropped.append((msg, rule.rule_id, rule.owner))
-                write(now, src, f"drop:{kind} rule={rule.rule_id} by={rule.owner}{tail}")
-                return msg
+        if rule is not None:
+            self._check_cleartext(msg)
+            self.dropped.append((msg, rule.rule_id, rule.owner))
+            write(now, src, f"drop:{kind} rule={rule.rule_id} by={rule.owner}{tail}")
+            return msg
         write(now, src, f"send:{kind}{tail}")
-        when = now + latency
-        if when < now:
-            raise ValueError("cannot schedule into the past")
         self._seq += 1
         heapq.heappush(self._queue, (when, self._seq, self._deliver, msg))
         return msg

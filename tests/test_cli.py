@@ -122,13 +122,15 @@ class TestCommands:
         assert cli.main(["run", "--scenario", "cut45_all"]) == 0
         assert capsys.readouterr().out == render_report(build_report(world_for("cut45_all")))
 
-    def test_run_writes_report_and_log(self, tmp_path):
+    # replay logs more than _DIGEST_CHUNK lines, so its log has a sealed chunk
+    @pytest.mark.parametrize("name", ["baseline", "replay"])
+    def test_run_writes_report_and_log(self, tmp_path, name):
         report_out, log_out = tmp_path / "report.json", tmp_path / "events.log"
-        assert cli.main(["run", "--scenario", "baseline", "--report-out", str(report_out),
+        assert cli.main(["run", "--scenario", name, "--report-out", str(report_out),
                          "--log-out", str(log_out)]) == 0
-        world = world_for("baseline")
+        world = world_for(name)
         assert report_out.read_text() == canonical_json(build_report(world)) + "\n"
-        assert log_out.read_text() == world.sim.log.text()
+        assert log_out.read_bytes() == world.sim.log.text().encode()
 
     def test_seed_override(self, capsys):
         assert cli.main(["run", "--json", "--seed", "7", "--scenario", "baseline"]) == 0

@@ -334,6 +334,22 @@ def test_dead_helper_is_reaped_and_replaced(header_answers):
 
 
 @needs_two_cpus
+def test_helper_that_fails_says_why_and_exits_non_zero(capfd, header_answers):
+    powcore.mine_nonce(*_HEADERS[0])
+    dead = powcore._helper.pid
+    powcore.post(-1, bytes(32), bytes(32), 8)  # a height _prefix cannot encode
+    deadline = time.monotonic() + 30
+    while process_state(dead) != "Z" and time.monotonic() < deadline:
+        time.sleep(0.01)
+    err = capfd.readouterr().err
+    assert "leasim PoW helper failed" in err and "OverflowError" in err
+    assert os.waitstatus_to_exitcode(os.waitpid(dead, 0)[1]) == 1
+    assert powcore.mine_nonce(*_HEADERS[1]) == header_answers[1]  # searched alone
+    assert powcore.mine_nonce(*_HEADERS[2]) == header_answers[2]
+    assert powcore._helper.pid != dead
+
+
+@needs_two_cpus
 def test_helper_killed_mid_search_leaves_the_answer_right(header_answers):
     header = (4, hashlib.sha256(b"mid-prev-4").digest(), hashlib.sha256(b"mid-payload-4").digest(), 16)
     answer = oracle_mine(*header)

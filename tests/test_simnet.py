@@ -1,8 +1,10 @@
 """Virtual-time network: determinism, drop attribution, host power surface."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -55,6 +57,19 @@ class TestDelivery:
         sim.run()
         with pytest.raises(ValueError):
             sim.schedule_at(4.0, lambda: None)
+
+    def test_send_into_past_rejected_before_numbering_or_logging(self):
+        sim, recs = mk_sim()
+        sim.schedule_at(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError):
+            sim.send("a", "b", "ping", {}, latency=-1.0)
+        assert (len(sim.log.lines), sim._msg_seq, sim._queue) == (0, 0, [])
+        # the check is on the latency after delay rules
+        sim.net.add_delay(2.0)
+        msg = sim.send("a", "b", "ping", {}, latency=-1.0)
+        sim.run()
+        assert msg.msg_id == 1 and recs["b"].inbox == [(6.0, "ping", {})]
 
     def test_duplicate_registration_rejected(self):
         sim, _ = mk_sim()
@@ -382,6 +397,45 @@ class TestEventLog:
         assert sizes == sorted(set(sizes)) and sizes[0] > 0
         assert sizes[1] > simnet._DIGEST_CHUNK and sizes[-1] > 2 * simnet._DIGEST_CHUNK
 
+    def test_lines_view_across_seals(self):
+        chunk = simnet._DIGEST_CHUNK
+        log = simnet.EventLog()
+        for n in range(2 * chunk + 3):
+            log.emit(n / 8, "a", "tick", n=n)
+        want = [emitted(n / 8, "a", "tick", n=n) for n in range(2 * chunk + 3)]
+        lines = log.lines
+        assert len(lines) == len(want)
+        assert (lines[0], lines[-1], lines[-len(want)]) == (want[0], want[-1], want[0])
+        # the last line of the first chunk, the second chunk's first, and the first open one
+        for n in (chunk - 1, chunk, chunk + 7, 2 * chunk):
+            assert lines[n] == want[n]
+        for outside in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                lines[outside]
+        assert lines == want and want == lines and lines == log.lines
+        assert lines != want[:-1] and lines != want[1:] + want[:1]
+        assert lines != tuple(want)  # as a list is never equal to a tuple
+        assert "\n".join(lines) + "\n" == log.text()
+
+    def test_sealed_log_keeps_little_more_than_its_text(self):
+        """Past the first seal the log holds fewer than a chunk of line
+        objects, and not much more memory than its text's bytes."""
+        chunk = simnet._DIGEST_CHUNK
+        rests = [f"tick n={n:06d} ".ljust(76, "x") for n in range(3 * chunk + 5)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = simnet.EventLog()
+            for rest in rests:
+                log.write(1.0, "a", rest)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        text = log.text().encode()
+        assert len(text) == len(rests) * 101  # 100-character lines
+        assert strs_held_by(log) < chunk
+        assert grown <= 1.25 * len(text)
+
     def test_line_keeps_detail_order(self):
         log = simnet.EventLog()
         log.emit(1.5, "a", "k", zeta=2, alpha="x")
@@ -396,6 +450,21 @@ class TestEventLog:
         log.write(2.0, "b", "bare")
         assert log.lines == ["t=1.500000 actor=a kind=k x=1"] * 2 + [
             "t=2.000000 actor=b kind=bare"]
+
+
+def strs_held_by(obj) -> int:
+    """How many str objects ``obj`` reaches through its attributes and
+    containers."""
+    seen, todo, found = set(), [obj], 0
+    while todo:
+        item = todo.pop()
+        if id(item) in seen or isinstance(item, type):
+            continue
+        seen.add(id(item))
+        if type(item) is str:
+            found += 1
+        todo.extend(gc.get_referents(item))
+    return found
 
 
 def emitted(time, actor, kind, **details):
