@@ -42,11 +42,14 @@ helper starts the block's search when its parent's ends, with the digest
 that search found, so assembling the next block reads nothing and the
 event loop never waits for a nonce. A post on any other block supersedes
 the queue, and a block whose parent's search was superseded before its
-digest was known is not posted at all. The first read
-of any of the three fields resolves the header's unread ancestors, oldest
-first, each through one ``powcore.mine_nonce`` call, which takes the
-helper's result or joins its search. A read of ``prev_digest`` stops at the
-parent; a read of the nonce or digest resolves the header too. After that
+digest was known is not posted at all. The first read of any of the three
+fields resolves the header's unread ancestors, oldest first, each through
+one ``powcore.mine_nonce`` call. That call takes the result the helper sent
+back, or joins the search: caller and helper then claim runs of nonces from
+one shared record until the smallest clearing nonce is certain. A queued
+block matches its read only once its parent has been read, on the parent's
+digest. A read of ``prev_digest`` stops at the parent; a read of the nonce
+or digest resolves the header too. After that
 they are plain attributes. A header built directly, or copied with
 ``dataclasses.replace``, holds every field from the start. Either way the
 values, ``==``, ``hash`` and ``repr`` are the same.
@@ -110,9 +113,10 @@ class BlockHeader:
                difficulty_bits: int) -> BlockHeader:
         """A header whose nonce search is posted now. ``parent`` is the
         parent header, or ``ZERO_DIGEST`` for a genesis block. While the
-        parent is unread this header holds the parent and its search is
-        queued behind the parent's; ``prev_digest``, ``pow_nonce`` and
-        ``own_digest`` are filled in on first read."""
+        parent is unread this header holds the parent, and its search is
+        queued behind the parent's, to start on the digest the helper finds
+        there. ``prev_digest``, ``pow_nonce`` and ``own_digest`` are filled
+        in on first read, from the helper's result or a joined search."""
         header = cls.__new__(cls)
         fields = header.__dict__
         fields.update(height=height, payload_digest=payload_digest, _bits=difficulty_bits)

@@ -1,132 +1,55 @@
 """PoW hash kernel: the block header digest and the nonce search.
 
-Preimage layout (80 bytes):
+A header's digest is SHA-256 of an 80-byte preimage: height (8 bytes,
+big-endian), prev_digest (32), payload_digest (32) and pow_nonce (8,
+big-endian). It clears ``difficulty_bits`` when that many leading bits are
+zero: below ``2**(256 - bits)``, compared as 32 bytes. The search hashes the
+72-byte prefix once per block and a second midstate per value of the
+nonce's high 7 bytes (a "high"); each attempt feeds a copy of that one tail
+byte, so it runs one SHA-256 compression. A high's tails are tried from 0,
+so its first hit is its smallest clearing nonce.
 
-    offset  size  field
-         0     8  height, big-endian
-         8    32  prev_digest
-        40    32  payload_digest
-        72     8  pow_nonce, big-endian
+Searches in the background. ``post`` queues a header's search for one
+forked helper process and returns at once. A job on the last posted job,
+passed as the parent while its digest is unknown, is *chained*: the helper
+starts it with the digest it found for the job before. Any other post
+*supersedes* the queue; a job on a superseded parent with no digest yet is
+not posted. ``mine_nonce`` alone returns a header's ``(nonce, digest)``. A
+read of the oldest unread job takes the helper's result or joins its search;
+a chained job matches only once the caller has read its parent, so a fork
+with the same height and payload never does. Any other read posts afresh.
 
-The digest is SHA-256 of the preimage. A digest clears ``difficulty_bits``
-when its first ``difficulty_bits`` bits are zero. As a big-endian integer
-that is ``digest < 2**(256 - bits)``, and since equal-length bytes compare
-lexicographically, the kernel compares the digest with that bound as 32
-bytes instead of converting it to an int.
+One claim loop. A record holds the job being searched: its sequence number
+and prev digest, the next unclaimed high, the best hit and each searcher's
+high in flight. Caller and helper run the same ``_join``: claim the next
+high and search it, record a hit that beats the best, stop once the next
+high is past the best, then wait for the other's in-flight high below the
+best as long as this searcher takes per high, and search it too if it is
+still in flight. So every high below the best is searched, the best is the
+smallest clearing nonce, and a helper that lags or never runs leaves the
+caller to claim every high, as one searcher would. A search cut short leaves
+its high in flight for the next read. The record is a memory file, and a
+POSIX record lock on it (``fcntl.lockf``), which the kernel releases if its
+holder dies, guards every access but a waiting searcher's look. The helper
+sends each job it finishes down a result pipe as ``(seq, nonce, digest)``;
+the caller empties the pipe at every post and read.
 
-The nonce search hashes the fixed 72-byte prefix once per block, the
-midstate, and a second midstate per value of the nonce's high 7 bytes (a
-"high"). Each attempt copies that second midstate and feeds it one tail
-byte, so it runs one SHA-256 compression instead of two. Within a high the
-tails are tried in order from 0, so the first hit in a high is that high's
-smallest clearing nonce.
-
-Searches in the background, queued in posting order. ``post`` hands a
-header's search to one forked helper process and returns at once, so the
-helper hashes on a second CPU while the caller gets on with other work. A
-post names the header's parent: its digest, or the job ``post`` returned
-for a parent whose digest is not known yet. A job on the last posted job is
-*chained*: the helper starts it when the job before it ends, with the digest
-that job found, so the blocks of a chain are searched one after another and
-the caller reads none of them to post the next. Any other post *supersedes*
-the queue: the helper drops every earlier job, so the searches of a chain
-nobody extends (a discarded world's genesis, the old branch of a fork) never
-sit in front of the live one. A job on a superseded parent whose digest is
-not known is not posted at all; its search runs when it is read.
-
-``mine_nonce`` is the only call that returns a header's ``(nonce,
-digest)``. The caller reads a queue's jobs in posting order, as resolving
-a header's unread ancestors oldest first does. A read of the oldest unread
-job takes the helper's result when the helper found it alone, and otherwise
-joins the search where the helper stands. A read of anything else, or of a
-job whose join was cut short, posts it afresh, which supersedes the queue,
-and joins it at once. Each searcher's walk is a generator of highs, and the
-one ``_search`` loop tries the highs that a walk yields.
-
-The helper's walk. While the caller is not on the job, the helper walks
-every high upward from 0, claiming each as its front before it searches
-it, and stops at its first hit, which is then the smallest clearing nonce.
-When it sees the caller joined, it records the next high as its split point
-before it claims anything at or above it, and from there walks only the odd
-highs, jumping to the first odd high at or above the caller's position when
-the caller has passed it. It stops past the caller's hit, once the caller
-is on a later job, or once the job is superseded.
-
-The caller's walk. It publishes itself on the job, at position 0, and then
-walks every high upward from 0, publishing each as its position before it
-takes it. It skips a high ``h`` at or below the helper's front when ``h`` is
-odd or below the split point, and searches every other high itself. It
-reads the front before the split point: the helper writes the split point
-before its front reaches it, so a front read at or past the split point
-comes with that split point, and a front read before the split shows a
-high the helper claimed in its walk over every high. Each searcher stops
-at its first hit or past the other's, and the caller returns the smaller.
-
-That is the smallest clearing nonce: every high below it was searched by
-one of the two. The helper claims highs in increasing order and finishes
-each before the next, so every high below its front that it claimed is
-done: each one below the split point, and each odd one after it. The
-helper may still be on the last high the caller skipped; the caller gives
-it as long as the caller took per high, then searches that high itself.
-The helper only ever jumps over highs the caller has already passed, and
-the caller only skips a high it has seen claimed, so no high is left out.
-A high may be searched by both, which costs time but not correctness.
-Each searcher hands over its digest with its nonce, so nothing is hashed
-twice, and a search the helper finished alone costs the caller no hash.
-
-So the caller never waits on the helper for long. A helper that starts
-late joins ahead of the caller, one that loses its CPU is overtaken, and
-one that never runs leaves the caller to search every high in order, as
-one searcher would. The helper runs at the lowest scheduling priority, so
-it takes only a CPU that nothing else wants.
-
-Handing results over. The helper writes each hit into its job's result
-slot, one of ``_SLOTS`` taken in turn by sequence number, and the caller
-takes the results it finds there at every post and read, so a slot is
-usually free again long before its turn comes round. The helper starts no
-job whose slot still holds a result the caller has not taken: it waits for
-the caller's next post or read. A chained job needs its parent's digest:
-the helper's own, when it found the parent's smallest nonce alone, or the
-one the caller sends down the job pipe after each read. A chained job whose
-parent's digest never arrives (its record or the answer found the pipe
-full, or the caller's join was cut short) waits until the caller reads on,
-posts a superseding job or exits, and is searched at its read.
-
-The shared array (an anonymous ``mmap``). Each searcher writes only its
-own words: the caller the first job of the live queue, the last job whose
-result it holds, the job it is on, the high of its hit and its position;
-the helper the job it is on, the high of its hit, its front, its split point
-and the result slots. It resets them before it publishes the job, and
-publishes a hit after the nonce and digest. A slot's sequence number is
-invalidated before the slot is rewritten and written last, and is read
-before and after the nonce and digest, so a read never mixes two jobs'
-results. A searcher reads the other's position, front, split point and hit
-only while both are on the same job, so a search left running by an
-interrupted call cannot bound a later one. A read may come late, but within
-a job each word moves one way only, so a late read costs a repeated high at
-most. Jobs and the caller's answers reach the helper over a pipe, tagged
-with a sequence number.
-
-The helper's lifecycle. It is forked on the first post and reused after
-that; a process has at most one. It closes the caller's end of the job
-pipe, so it exits on end-of-file when the caller dies, and it ignores
-SIGINT, which the caller handles. The caller writes records without
-blocking and drops one that finds the pipe full. An ``atexit`` hook closes
-the job pipe and reaps the helper, so no zombie outlives the caller. A
-process forked from the caller drops the inherited pipe end and forks its
-own helper; it never writes to its parent's. If the helper dies, the next
-post or read finds the pipe broken, or the next join finds it exited: that
-call reaps it and searches alone, and the next post forks a new helper.
-Where the split cannot run, ``post`` does nothing and the caller searches
-every high itself with the same ``_search``: with fewer than two usable
-CPUs, without ``os.fork`` or ``os.sched_getaffinity``, on a CPU other than
-x86-64, or while the process has other threads, which a fork would not copy
-and which could interleave on the pipe.
+The helper is forked on the first post, runs at the lowest priority and
+ignores SIGINT. It exits when the job pipe ends or the result pipe closes,
+as when its caller dies or an ``atexit`` hook closes them and reaps it. A
+job that finds the job pipe full is searched at its read, and a forked child
+forks its own helper. If the helper dies, the next post or read reaps it and
+searches alone. With fewer than two usable CPUs, without ``os.fork``,
+``os.sched_getaffinity`` or ``os.memfd_create``, or while other threads run,
+``post`` does nothing and ``mine_nonce`` runs the same ``_search`` alone.
 """
 from __future__ import annotations
 
 import atexit
 import collections
+import contextlib
+import dataclasses
+import fcntl
 import hashlib
 import itertools
 import mmap
@@ -140,50 +63,28 @@ import traceback
 BACKEND = "pure"
 
 _TAILS = tuple(bytes((low,)) for low in range(256))
-
-
-# Digests strictly below _BOUNDS[bits] clear ``bits`` (1..256); index 0 is
-# unused, because zero difficulty clears every digest.
+# Digests strictly below _BOUNDS[bits] clear ``bits`` (1..256).
 _BOUNDS = (b"",) + tuple((1 << (256 - bits)).to_bytes(32, "big") for bits in range(1, 257))
-
-# Past every 7-byte high: a searcher with no hit yet.
+# Past every 7-byte high: no hit yet, or no high in flight.
 _NO_HIT = 1 << 56
-# Caller to helper: sequence number, kind, height, digest, payload_digest,
-# difficulty bits. It is shorter than PIPE_BUF, so it is written and read
-# whole. A _PLAIN job carries its prev_digest and supersedes every earlier
-# job; a _CHAINED job's prev_digest is the digest of job seq - 1; an
-# _ANSWER carries the digest of job seq as the caller read it.
-_RECORD = struct.Struct(">qqq32s32sq")
-_PLAIN, _CHAINED, _ANSWER = 0, 1, 2
-_ZERO = bytes(32)
-# The shared array's words (8 bytes each). The caller writes the first
-# five, the helper the rest.
-_CALLER_LIVE, _CALLER_DONE, _CALLER_JOB, _CALLER_HIT, _CALLER_POS = 0, 1, 2, 3, 4
-_HELPER_JOB, _HELPER_HIT, _HELPER_FRONT, _HELPER_SPLIT = 5, 6, 7, 8
-# The helper's hit in job seq: slot seq % _SLOTS, as (seq, nonce, digest).
-_SLOTS = 16
-_FIRST_SLOT, _SLOT_WORDS = 9, 6
-_WORDS = _FIRST_SLOT + _SLOTS * _SLOT_WORDS
-# The shared array relies on aligned 8-byte stores becoming visible in
-# program order, which x86-64 guarantees and weaker memory models do not.
-_CAN_SPLIT = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-              and os.uname().machine == "x86_64")
+# A job (seq, height, payload_digest, bits) and a result (seq, nonce, digest)
+# are shorter than PIPE_BUF, so each is written and read whole.
+_JOB = struct.Struct(">qq32sq")
+_RESULT = struct.Struct(">qq32s")
+# The record's words: the job, its next unclaimed high, the high, nonce and
+# digest of its best hit, each searcher's high in flight, its prev digest.
+_SEQ, _NEXT, _BEST, _NONCE, _DIGEST, _CALLER, _HELPER, _PREV = 0, 1, 2, 3, 4, 8, 9, 10
+_WORDS = 14
+_CAN_FORK = all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create"))
 
 
 def header_digest(height: int, prev_digest: bytes, payload_digest: bytes, nonce: int) -> bytes:
-    preimage = (
-        height.to_bytes(8, "big")
-        + prev_digest
-        + payload_digest
-        + nonce.to_bytes(8, "big")
-    )
+    preimage = height.to_bytes(8, "big") + prev_digest + payload_digest + nonce.to_bytes(8, "big")
     return hashlib.sha256(preimage).digest()
 
 
 def meets_target(digest: bytes, difficulty_bits: int) -> bool:
-    if difficulty_bits <= 0:
-        return True
-    return digest < _BOUNDS[difficulty_bits]
+    return difficulty_bits <= 0 or digest < _BOUNDS[difficulty_bits]
 
 
 def _prefix(height: int, prev_digest: bytes, payload_digest: bytes):
@@ -191,8 +92,7 @@ def _prefix(height: int, prev_digest: bytes, payload_digest: bytes):
 
 
 def _search(prefix, bound: bytes, highs) -> tuple[int, bytes] | None:
-    """The first hit in the highs that ``highs`` yields: (nonce, digest), or
-    None once it yields no more."""
+    """The first hit in the highs ``highs`` yields, as (nonce, digest); None if none."""
     for high in highs:
         outer = prefix.copy()
         outer.update(high.to_bytes(7, "big"))
@@ -205,273 +105,183 @@ def _search(prefix, bound: bytes, highs) -> tuple[int, bytes] | None:
     return None
 
 
-def _slot(seq: int) -> int:
-    return _FIRST_SLOT + seq % _SLOTS * _SLOT_WORDS
+class _Record:
+    """A memory file both searchers map; ``with`` holds its POSIX record lock."""
+
+    def __init__(self) -> None:
+        self.fd = os.memfd_create("leasim-pow", os.MFD_CLOEXEC)
+        os.ftruncate(self.fd, _WORDS * 8)
+        self.words = memoryview(mmap.mmap(self.fd, _WORDS * 8)).cast("q")
+
+    def __enter__(self):
+        fcntl.lockf(self.fd, fcntl.LOCK_EX)
+        return self.words
+
+    def __exit__(self, *_exc) -> None:
+        fcntl.lockf(self.fd, fcntl.LOCK_UN)
 
 
-def _helpers_hit(words, seq: int) -> tuple[int, bytes] | None:
-    """The helper's hit in job ``seq`` as (nonce, digest), if its slot holds one."""
-    at = _slot(seq)
-    if words[at] != seq:
-        return None
-    found = words[at + 1], words[at + 2:at + _SLOT_WORDS].tobytes()
-    return found if words[at] == seq else None
+def _start(words, seq: int, prev_digest: bytes) -> None:
+    """Put job ``seq`` on the record: nothing claimed, no hit, no high in flight."""
+    words[_SEQ], words[_NEXT], words[_BEST] = seq, 0, _NO_HIT
+    words[_CALLER] = words[_HELPER] = _NO_HIT
+    words[_PREV:_PREV + 4] = memoryview(prev_digest).cast("q")
 
 
-def _lead_walk(words, seq: int, skipped: list[int]):
-    """The caller's walk: every high upward but the ones the helper has
-    claimed, which go into ``skipped``. It stops past the helper's hit."""
-    high = 0
+def _claims(record: _Record, seq: int, prev_digest: bytes, mine: int):
+    """The highs searcher ``mine`` takes in job ``seq``, each in flight while
+    it is searched; it starts the job unless the record is on it or past it."""
+    theirs = _CALLER + _HELPER - mine
+    started, taken, waited = time.perf_counter(), 0, None
+    with record as words:
+        if words[_SEQ] < seq:
+            _start(words, seq, prev_digest)
+        high = words[mine] if words[_SEQ] == seq else _NO_HIT  # left by a search cut short
     while True:
-        words[_CALLER_POS] = high
-        if words[_HELPER_JOB] == seq:
-            if high > words[_HELPER_HIT]:
+        if high < _NO_HIT:
+            taken += 1
+            yield high
+        with record as words:
+            if words[_SEQ] != seq:
                 return
-            # The front is read before the split point (see the module docstring).
-            if high <= words[_HELPER_FRONT] and (high & 1 or high < words[_HELPER_SPLIT]):
-                skipped.append(high)
-                high += 1
+            high = words[_NEXT]
+            if high < words[_BEST]:
+                words[_NEXT], words[mine] = high + 1, high
                 continue
-        yield high
-        high += 1
+            words[mine], high = _NO_HIT, words[theirs]
+            if high >= words[_BEST]:
+                return
+            if high == waited:  # still in flight after the wait: take it over
+                words[theirs], words[mine] = _NO_HIT, high
+                continue
+        deadline = time.perf_counter() + (time.perf_counter() - started) / max(taken, 1)
+        while record.words[theirs] == high and time.perf_counter() < deadline:
+            pass  # a look without the lock, which only decides when to take it
+        waited, high = high, _NO_HIT
 
 
-def _still_on(words, seq: int, high: int) -> bool:
-    """Whether the helper is on ``high`` of job ``seq`` without a hit."""
-    return (words[_HELPER_JOB] == seq and words[_HELPER_FRONT] == high
-            and words[_HELPER_HIT] == _NO_HIT)
+def _join(record: _Record, seq: int, mine: int, height: int, prev_digest: bytes,
+          payload_digest: bytes, bits: int) -> tuple[int, bytes] | None:
+    """Search job ``seq`` as searcher ``mine``, beside the other: its
+    smallest clearing nonce and digest, or None once it is off the record."""
+    prefix, claims = _prefix(height, prev_digest, payload_digest), _claims(record, seq, prev_digest, mine)
+    while (found := _search(prefix, _BOUNDS[bits], claims)) is not None:
+        with record as words:
+            if words[_SEQ] == seq and found[0] >> 8 < words[_BEST]:
+                words[_BEST], words[_NONCE] = found[0] >> 8, found[0]
+                words[_DIGEST:_DIGEST + 4] = memoryview(found[1]).cast("q")
+    with record as words:
+        if words[_SEQ] == seq:
+            return words[_NONCE], words[_DIGEST:_DIGEST + 4].tobytes()
+    return None
 
 
-def _lead(words, seq: int, prefix, bound: bytes) -> tuple[int, bytes]:
-    """The caller's part of job ``seq``: it joins the helper there, wherever
-    the helper stands, and returns the job's smallest clearing nonce."""
-    words[_CALLER_HIT] = _NO_HIT
-    words[_CALLER_POS] = 0
-    words[_CALLER_JOB] = seq
-    skipped: list[int] = []
-    started = time.perf_counter()
-    best = _search(prefix, bound, _lead_walk(words, seq, skipped))
-    if best is None:  # stopped past the helper's hit, which is the smallest
-        return _helpers_hit(words, seq)
-    high = best[0] >> 8
-    words[_CALLER_HIT] = high
-    if skipped:
-        # The helper has searched every high it claimed below its front. It
-        # may still be on the last one the caller skipped: give it as long
-        # as the caller took per high, then search that high here too.
-        last = skipped[-1]
-        deadline = time.perf_counter() + (time.perf_counter() - started) / (high + 1 - len(skipped))
-        while _still_on(words, seq, last) and time.perf_counter() < deadline:
-            pass
-        if _still_on(words, seq, last):
-            best = _search(prefix, bound, (last,)) or best
-    theirs = _helpers_hit(words, seq)
-    return theirs if theirs is not None and theirs[0] < best[0] else best
-
-
-def _follow(words, seq: int):
-    """The helper's walk, each high claimed as its front before it is
-    searched: every high upward while the caller is not on the job, then,
-    from the split point, the odd highs. It jumps ahead of the caller when
-    the caller has passed it, and stops past the caller's hit, once the
-    caller is on a later job or once the job is superseded."""
-    high = 0
-    while words[_CALLER_JOB] < seq:
-        words[_HELPER_FRONT] = high
-        if words[_CALLER_LIVE] > seq:
-            return
-        yield high
-        high += 1
-    words[_HELPER_SPLIT] = high
-    high |= 1
+def _serve(job_r: int, result_w: int, record: _Record) -> None:
+    """The helper's loop: search the posted jobs in order and send each result."""
+    waiting: collections.deque = collections.deque()  # jobs read, not yet searched
+    done, done_digest = 0, b""  # the last job the helper finished, and its digest
     while True:
-        passed = words[_CALLER_POS]
-        if high < passed:
-            high = passed | 1
-        words[_HELPER_FRONT] = high
-        if (words[_CALLER_JOB] != seq or high > words[_CALLER_HIT]
-                or words[_CALLER_LIVE] > seq):
-            return
-        yield high
-        high += 2
-
-
-def _run(words, seq: int, height: int, prev_digest: bytes, payload_digest: bytes,
-         bits: int) -> bytes | None:
-    """The helper's search of job ``seq``. Its hit goes into the job's slot,
-    nonce and digest first; returns the digest when the helper found the
-    smallest clearing nonce alone."""
-    words[_HELPER_HIT] = _NO_HIT
-    words[_HELPER_FRONT] = -1
-    words[_HELPER_SPLIT] = _NO_HIT
-    words[_HELPER_JOB] = seq
-    found = _search(_prefix(height, prev_digest, payload_digest), _BOUNDS[bits], _follow(words, seq))
-    if found is None:
-        return None
-    at = _slot(seq)
-    words[at] = -1
-    words[at + 1] = found[0]
-    words[at + 2:at + _SLOT_WORDS] = memoryview(found[1]).cast("q")
-    words[at] = seq
-    words[_HELPER_HIT] = found[0] >> 8
-    return found[1] if words[_HELPER_SPLIT] == _NO_HIT else None
-
-
-def _serve(job_r: int, words) -> None:
-    """The helper's loop: run the posted jobs in posting order until the job
-    pipe closes, reading the pipe whenever no job can start."""
-    waiting: collections.deque = collections.deque()  # jobs read, not yet run
-    known, known_digest = 0, _ZERO  # the latest job whose digest the helper has
-    while True:
-        # Jobs up to ``taken`` are superseded or the caller holds their
-        # results: their slots are free.
-        taken = max(words[_CALLER_DONE], words[_CALLER_LIVE] - 1)
-        while waiting and waiting[0][0] <= max(taken, known):
-            waiting.popleft()
-        if waiting and waiting[0][0] <= taken + _SLOTS and (
-                waiting[0][1] == _PLAIN or waiting[0][0] == known + 1):
-            seq, kind, height, prev_digest, payload_digest, bits = waiting.popleft()
-            digest = _run(words, seq, height, prev_digest if kind == _PLAIN else known_digest,
-                          payload_digest, bits)
-            if digest is not None:
-                known, known_digest = seq, digest
+        prev = None
+        with record as words:
+            while waiting and waiting[0][0] < words[_SEQ]:
+                waiting.popleft()  # read or superseded by the caller
+            if waiting and waiting[0][0] == words[_SEQ]:
+                prev = words[_PREV:_PREV + 4].tobytes()
+            elif waiting and waiting[0][0] == done + 1:
+                prev = done_digest  # chained on the job it finished last
+        if prev is None:
+            if not (data := os.read(job_r, _JOB.size)):
+                return
+            waiting.append(_JOB.unpack(data))
             continue
-        data = os.read(job_r, _RECORD.size)
-        if not data:
-            return
-        record = _RECORD.unpack(data)
-        if record[1] != _ANSWER:
-            waiting.append(record)  # a _PLAIN one has moved the live queue past the others
-        elif record[0] > known:
-            known, known_digest = record[0], record[3]
+        seq, height, payload_digest, bits = waiting.popleft()
+        if (found := _join(record, seq, _HELPER, height, prev, payload_digest, bits)) is not None:
+            try:
+                os.write(result_w, _RESULT.pack(seq, *found))
+            except BrokenPipeError:
+                return  # the caller has closed the pipe or died
+            done, done_digest = seq, found[1]
 
 
+@dataclasses.dataclass(eq=False, slots=True)
 class _Job:
-    """A posted search as the caller sees it. ``post`` returns it, and a
-    block on it passes it as its parent until its digest is known."""
-
-    __slots__ = ("seq", "height", "prev_digest", "payload_digest", "bits", "result", "joined")
-
-    def __init__(self, height: int, prev_digest: bytes | None, payload_digest: bytes,
-                 bits: int) -> None:
-        self.seq = 0
-        self.height, self.payload_digest, self.bits = height, payload_digest, bits
-        self.prev_digest = prev_digest  # None until the parent's result is known
-        self.result: tuple[int, bytes] | None = None
-        self.joined = False  # the caller has started its part of the search
-
-    def is_for(self, job: tuple[int, bytes, bytes, int]) -> bool:
-        return (self.height, self.prev_digest, self.payload_digest, self.bits) == job
+    """A posted search as the caller sees it, and a block's parent until read."""
+    seq: int
+    header: list  # height, prev_digest (None until the parent is read), payload_digest, bits
+    result: tuple[int, bytes] | None = None
 
 
 class _Helper:
     """The forked process that searches in the background, seen from the caller."""
 
     def __init__(self) -> None:
-        self.owner = os.getpid()
-        self.seq = 0
+        self.owner, self.seq = os.getpid(), 0
         self.last: _Job | None = None  # the last job posted: a post on it chains
-        # The live queue's jobs not yet read, and those without a result,
-        # oldest first. A job leaves ``running`` before it leaves ``unread``.
-        self.unread: collections.deque[_Job] = collections.deque()
-        self.running: collections.deque[_Job] = collections.deque()
-        self.words = memoryview(mmap.mmap(-1, _WORDS * 8)).cast("q")
+        self.unread: collections.deque[_Job] = collections.deque()  # the live queue's, in order
+        self.record = _Record()
         job_r, self.job_w = os.pipe()
+        self.result_r, result_w = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
-            status = 1
             try:
                 os.close(self.job_w)
+                os.close(self.result_r)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                _serve(job_r, self.words)
-                status = 0  # the job pipe closed
+                _serve(job_r, result_w, self.record)
             except Exception:
-                # Straight to fd 2: the exit below flushes no Python buffer.
+                # Straight to fd 2: the exit flushes no Python buffer.
                 os.write(2, ("leasim PoW helper failed:\n" + traceback.format_exc()).encode())
+                os._exit(1)
             finally:
-                os._exit(status)
-        # Set here, not in the child, so it holds before the first job is sent.
-        os.setpriority(os.PRIO_PROCESS, self.pid, 19)
+                os._exit(0)
+        os.setpriority(os.PRIO_PROCESS, self.pid, 19)  # here: it holds before the first job
         os.close(job_r)
+        os.close(result_w)
         os.set_blocking(self.job_w, False)
+        os.set_blocking(self.result_r, False)
 
-    def send(self, seq: int, kind: int, height: int, digest: bytes, payload_digest: bytes,
-             bits: int) -> None:
-        """Write one record to the helper.
-
-        Raises BrokenPipeError if the helper is gone.
-        """
-        try:
-            os.write(self.job_w, _RECORD.pack(seq, kind, height, digest, payload_digest, bits))
-        except BlockingIOError:
-            pass  # the helper is a pipeful of records behind: the caller searches alone
-
-    def post(self, job: _Job, chained: bool) -> None:
-        """Queue ``job`` behind the last posted job, or in place of the whole
-        queue, and hand it to the helper.
-
-        Raises BrokenPipeError if the helper is gone.
-        """
+    def post(self, header: list, chained: bool) -> _Job:
+        """Queue a job behind the last posted one, or in place of the queue."""
         self.seq += 1
-        job.seq = self.seq
+        job = _Job(self.seq, header)
         if chained and self.last.result is not None:
-            job.prev_digest = self.last.result[1]
+            header[1] = self.last.result[1]
         elif not chained:
             self.unread.clear()
-            self.running.clear()
-            self.words[_CALLER_LIVE] = job.seq
+            with self.record as words:
+                _start(words, job.seq, header[1])
         self.last = job
         self.unread.append(job)
-        self.running.append(job)
-        self.send(job.seq, _CHAINED if chained else _PLAIN, job.height,
-                  job.prev_digest or _ZERO, job.payload_digest, job.bits)
-
-    def settle(self, result: tuple[int, bytes]) -> None:
-        """Record ``result`` as the oldest running job's."""
-        job = self.running.popleft()
-        job.result = result
-        self.words[_CALLER_DONE] = job.seq
-        if self.running:  # chained on this job
-            self.running[0].prev_digest = result[1]
-
-    def collect(self) -> None:
-        """Take the results the helper found alone off their slots, oldest
-        first. A job the caller joined is the caller's to settle."""
-        running, words = self.running, self.words
-        while running and not running[0].joined and (
-                found := _helpers_hit(words, running[0].seq)) is not None:
-            self.settle(found)
-
-    def exited(self) -> bool:
-        """Whether the helper has exited; reaps it if so."""
         try:
-            return os.waitpid(self.pid, os.WNOHANG)[0] != 0
-        except ChildProcessError:  # already reaped elsewhere
-            return True
+            os.write(self.job_w, _JOB.pack(job.seq, header[0], header[2], header[3]))
+        except BlockingIOError:
+            pass  # the helper is a pipeful of jobs behind: this one is searched at its read
+        return job
 
-    def close(self) -> None:
-        """Stop the helper and reap it. A search it is still running sees
-        the queue superseded and stops at its next high."""
-        self.words[_CALLER_LIVE] = self.words[_CALLER_JOB] = self.seq + 1
-        os.close(self.job_w)
-        try:
-            os.waitpid(self.pid, 0)
-        except ChildProcessError:  # already reaped elsewhere
-            pass
+    def take_results(self) -> None:
+        """Give each unread job its result from the pipe; BrokenPipeError once none come."""
+        while True:
+            try:
+                data = os.read(self.result_r, _RESULT.size << 10)
+            except BlockingIOError:
+                return
+            if not data:
+                raise BrokenPipeError("the PoW helper has exited")
+            first = self.unread[0].seq if self.unread else 0
+            for seq, nonce, digest in _RESULT.iter_unpack(data):
+                if first <= seq < first + len(self.unread):
+                    self.unread[seq - first].result = nonce, digest
 
 
 _helper: _Helper | None = None
 
 
 def _helper_here() -> _Helper | None:
-    """This process's helper, forked on first use; None when the split
-    cannot run."""
+    """This process's helper, forked on first use; None where none can run."""
     global _helper
     if _helper is not None and _helper.owner != os.getpid():
-        # Inherited through a fork: the parent's helper, not this process's.
-        os.close(_helper.job_w)
-        _helper = None
-    if not _CAN_SPLIT or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+        _stop_helper()  # inherited through a fork: the parent's helper
+    if not _CAN_FORK or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
         return None
     if _helper is None:
         _helper = _Helper()
@@ -480,71 +290,60 @@ def _helper_here() -> _Helper | None:
 
 @atexit.register
 def _stop_helper() -> None:
-    """Close this process's helper, if it has one, and reap it."""
+    """Stop this process's helper and reap it, or drop one inherited through a fork."""
     global _helper
     helper, _helper = _helper, None
-    if helper is not None and helper.owner == os.getpid():
-        helper.close()
+    if helper is None:
+        return
+    if own := helper.owner == os.getpid():
+        with helper.record as words:  # also lets go of a lock that a cut-short call kept
+            words[_SEQ] = helper.seq + 1
+    for fd in (helper.job_w, helper.result_r, helper.record.fd):
+        os.close(fd)
+    if own:
+        with contextlib.suppress(ChildProcessError):  # already reaped elsewhere
+            os.waitpid(helper.pid, 0)
 
 
-def _post(helper: _Helper, job: _Job, chained: bool) -> _Job | None:
-    """Post ``job`` to ``helper``; None if the helper was gone."""
+def post(height: int, prev: bytes | _Job | None, payload_digest: bytes, difficulty_bits: int) -> _Job | None:
+    """Start the nonce search for this header in the background. ``prev`` is
+    the parent's digest, or the job ``post`` returned for the parent while
+    that is unknown. Returns this header's job, or None if nothing was posted:
+    where no helper can run, or on a superseded parent with no digest yet."""
+    if difficulty_bits <= 0 or prev is None or (helper := _helper_here()) is None:
+        return None
     try:
-        helper.post(job, chained)
+        helper.take_results()
+        if isinstance(prev, _Job):
+            if prev is helper.last:
+                return helper.post([height, None, payload_digest, difficulty_bits], True)
+            if prev.result is None:
+                return None
+            prev = prev.result[1]
+        return helper.post([height, prev, payload_digest, difficulty_bits], False)
     except BrokenPipeError:
         _stop_helper()  # reaps the dead helper; the next post forks a new one
         return None
-    return job
-
-
-def post(height: int, prev: bytes | _Job | None, payload_digest: bytes,
-         difficulty_bits: int) -> _Job | None:
-    """Start the nonce search for this header in the background and return
-    at once. ``prev`` is the parent's digest, or, while that is not known,
-    the job ``post`` returned for the parent. Returns this header's job, or
-    None when nothing was posted: where the split cannot run, or when the
-    parent's search was superseded before its digest was known.
-    ``mine_nonce`` with the header's fields joins the search."""
-    if difficulty_bits <= 0 or prev is None or (helper := _helper_here()) is None:
-        return None
-    helper.collect()
-    if isinstance(prev, _Job):
-        if prev is helper.last:
-            return _post(helper, _Job(height, None, payload_digest, difficulty_bits), True)
-        if prev.result is None:
-            return None
-        prev = prev.result[1]
-    return _post(helper, _Job(height, prev, payload_digest, difficulty_bits), False)
 
 
 def mine_nonce(height: int, prev_digest: bytes, payload_digest: bytes, difficulty_bits: int) -> tuple[int, bytes]:
     """Smallest nonce whose header digest clears the difficulty target, with
-    that digest. Takes or joins the search of the queue's oldest unread job
-    when this header is that job, and otherwise posts it first."""
+    that digest: the search of the oldest unread job if it is this header's."""
     if difficulty_bits <= 0:
         return 0, header_digest(height, prev_digest, payload_digest, 0)
-    prefix, bound = _prefix(height, prev_digest, payload_digest), _BOUNDS[difficulty_bits]
-    helper = _helper_here()
-    if helper is None:
-        return _search(prefix, bound, itertools.count())
-    helper.collect()
-    job = helper.unread[0] if helper.unread else None
-    if job is None or not job.is_for((height, prev_digest, payload_digest, difficulty_bits)) or (
-            job.joined and job.result is None):  # not queued next, or a join cut short
-        job = _post(helper, _Job(height, prev_digest, payload_digest, difficulty_bits), False)
-        if job is None:
-            return _search(prefix, bound, itertools.count())
-    if job.result is None:
-        if helper.exited():  # died since the post: reap it and search alone
-            _stop_helper()
-            return _search(prefix, bound, itertools.count())
-        job.joined = True
-        helper.settle(_lead(helper.words, job.seq, prefix, bound))
-    helper.unread.popleft()
-    try:
-        # A chained job may need this digest, and a helper waiting for a
-        # free slot wakes on it.
-        helper.send(job.seq, _ANSWER, 0, job.result[1], _ZERO, 0)
-    except BrokenPipeError:
-        _stop_helper()
-    return job.result
+    header = [height, prev_digest, payload_digest, difficulty_bits]
+    if (helper := _helper_here()) is not None:
+        try:
+            helper.take_results()
+            job = helper.unread[0] if helper.unread and helper.unread[0].header == header else None
+            job = job or helper.post(header, False)
+            job.result = job.result or _join(helper.record, job.seq, _CALLER, *header)
+            if job.result is None:  # the helper finished it and moved on, its result sent
+                helper.take_results()
+            helper.unread.popleft()
+            if helper.unread:  # chained on this job
+                helper.unread[0].header[1] = job.result[1]
+            return job.result
+        except BrokenPipeError:
+            _stop_helper()  # reaps the dead helper; the next post forks a new one
+    return _search(_prefix(height, prev_digest, payload_digest), _BOUNDS[difficulty_bits], itertools.count())

@@ -1,15 +1,18 @@
 """Hash kernel: known answers, brute-force search and an independent digest oracle."""
 from __future__ import annotations
 
-import collections
+import contextlib
 import fcntl
 import hashlib
 import itertools
 import json
 import os
+import select
 import signal
+import struct
 import subprocess
 import sys
+import termios
 import threading
 import time
 from pathlib import Path
@@ -148,12 +151,12 @@ def test_zero_difficulty_accepts_nonce_zero():
     assert nonce == 0
 
 
-# -- the split search's helper process ----------------------------------------
+# -- the background search's helper process ------------------------------------
 
 SRC = str(Path(leasim.__file__).resolve().parent.parent)
 needs_two_cpus = pytest.mark.skipif(
-    not powcore._CAN_SPLIT or len(os.sched_getaffinity(0)) < 2,
-    reason="the split search needs two usable CPUs on x86-64 Linux")
+    not powcore._CAN_FORK or len(os.sched_getaffinity(0)) < 2,
+    reason="the background search needs two usable CPUs, os.fork and os.memfd_create")
 
 # Headers mined by the helper tests, and the oracle's answers for them.
 _HEADERS = [(height, hashlib.sha256(b"life-prev-%d" % height).digest(),
@@ -216,6 +219,33 @@ def test_helper_exits_when_its_caller_is_killed():
     finally:
         if process_state(pid) not in (None, "Z"):
             os.kill(pid, signal.SIGKILL)
+
+
+@needs_two_cpus
+def test_helper_of_a_caller_killed_mid_join_ends_quietly():
+    """The caller is SIGKILLed while it joins a long search, with a high in
+    flight. The helper finishes the job, taking that high over once it has
+    waited, finds the result pipe closed, and exits without a word: the
+    caller's stderr, which it shares, stays empty."""
+    long = (7, hashlib.sha256(b"quiet-prev-2").digest(), hashlib.sha256(b"quiet-payload").digest(), 20)
+    script = (
+        "import os, signal\n"
+        "from leasim import powcore\n"
+        f"powcore.mine_nonce(*{_HEADERS[0]!r})\n"
+        "print(powcore._helper.pid, flush=True)\n"
+        "signal.signal(signal.SIGALRM, lambda *_: os.kill(os.getpid(), signal.SIGKILL))\n"
+        "signal.setitimer(signal.ITIMER_REAL, 0.05)\n"
+        f"powcore.mine_nonce(*{long!r})\n"  # about 3000 highs: far from done at the kill
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert done.returncode == -signal.SIGKILL
+    assert done.stderr == ""  # the helper held it open until it exited
+    pid = int(done.stdout)
+    deadline = time.monotonic() + 30
+    while process_state(pid) not in (None, "Z") and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert process_state(pid) in (None, "Z"), "the helper outlived its killed caller"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
@@ -288,17 +318,18 @@ def test_interrupted_search_leaves_no_stale_state(header_answers):
 
 
 @needs_two_cpus
-def test_a_join_cut_short_is_posted_afresh_when_read_again():
-    """The header whose join was interrupted is read again: its job is
-    posted afresh, never joined a second time, and the answer is the
-    oracle's."""
+def test_a_join_cut_short_resumes_when_read_again(monkeypatch):
+    """The header whose join was interrupted mid-high is read again, with
+    the helper stopped: the read joins the same job, not a fresh post, first
+    searches the high the interrupt left in flight, and returns the
+    oracle's answer."""
     header = (4, hashlib.sha256(b"mid-prev-4").digest(), hashlib.sha256(b"mid-payload-4").digest(), 16)
     answer = single_searcher(*header)
     assert answer[0] == 98783  # about 390 highs: the interrupt lands mid-search
     powcore.mine_nonce(*_HEADERS[0])
 
     def interrupt(_signum, frame):
-        if frame.f_globals.get("__name__") == powcore.__name__:
+        if frame.f_code is powcore._search.__code__:  # mid-high
             raise _Interrupted
         signal.setitimer(signal.ITIMER_REAL, 0.001)
 
@@ -310,10 +341,16 @@ def test_a_join_cut_short_is_posted_afresh_when_read_again():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    posted = powcore._helper.seq
-    assert powcore._helper.unread[0].joined
-    assert powcore.mine_nonce(*header) == answer
-    assert powcore._helper.seq == posted + 1 and not powcore._helper.unread
+    helper = powcore._helper
+    stop_outside_the_lock(helper)
+    try:
+        posted, left = helper.seq, helper.record.words[powcore._CALLER]
+        searched = count_searched_highs(monkeypatch)
+        assert powcore.mine_nonce(*header) == answer
+    finally:
+        os.kill(helper.pid, signal.SIGCONT)
+    assert helper.seq == posted and not helper.unread
+    assert left == powcore._NO_HIT or searched[0] == left  # unless the helper took it over
 
 
 @needs_two_cpus
@@ -381,8 +418,23 @@ def test_helper_killed_mid_search_leaves_the_answer_right(header_answers):
     assert powcore._helper.pid != dead
 
 
+def stop_outside_the_lock(helper) -> None:
+    """SIGSTOP the helper while this process holds the record lock, so the
+    helper never stops holding it."""
+    with helper.record:
+        os.kill(helper.pid, signal.SIGSTOP)
+        deadline = time.monotonic() + 30
+        while process_state(helper.pid) != "T":
+            assert time.monotonic() < deadline, "the helper never stopped"
+            time.sleep(0.001)
+
+
 class _Stuck(Exception):
     pass
+
+
+def raise_stuck(_signum, _frame):
+    raise _Stuck
 
 
 @needs_two_cpus
@@ -390,213 +442,151 @@ def test_stopped_helper_never_holds_up_the_caller(header_answers):
     """With its helper stopped before the job, the caller searches every
     high itself, in order, as one searcher would, and gives the same answers."""
     powcore.mine_nonce(*_HEADERS[0])
-    helper = powcore._helper.pid
-    words = powcore._helper.words
-    assert os.getpriority(os.PRIO_PROCESS, helper) == 19  # only an idle CPU
+    helper = powcore._helper
+    assert os.getpriority(os.PRIO_PROCESS, helper.pid) == 19  # only an idle CPU
 
-    def stuck(_signum, _frame):
-        raise _Stuck
-
-    previous = signal.signal(signal.SIGALRM, stuck)
-    os.kill(helper, signal.SIGSTOP)
+    previous = signal.signal(signal.SIGALRM, raise_stuck)
+    stop_outside_the_lock(helper)
     try:
         signal.alarm(60)
         for header, answer in zip(_HEADERS, header_answers):
             assert powcore.mine_nonce(*header) == answer
-            assert words[powcore._HELPER_JOB] < words[powcore._CALLER_JOB]
+            assert helper.record.words[powcore._HELPER] == powcore._NO_HIT  # never on it
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-        os.kill(helper, signal.SIGCONT)
+        os.kill(helper.pid, signal.SIGCONT)
     assert [powcore.mine_nonce(*h) for h in _HEADERS] == header_answers
-    assert powcore._helper.pid == helper
+    assert powcore._helper is helper
 
 
-def smallest_odd_high_hit(height, prev, payload, bits, high=1):
-    """The first hit in the odd highs from ``high`` (odd) upward."""
-    while True:
-        for nonce in range(high << 8, (high + 1) << 8):
-            digest = oracle_digest(height, prev, payload, nonce)
-            if oracle_clears(digest, bits):
-                return nonce, digest
-        high += 2
+@needs_two_cpus
+def test_caller_takes_over_the_high_of_a_helper_stopped_mid_high(monkeypatch):
+    """The helper is stopped with a high in flight. The caller claims the
+    highs after it, waits for that high as long as it takes per high, then
+    searches it itself, and returns the oracle's nonce with no hang."""
+    header = (4, hashlib.sha256(b"mid-prev-4").digest(), hashlib.sha256(b"mid-payload-4").digest(), 16)
+    answer = single_searcher(*header)
+    powcore.mine_nonce(*_HEADERS[0])
+    helper = powcore._helper
+    job = powcore.post(*header)
+    words = helper.record.words
+    deadline = time.monotonic() + 60
+    while not (words[powcore._SEQ] == job.seq and 0 < words[powcore._HELPER] < powcore._NO_HIT):
+        assert time.monotonic() < deadline, "the helper never started the job"
+        time.sleep(0.0005)
+    stop_outside_the_lock(helper)
+    try:
+        stuck = words[powcore._HELPER]
+        assert stuck < answer[0] >> 8
+        searched = count_searched_highs(monkeypatch)
+        previous = signal.signal(signal.SIGALRM, raise_stuck)
+        signal.alarm(60)
+        try:
+            assert powcore.mine_nonce(*header) == answer
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert searched[-1] == stuck and words[powcore._HELPER] == powcore._NO_HIT
+    finally:
+        os.kill(helper.pid, signal.SIGCONT)
+    assert [powcore.mine_nonce(*h) for h in _HEADERS[1:]] == [single_searcher(*h) for h in _HEADERS[1:]]
 
 
-def shared_words():
-    return memoryview(bytearray(powcore._WORDS * 8)).cast("q")
+def test_the_kernel_releases_the_lock_of_a_killed_holder():
+    record = powcore._Record()
+    child = os.fork()
+    if child == 0:
+        try:
+            with record:
+                os.kill(os.getpid(), signal.SIGKILL)
+        finally:
+            os._exit(1)
+    assert wait_for_exit(child) == -signal.SIGKILL
+    previous = signal.signal(signal.SIGALRM, raise_stuck)
+    signal.alarm(30)
+    try:
+        with record as words:
+            words[powcore._SEQ] = 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    os.close(record.fd)
 
 
-def caller_on(words, seq, hit=powcore._NO_HIT, pos=0):
-    """Publish the caller's words as a caller joined on job ``seq``, the
-    first job of the live queue, at ``pos`` with a hit in high ``hit``."""
-    words[powcore._CALLER_LIVE] = seq
-    words[powcore._CALLER_HIT], words[powcore._CALLER_POS] = hit, pos
-    words[powcore._CALLER_JOB] = seq
+# Headers whose answers lie in highs 0, 1, 2, 4, 5, 6 and 7, at 10 bits.
+_CLAIM_HEADERS = [(height, bytes([height]) * 32, b"\x5a" * 32, 10) for height in (0, 2, 3, 5, 6, 17, 20)]
 
 
-def caller_before(words, seq, done=0):
-    """Publish the caller's words as a caller that posted job ``seq`` as the
-    first of the live queue, holds every result up to job ``done`` and is
-    not on any job of this queue yet."""
-    words[powcore._CALLER_LIVE], words[powcore._CALLER_DONE] = seq, done
-    words[powcore._CALLER_JOB] = 0
-
-
-def in_slot(words, seq, found):
-    """Put ``found``, a (nonce, digest), in job ``seq``'s result slot."""
-    at = powcore._slot(seq)
-    words[at + 1] = found[0]
-    words[at + 2:at + powcore._SLOT_WORDS] = memoryview(found[1]).cast("q")
-    words[at] = seq
-
-
-def helper_on(words, seq, front, hit=powcore._NO_HIT, split=powcore._NO_HIT, found=None):
-    """Put the helper's words where a helper on job ``seq`` can stand:
-    ``found`` is the (nonce, digest) of its hit, when ``hit`` is one."""
-    words[powcore._HELPER_HIT], words[powcore._HELPER_FRONT] = hit, front
-    words[powcore._HELPER_SPLIT] = split
-    if found is not None:
-        in_slot(words, seq, found)
-    words[powcore._HELPER_JOB] = seq
-
-
-# Headers whose answers lie in high 0, in odd highs 1, 5 and 7 and in even
-# highs 2, 4, 6 and 14, at 10 bits.
-_LEAD_HEADERS = [(height, bytes([height]) * 32, b"\x5a" * 32, 10)
-                 for height in (0, 1, 2, 3, 5, 6, 17, 20)]
-
-
-def background_states(seq, header, answer):
-    """Every state a helper that was posted ``header`` as job ``seq`` can be
-    in when the caller reads its words, as ``helper_on`` arguments."""
-    answer_high = answer[0] >> 8
-    # Not on the job yet: its words are an older job's, which bound nothing.
-    states = [dict(seq=seq - 1, front=answer_high + 9, hit=0, found=(5, bytes(32)))]
-    # Alone, on every high in turn: on any of them up to its first hit,
-    # which is the answer, or holding that hit.
-    states += [dict(seq=seq, front=front) for front in range(answer_high + 1)]
-    states.append(dict(seq=seq, front=answer_high, hit=answer_high, found=answer))
-    # Switched at a split point: every high below it done and none a hit.
-    # Then it is before its first odd claim, on an odd high up to its first
-    # odd hit from there, or holding that hit.
-    for split in range(answer_high + 1):
-        odd = smallest_odd_high_hit(*header, high=split | 1)
-        odd_high = odd[0] >> 8
-        states.append(dict(seq=seq, front=split - 1, split=split))
-        states += [dict(seq=seq, front=front, split=split)
-                   for front in range(split | 1, odd_high + 1, 2)]
-        states.append(dict(seq=seq, front=odd_high, hit=odd_high, split=split, found=odd))
+def record_states(answer_high, hit, later_high):
+    """Every state the record of a job can be in when the caller joins it,
+    with nobody running beside it: as (next unclaimed high, the other's
+    high in flight, the caller's high in flight, best high, best hit).
+    Every claimed high that is not in flight has been searched.
+    ``later_high`` is the first high past the answer's with a hit."""
+    none = powcore._NO_HIT
+    states = [(0, none, none, none, None)]  # nothing claimed
+    for claimed in range(1, answer_high + 2):
+        if claimed <= answer_high:  # the other searched them all, no hit
+            states.append((claimed, none, none, none, None))
+        # The other, or a caller's search cut short, holds one of them.
+        for flight in range(claimed):
+            if flight == answer_high or claimed <= answer_high:
+                states.append((claimed, flight, none, none, None))
+                states.append((claimed, none, flight, none, None))
+    # The other found it, with a later hit of the caller's cut short.
+    states.append((answer_high + 1, none, none, answer_high, hit))
+    states.append((later_high + 1, none, later_high, answer_high, hit))
     return states
 
 
-def test_lead_meets_the_helper_where_it_stands():
-    """The caller's part of a job, against every state a helper can be in
-    when the caller joins: not on the job yet, alone on any high up to its
-    first hit, holding that hit, or switched to the odd highs at any split
-    point, on any odd front up to its first hit there or holding that hit.
-    A helper that had the caller from the start is the split at 0. Last,
-    a helper that found the answer alone and moved on to the next queued
-    job, whose words bound nothing here. The answer is the oracle's in each."""
-    seq = 5
+def test_claim_loop_meets_the_record_where_it_stands():
+    """The caller's ``_join`` against every state the record of a job can
+    be in: nothing claimed, a run of highs searched by the other, one of
+    them still in flight (the other's, which the caller takes over once it
+    has waited, or its own, left by a search cut short), or the answer
+    found, perhaps with a worse hit of the caller's still to come. The
+    answer is the oracle's in each, and the caller leaves no high in flight."""
     highs = set()
-    for header in _LEAD_HEADERS:
-        answer = oracle_mine(*header)
-        highs.add(answer[0] >> 8)
-        prefix, bound = powcore._prefix(*header[:3]), powcore._BOUNDS[header[3]]
-        for state in background_states(seq, header, answer):
-            words = shared_words()
-            helper_on(words, **state)
-            caller_before(words, seq)
-            assert powcore._lead(words, seq, prefix, bound) == answer, (header[0], state)
-            assert words[powcore._CALLER_JOB] == seq  # it joined the job
-        words = shared_words()
-        in_slot(words, seq, answer)
-        helper_on(words, seq + 1, front=(answer[0] >> 8) + 9, hit=1, found=(7, bytes(32)))
-        caller_before(words, seq)
-        assert powcore._lead(words, seq, prefix, bound) == answer, (header[0], "moved on")
-    assert highs == {0, 1, 2, 4, 5, 6, 7, 14}
-
-
-def serve(words, *records):
-    """Run the helper's loop here on ``records``, up to the pipe's end."""
-    job_r, job_w = os.pipe()
+    record = powcore._Record()
     try:
-        for record in records:
-            os.write(job_w, powcore._RECORD.pack(*record))
-        os.close(job_w)
-        powcore._serve(job_r, words)
+        for header in _CLAIM_HEADERS:
+            answer = single_searcher(*header)
+            highs.add(answer[0] >> 8)
+            later = powcore._search(powcore._prefix(*header[:3]), powcore._BOUNDS[header[3]],
+                                    itertools.count((answer[0] >> 8) + 1))
+            for claimed, theirs, mine, best, hit in record_states(answer[0] >> 8, answer, later[0] >> 8):
+                with record as words:
+                    powcore._start(words, 5, header[1])
+                    words[powcore._NEXT], words[powcore._HELPER] = claimed, theirs
+                    words[powcore._CALLER], words[powcore._BEST] = mine, best
+                    if hit is not None:
+                        words[powcore._NONCE] = hit[0]
+                        words[powcore._DIGEST:powcore._DIGEST + 4] = memoryview(hit[1]).cast("q")
+                state = (header[0], claimed, theirs, mine, best)
+                assert powcore._join(record, 5, powcore._CALLER, *header) == answer, state
+                assert record.words[powcore._CALLER] == powcore._NO_HIT, state
+            # A record on a later job: this one is off it.
+            assert powcore._join(record, 4, powcore._CALLER, *header) is None
     finally:
-        os.close(job_r)
+        os.close(record.fd)
+    assert highs == {0, 1, 2, 4, 5, 6, 7}
 
 
-def plain(seq, header):
-    """The record of a job that carries its prev_digest."""
-    return (seq, powcore._PLAIN, *header)
-
-
-def chained(seq, header):
-    """The record of a job on the digest of job ``seq - 1``."""
-    height, _prev, payload, bits = header
-    return (seq, powcore._CHAINED, height, bytes(32), payload, bits)
-
-
-def answer_of(seq, digest):
-    """The record of the caller's answer for job ``seq``."""
-    return (seq, powcore._ANSWER, 0, digest, bytes(32), 0)
-
-
-def test_serve_loop_in_process():
-    """The helper's loop over a pipe, one job at a time, with the test as
-    the caller."""
-    height, prev, payload, bits = _HEADERS[0]
-    odd_nonce, odd_digest = smallest_odd_high_hit(*_HEADERS[0])
-    odd_high = odd_nonce >> 8
-    assert odd_high > 1
-
-    def helper_words(words):
-        return (words[powcore._HELPER_JOB], words[powcore._HELPER_HIT],
-                words[powcore._HELPER_FRONT])
-
-    # The caller is not on the job: the helper searches every high in order
-    # and stops at the smallest clearing nonce, with no split.
-    words = shared_words()
-    caller_before(words, 7)
-    serve(words, plain(7, _HEADERS[0]))
-    answer = oracle_mine(*_HEADERS[0])
-    assert helper_words(words) == (7, answer[0] >> 8, answer[0] >> 8)
-    assert words[powcore._HELPER_SPLIT] == powcore._NO_HIT
-    assert powcore._helpers_hit(words, 7) == answer
-    # A newer job supersedes this one: it is never started.
-    caller_before(words, 9)
-    serve(words, plain(8, _HEADERS[0]))
-    assert helper_words(words) == (7, answer[0] >> 8, answer[0] >> 8)
-    # The caller is on this job without a hit: the helper's first odd-high hit.
-    caller_on(words, 11)
-    serve(words, plain(11, _HEADERS[0]))
-    assert helper_words(words) == (11, odd_high, odd_high)
-    assert powcore._helpers_hit(words, 11) == (odd_nonce, odd_digest)
-    # The caller hit in high 0: nothing odd can be smaller.
-    caller_on(words, 12, hit=0)
-    serve(words, plain(12, _HEADERS[0]))
-    assert helper_words(words) == (12, powcore._NO_HIT, 1)
-    assert powcore._helpers_hit(words, 12) is None
-    # The caller has passed the helper's first hit: the helper jumps ahead
-    # of the caller and finds the next odd-high hit.
-    caller_on(words, 13, pos=odd_high + 1)
-    serve(words, plain(13, _HEADERS[0]))
-    later_nonce, later_digest = smallest_odd_high_hit(*_HEADERS[0], high=odd_high + 2)
-    assert helper_words(words) == (13, later_nonce >> 8, later_nonce >> 8)
-    assert powcore._helpers_hit(words, 13) == (later_nonce, later_digest)
-    # The caller is on the helper's hit high: the helper claims that high
-    # too, for the caller may have seen it claimed and skipped it.
-    caller_on(words, 14, pos=odd_high)
-    serve(words, plain(14, _HEADERS[0]))
-    assert helper_words(words) == (14, odd_high, odd_high)
-    # Of two queued jobs, the one the later supersedes is never started.
-    caller_on(words, 16)
-    serve(words, plain(15, _HEADERS[1]), plain(16, _HEADERS[0]))
-    assert helper_words(words) == (16, odd_high, odd_high)
-    assert powcore._helpers_hit(words, 15) is None
+def test_a_superseded_join_stops_at_its_next_claim():
+    """Once another job is put on the record, a searcher on the old one
+    claims nothing more and returns None."""
+    record = powcore._Record()
+    header = (4, hashlib.sha256(b"mid-prev-4").digest(), hashlib.sha256(b"mid-payload-4").digest(), 16)
+    try:
+        claims = powcore._claims(record, 1, header[1], powcore._HELPER)
+        assert [next(claims) for _ in range(3)] == [0, 1, 2]
+        with record as words:
+            powcore._start(words, 2, header[1])
+        assert next(claims, None) is None
+        assert record.words[powcore._NEXT] == 0  # it claimed nothing of job 2
+    finally:
+        os.close(record.fd)
 
 
 def single_searcher(height, prev, payload, bits):
@@ -625,87 +615,104 @@ def chain_headers(links, prev=_CHAIN_PREV):
     return headers
 
 
-def test_serve_runs_a_queue_in_posting_order():
-    """Chained jobs start when the job before them ends, on the digest that
-    job found or on the caller's answer for it, and never overwrite a slot
-    the caller has not taken."""
-    headers = chain_headers(chain_links(_SLOTS_PLUS := powcore._SLOTS + 1, 6))
+def serve(record, *jobs, results_open=True):
+    """Run the helper's loop here on ``jobs``, each (seq, height, payload,
+    bits), up to the job pipe's end; the results it sent, as the caller's
+    pipe end would read them."""
+    job_r, job_w = os.pipe()
+    result_r, result_w = os.pipe()
+    try:
+        for job in jobs:
+            os.write(job_w, powcore._JOB.pack(*job))
+        os.close(job_w)
+        if not results_open:
+            os.close(result_r)
+        powcore._serve(job_r, result_w, record)
+        os.close(result_w)
+        if not results_open:
+            return []
+        data = b""
+        while chunk := os.read(result_r, 1 << 16):
+            data += chunk
+        return [(seq, (nonce, digest)) for seq, nonce, digest in powcore._RESULT.iter_unpack(data)]
+    finally:
+        os.close(job_r)
+        for fd in (result_r, result_w):
+            with contextlib.suppress(OSError):
+                os.close(fd)
+
+
+def job(seq, header):
+    height, _prev, payload, bits = header
+    return seq, height, payload, bits
+
+
+def posted(record, seq, prev):
+    """Put job ``seq`` on the record, as a plain post does."""
+    with record as words:
+        powcore._start(words, seq, prev)
+
+
+def test_serve_runs_a_queue_in_posting_order(monkeypatch):
+    """The helper's loop over a pipe, with the test as the caller: chained
+    jobs start on the digest found for the job before, jobs the record has
+    passed are skipped, a job on the record is joined on the record's prev
+    digest, and a chained job whose parent it never searched waits."""
+    headers = chain_headers(chain_links(5, 6))
     answers = [single_searcher(*header) for header in headers]
-    # Alone on the whole queue: each job on the digest of the one before.
-    words = shared_words()
-    caller_before(words, 21)
-    serve(words, plain(21, headers[0]), *(chained(21 + i, h) for i, h in enumerate(headers[1:4], 1)))
-    assert [powcore._helpers_hit(words, 21 + i) for i in range(4)] == answers[:4]
-    assert words[powcore._HELPER_SPLIT] == powcore._NO_HIT
-    # The caller joined job 31: job 32 starts on the caller's answer for it.
-    caller_on(words, 31)
-    serve(words, plain(31, headers[0]), chained(32, headers[1]), answer_of(31, answers[0][1]))
-    assert powcore._helpers_hit(words, 32) == answers[1]
-    # Without that answer, job 42 never starts.
-    caller_on(words, 41)
-    serve(words, plain(41, headers[0]), chained(42, headers[1]))
-    assert words[powcore._HELPER_JOB] == 41 and powcore._helpers_hit(words, 42) is None
-    # Jobs whose results the caller holds are skipped, and the next starts
-    # on the caller's answer.
-    caller_before(words, 51, done=52)
-    serve(words, plain(51, headers[0]), chained(52, headers[1]), chained(53, headers[2]),
-          answer_of(52, answers[1][1]))
-    assert powcore._helpers_hit(words, 51) is None and powcore._helpers_hit(words, 52) is None
-    assert powcore._helpers_hit(words, 53) == answers[2]
-    # With no result taken, the helper stops one slot short of reusing the
-    # first job's: every result it found is still there to take.
-    caller_before(words, 61)
-    serve(words, plain(61, headers[0]),
-          *(chained(61 + i, h) for i, h in enumerate(headers[1:], 1)))
-    assert words[powcore._HELPER_JOB] == 61 + powcore._SLOTS - 1
-    assert [powcore._helpers_hit(words, 61 + i) for i in range(powcore._SLOTS)] == answers[:-1]
-    assert powcore._helpers_hit(words, 61 + _SLOTS_PLUS - 1) is None
+    record = powcore._Record()
+    try:
+        # Alone on a queue: each chained job on the digest of the one before.
+        posted(record, 21, headers[0][1])
+        assert serve(record, *(job(21 + i, h) for i, h in enumerate(headers))) == [
+            (21 + i, answer) for i, answer in enumerate(answers)]
+        # The caller read past jobs 31 and 32 and put job 33 on the record:
+        # the helper skips to it and joins it on the record's prev digest.
+        posted(record, 33, headers[2][1])
+        assert serve(record, *(job(31 + i, h) for i, h in enumerate(headers))) == [
+            (33 + i, answer) for i, answer in enumerate(answers[2:])]
+        # A job the caller finished on the record costs the helper no hash.
+        posted(record, 41, headers[0][1])
+        with record as words:
+            words[powcore._NEXT] = (answers[0][0] >> 8) + 1
+            words[powcore._BEST], words[powcore._NONCE] = answers[0][0] >> 8, answers[0][0]
+            words[powcore._DIGEST:powcore._DIGEST + 4] = memoryview(answers[0][1]).cast("q")
+        searched = count_searched_highs(monkeypatch)
+        assert serve(record, job(41, headers[0])) == [(41, answers[0])] and searched == []
+        monkeypatch.undo()
+        # Job 52's record never came: job 53, chained on it, never starts.
+        posted(record, 51, headers[0][1])
+        assert serve(record, job(51, headers[0]), job(53, headers[2])) == [(51, answers[0])]
+        # A superseded job is never started.
+        posted(record, 62, headers[1][1])
+        assert serve(record, job(61, headers[0]), job(62, headers[1])) == [(62, answers[1])]
+    finally:
+        os.close(record.fd)
 
 
-def test_helper_records_the_split_before_it_claims_past_it():
-    """The helper's walk takes every high while the caller is not on the
-    job. Once the caller joins, the split point is written before the front
-    reaches it, and only odd highs follow. A superseded job stops in either
-    walk."""
-    words = shared_words()
-    helper_on(words, 1, front=-1)  # as _run resets them for a job
-    caller_before(words, 1)
-    walk = powcore._follow(words, 1)
-    assert [next(walk) for _ in range(4)] == [0, 1, 2, 3]
-    assert words[powcore._HELPER_SPLIT] == powcore._NO_HIT
-    caller_on(words, 1, pos=0)  # the caller joins while the helper is on high 3
-    assert next(walk) == 5
-    assert (words[powcore._HELPER_SPLIT], words[powcore._HELPER_FRONT]) == (4, 5)
-    assert [next(walk) for _ in range(2)] == [7, 9]
-    caller_on(words, 1, pos=20)  # the caller has passed the helper: it jumps
-    assert next(walk) == 21
-    caller_on(words, 1, hit=21, pos=22)
-    assert list(walk) == []  # past the caller's hit
-    for joined in (False, True):
-        helper_on(words, 2, front=-1)
-        if joined:
-            caller_on(words, 2)
-        else:
-            caller_before(words, 2)
-        walk = powcore._follow(words, 2)
-        first = next(walk)
-        words[powcore._CALLER_LIVE] = 3  # a later post supersedes job 2
-        assert next(walk, None) is None
-        assert words[powcore._HELPER_FRONT] == first + 1 + joined
+def test_serve_ends_quietly_when_the_result_pipe_closes(capfd):
+    """A caller that has gone closed its end of the result pipe: the
+    helper's loop returns at its first result, without a traceback."""
+    record = powcore._Record()
+    header = _HEADERS[0]
+    try:
+        posted(record, 1, header[1])
+        assert serve(record, job(1, header), job(2, header), results_open=False) == []
+        assert record.words[powcore._SEQ] == 1  # it never went on to job 2
+    finally:
+        os.close(record.fd)
+    assert capfd.readouterr().err == ""
 
 
 @needs_two_cpus
 def test_a_job_the_helper_finished_alone_costs_the_caller_no_hash(monkeypatch, header_answers):
-    powcore.post(*_HEADERS[1])
-    words, seq = powcore._helper.words, powcore._helper.seq
-    deadline = time.monotonic() + 60
-    while not (words[powcore._HELPER_JOB] == seq and words[powcore._HELPER_HIT] != powcore._NO_HIT):
-        assert time.monotonic() < deadline, "the helper never finished the posted job"
-        time.sleep(0.001)
+    job = powcore.post(*_HEADERS[1])
+    seq = powcore._helper.seq
+    wait_for_result(job)
     searched = count_searched_highs(monkeypatch)
     assert powcore.mine_nonce(*_HEADERS[1]) == header_answers[1]
     assert searched == []
-    assert powcore._helper.seq == seq  # taken from its slot, not posted again
+    assert powcore._helper.seq == seq  # taken from the result pipe, not posted again
 
 
 def count_searched_highs(monkeypatch) -> list[int]:
@@ -738,6 +745,20 @@ def test_a_superseded_post_is_posted_again_when_read(header_answers):
     assert powcore._helper.seq == first + 3 and not powcore._helper.unread
 
 
+@needs_two_cpus
+def test_a_superseded_post_is_posted_again_when_read(header_answers):
+    """Chain A's tip is posted, then chain B's supersedes it. Reading A's
+    tip posts it again and joins it; reading B's tip does the same."""
+    chain_a, chain_b = _HEADERS[2], _HEADERS[3]
+    powcore.post(*chain_a)
+    first = powcore._helper.seq
+    job_b = powcore.post(*chain_b)
+    assert list(powcore._helper.unread) == [job_b]
+    assert powcore.mine_nonce(*chain_a) == header_answers[2]
+    assert powcore.mine_nonce(*chain_b) == header_answers[3]
+    assert powcore._helper.seq == first + 3 and not powcore._helper.unread
+
+
 def post_chain(headers):
     """Post ``headers`` as one chain: the first on its prev_digest, each
     next one on the job ``post`` returned for the one before it."""
@@ -754,24 +775,26 @@ def read_chain(headers):
 
 
 def wait_for_result(job, timeout_s: float = 60) -> None:
-    """Wait until the helper has found ``job``'s nonce."""
-    words = powcore._helper.words
+    """Wait on the result pipe until the helper has sent ``job``'s result."""
+    helper = powcore._helper
     deadline = time.monotonic() + timeout_s
-    while powcore._helpers_hit(words, job.seq) is None:
-        assert time.monotonic() < deadline, "the helper never finished the job"
-        time.sleep(0.001)
+    while helper.take_results() or job.result is None:
+        left = deadline - time.monotonic()
+        assert left > 0, "the helper never finished the job"
+        select.select([helper.result_r], [], [], left)
 
 
 def count_joins(monkeypatch) -> list[int]:
     """Record the job of every search the caller joins from now on."""
     joined = []
-    lead = powcore._lead
+    join = powcore._join
 
-    def counting(words, seq, prefix, bound):
-        joined.append(seq)
-        return lead(words, seq, prefix, bound)
+    def counting(record, seq, mine, *header):
+        if mine == powcore._CALLER:
+            joined.append(seq)
+        return join(record, seq, mine, *header)
 
-    monkeypatch.setattr(powcore, "_lead", counting)
+    monkeypatch.setattr(powcore, "_join", counting)
     return joined
 
 
@@ -790,6 +813,51 @@ def test_helper_runs_a_posted_chain_before_any_read(monkeypatch):
 
 
 @needs_two_cpus
+def test_no_stall_after_the_last_post(monkeypatch):
+    """A 40-block chain is posted and the caller reads nothing until the
+    helper has sent every result: it searches the whole queue, not stopping
+    after a fixed number of unread results, so the reads hash nothing."""
+    headers = chain_headers(chain_links(40, 8, b"tail"))
+    answers = [single_searcher(*header) for header in headers]
+    jobs = post_chain(headers)
+    assert all(job is not None for job in jobs)
+    wait_for_result(jobs[-1])
+    assert all(job.result is not None for job in jobs)
+    searched = count_searched_highs(monkeypatch)
+    assert read_chain(headers) == answers
+    assert searched == []
+
+
+@needs_two_cpus
+def test_searches_under_cpu_contention_give_the_oracles_nonces():
+    """Busy processes, one per CPU, preempt caller and helper at any point
+    of the claim loop. Chains of five are posted and read at once, so most
+    reads join a running search; every read returns the oracle's nonce, in
+    bounded time."""
+    headers = chain_headers(chain_links(60, 12, b"busy"))
+    answers = [single_searcher(*header) for header in headers]
+    busy = [subprocess.Popen([sys.executable, "-c", "print(flush=True)\nwhile True: pass"],
+                             stdout=subprocess.PIPE) for _ in os.sched_getaffinity(0)]
+    for process in busy:
+        process.stdout.readline()  # spinning from here on
+    previous = signal.signal(signal.SIGALRM, raise_stuck)
+    signal.alarm(120)
+    try:
+        got = []
+        for start in range(0, len(headers), 5):
+            post_chain(headers[start:start + 5])
+            got += read_chain(headers[start:start + 5])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        for process in busy:
+            process.kill()
+            process.wait(timeout=30)
+            process.stdout.close()
+    assert got == answers
+
+
+@needs_two_cpus
 def test_first_read_mid_chain_joins_the_queue_in_order(monkeypatch):
     headers = chain_headers(chain_links(6, 14, b"mid"))
     joined = count_joins(monkeypatch)
@@ -797,40 +865,6 @@ def test_first_read_mid_chain_joins_the_queue_in_order(monkeypatch):
     assert read_chain(headers) == [single_searcher(*header) for header in headers]
     assert joined and set(joined) <= {job.seq for job in jobs}  # no job posted again
     assert joined == sorted(joined)
-
-
-@needs_two_cpus
-def test_a_job_chained_on_a_joined_one_starts_on_the_callers_answer():
-    """The caller joins the first job at once, so only its answer gives the
-    helper the digest the next job is on."""
-    headers = chain_headers(chain_links(2, 14, b"answer"))
-    answers = [single_searcher(*header) for header in headers]
-    assert answers[0][0] >> 8 > 0  # the helper cannot find it in its first high alone
-    assert powcore.mine_nonce(*headers[0]) == answers[0]  # posted and joined at once
-    height, _prev, payload, bits = headers[1]
-    job = powcore.post(height, powcore._helper.last, payload, bits)
-    wait_for_result(job, timeout_s=30)
-    assert powcore.mine_nonce(*headers[1]) == answers[1]
-
-
-def test_collect_leaves_a_joined_job_to_the_caller():
-    """A hit the helper wrote for a job the caller joined may be an odd
-    high's, not the smallest: only the caller settles that job."""
-    helper = powcore._Helper.__new__(powcore._Helper)  # the caller's side only
-    helper.words, helper.running = shared_words(), collections.deque()
-    joined = powcore._Job(1, bytes(32), b"\x5a" * 32, 10)
-    alone = powcore._Job(2, None, b"\x5a" * 32, 10)  # chained on ``joined``
-    joined.seq, joined.joined, alone.seq = 3, True, 4
-    helper.running.extend((joined, alone))
-    odd_hit, next_hit = (300, b"\x01" * 32), (400, b"\x02" * 32)
-    in_slot(helper.words, 3, odd_hit)
-    in_slot(helper.words, 4, next_hit)
-    helper.collect()
-    assert list(helper.running) == [joined, alone] and joined.result is None
-    joined.joined = False  # as if the helper had found it alone
-    helper.collect()
-    assert not helper.running and (joined.result, alone.result) == (odd_hit, next_hit)
-    assert alone.prev_digest == odd_hit[1] and helper.words[powcore._CALLER_DONE] == 4
 
 
 @needs_two_cpus
@@ -845,26 +879,6 @@ def test_helper_killed_with_jobs_queued(header_answers):
         time.sleep(0.01)
     assert read_chain(headers) == [single_searcher(*header) for header in headers]
     assert process_state(dead) is None and powcore._helper.pid != dead
-
-
-@needs_two_cpus
-def test_more_unread_jobs_than_result_slots(monkeypatch):
-    """Posted while the helper is stopped, no result is taken before the
-    helper runs. It finds one slot's worth, stops short of the first reused
-    slot and goes on once the reads take results."""
-    headers = chain_headers(chain_links(powcore._SLOTS + 4, 8, b"slots"))
-    powcore.mine_nonce(*_HEADERS[0])
-    helper = powcore._helper
-    os.kill(helper.pid, signal.SIGSTOP)
-    try:
-        jobs = post_chain(headers)
-    finally:
-        os.kill(helper.pid, signal.SIGCONT)
-    full = jobs[powcore._SLOTS - 1]
-    wait_for_result(full)
-    time.sleep(0.05)
-    assert helper.words[powcore._HELPER_JOB] == full.seq  # stopped short
-    assert read_chain(headers) == [single_searcher(*header) for header in headers]
 
 
 @needs_two_cpus
@@ -884,12 +898,12 @@ def test_a_post_that_does_not_extend_the_last_supersedes_the_queue(monkeypatch):
     wait_for_result(jobs[-1])
     fork = (2, answers[1][1], hashlib.sha256(b"fork").digest(), 12)
     forked = powcore.post(fork[0], jobs[1], fork[2], fork[3])
-    assert list(powcore._helper.unread) == [forked] and forked.prev_digest == answers[1][1]
+    assert list(powcore._helper.unread) == [forked] and forked.header[1] == answers[1][1]
     assert read_chain(headers) == answers
     assert powcore.mine_nonce(*fork) == single_searcher(*fork)
     # A fork on block 1 before its result is known is not posted at all.
     helper = powcore._helper
-    os.kill(helper.pid, signal.SIGSTOP)
+    stop_outside_the_lock(helper)
     try:
         jobs = post_chain(headers)
         assert powcore.post(fork[0], jobs[1], fork[2], fork[3]) is None
@@ -902,6 +916,21 @@ def test_a_post_that_does_not_extend_the_last_supersedes_the_queue(monkeypatch):
 
 
 @needs_two_cpus
+def test_a_fork_with_the_same_height_and_payload_is_not_the_queued_job():
+    """The queued job is chained on a block the caller has read; a read of
+    a header with the same height and payload on another parent is posted
+    afresh and gets that header's own nonce."""
+    headers = chain_headers(chain_links(2, 12, b"twin"))
+    jobs = post_chain(headers)
+    assert powcore.mine_nonce(*headers[0]) == single_searcher(*headers[0])
+    twin = (headers[1][0], hashlib.sha256(b"other-parent").digest(), headers[1][2], headers[1][3])
+    seq = powcore._helper.seq
+    assert powcore.mine_nonce(*twin) == single_searcher(*twin)
+    assert powcore._helper.seq == seq + 1  # posted afresh, not taken as the queued job
+    assert not powcore._helper.unread or powcore._helper.unread[0] is not jobs[1]
+
+
+@needs_two_cpus
 def test_a_dropped_chained_job_resolves_alone(monkeypatch):
     """With the helper stopped, chained posts fill the job pipe and the
     later ones are dropped. The helper never sees those jobs; each is
@@ -909,14 +938,15 @@ def test_a_dropped_chained_job_resolves_alone(monkeypatch):
     powcore.mine_nonce(*_HEADERS[0])
     helper = powcore._helper
     capacity = fcntl.fcntl(helper.job_w, fcntl.F_GETPIPE_SZ)
-    headers = chain_headers(chain_links(2 * capacity // powcore._RECORD.size, 4, b"full"))
-    os.kill(helper.pid, signal.SIGSTOP)
+    headers = chain_headers(chain_links(2 * capacity // powcore._JOB.size, 4, b"full"))
+    stop_outside_the_lock(helper)
     try:
-        jobs = post_chain(headers)
+        post_chain(headers)
+        queued = struct.unpack("i", fcntl.ioctl(helper.job_w, termios.FIONREAD, b"\0" * 4))[0]
+        assert queued // powcore._JOB.size < len(headers)  # the later posts found it full
     finally:
         os.kill(helper.pid, signal.SIGCONT)
     assert read_chain(headers) == [single_searcher(*header) for header in headers]
-    assert helper.words[powcore._HELPER_JOB] < jobs[-1].seq  # never reached it
     assert powcore._helper is helper
 
 
@@ -972,6 +1002,23 @@ def test_helper_killed_between_post_and_read(header_answers):
     powcore.post(*_HEADERS[2])
     assert powcore._helper.pid != dead
     assert powcore.mine_nonce(*_HEADERS[2]) == header_answers[2]
+
+
+@needs_two_cpus
+def test_a_post_that_finds_the_helper_dead_reaps_it(header_answers):
+    """The post finds the result pipe at its end: it reaps the helper and
+    posts nothing, and the header is searched at its read."""
+    powcore.mine_nonce(*_HEADERS[0])
+    dead = powcore._helper.pid
+    os.kill(dead, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while process_state(dead) != "Z" and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert powcore.post(*_HEADERS[1]) is None
+    assert process_state(dead) is None and powcore._helper is None
+    powcore._stop_helper()  # with no helper, nothing to do
+    assert powcore.mine_nonce(*_HEADERS[1]) == header_answers[1]
+    assert powcore._helper.pid != dead
 
 
 def test_other_threads_make_the_caller_search_alone():
