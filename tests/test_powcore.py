@@ -76,6 +76,37 @@ def test_known_answer_chain(bits):
     assert got == KNOWN_CHAIN[bits]
 
 
+def known_chain_headers(bits):
+    """KNOWN_CHAIN's headers, (height, prev_digest, payload_digest, bits)."""
+    prevs = [hashlib.sha256(b"kat-genesis").digest()]
+    prevs += [bytes.fromhex(digest) for _nonce, digest in KNOWN_CHAIN[bits][:-1]]
+    return [(height, prev, hashlib.sha256(b"kat-payload-%d" % height).digest(), bits)
+            for height, prev in enumerate(prevs)]
+
+
+# Each SHA-256 constructor the search can build its midstates with.
+MIDSTATES = {"hashlib": hashlib.sha256}
+with contextlib.suppress(ImportError):
+    import _sha256
+    MIDSTATES["_sha256"] = _sha256.sha256
+
+
+@pytest.mark.parametrize("bits", sorted(KNOWN_CHAIN))
+@pytest.mark.parametrize("midstate", sorted(MIDSTATES))
+def test_search_on_each_midstate_constructor_gives_the_known_answers(monkeypatch, midstate, bits):
+    monkeypatch.setattr(powcore, "_MIDSTATE", MIDSTATES[midstate])
+    got = [powcore._search(powcore._prefix(height, prev, payload), powcore._BOUNDS[bits],
+                           itertools.count())
+           for height, prev, payload, _bits in known_chain_headers(bits)]
+    assert [(nonce, digest.hex()) for nonce, digest in got] == KNOWN_CHAIN[bits]
+
+
+def test_search_builds_its_midstates_on_the_builtin_sha256_where_it_imports():
+    """CPython 3.11 and before have ``_sha256``; later ones search on hashlib."""
+    expected = MIDSTATES.get("_sha256", hashlib.sha256)
+    assert type(powcore._prefix(0, bytes(32), bytes(32))) is type(expected())
+
+
 def oracle_mine(height: int, prev: bytes, payload: bytes, bits: int) -> tuple[int, bytes]:
     """The first nonce the oracle accepts, tried one by one from 0."""
     nonce = 0
@@ -745,20 +776,6 @@ def test_a_superseded_post_is_posted_again_when_read(header_answers):
     assert powcore._helper.seq == first + 3 and not powcore._helper.unread
 
 
-@needs_two_cpus
-def test_a_superseded_post_is_posted_again_when_read(header_answers):
-    """Chain A's tip is posted, then chain B's supersedes it. Reading A's
-    tip posts it again and joins it; reading B's tip does the same."""
-    chain_a, chain_b = _HEADERS[2], _HEADERS[3]
-    powcore.post(*chain_a)
-    first = powcore._helper.seq
-    job_b = powcore.post(*chain_b)
-    assert list(powcore._helper.unread) == [job_b]
-    assert powcore.mine_nonce(*chain_a) == header_answers[2]
-    assert powcore.mine_nonce(*chain_b) == header_answers[3]
-    assert powcore._helper.seq == first + 3 and not powcore._helper.unread
-
-
 def post_chain(headers):
     """Post ``headers`` as one chain: the first on its prev_digest, each
     next one on the job ``post`` returned for the one before it."""
@@ -826,6 +843,23 @@ def test_no_stall_after_the_last_post(monkeypatch):
     searched = count_searched_highs(monkeypatch)
     assert read_chain(headers) == answers
     assert searched == []
+
+
+@pytest.mark.parametrize("bits", sorted(KNOWN_CHAIN))
+@pytest.mark.parametrize("midstate", sorted(MIDSTATES))
+def test_helper_forked_on_each_midstate_constructor_gives_the_known_answers(monkeypatch, midstate, bits):
+    """The helper is forked after the constructor is patched, so it inherits
+    the patch; it searches the posted chain alone before the reads."""
+    powcore._stop_helper()
+    monkeypatch.setattr(powcore, "_MIDSTATE", MIDSTATES[midstate])
+    try:
+        headers = known_chain_headers(bits)
+        jobs = post_chain(headers)
+        if jobs[-1] is not None:  # None where no helper can run: the caller searches alone
+            wait_for_result(jobs[-1])
+        assert [(nonce, digest.hex()) for nonce, digest in read_chain(headers)] == KNOWN_CHAIN[bits]
+    finally:
+        powcore._stop_helper()  # the next test forks a helper on the real constructor
 
 
 @needs_two_cpus
