@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from leasim.simnet import Message, Secret, Session, Simulation, contains_secret
+from leasim.simnet import Secret, Session, Simulation, contains_secret
 
 
 class AttestationError(Exception):
@@ -74,8 +74,8 @@ class AttestationMesh:
 
     def attest(self, sim: Simulation, caller_id: str, expected: Measurement,
                target: EnclaveIdentity) -> Session:
-        """Measurement-gated session setup; host may only sever the handshake."""
-        if sim.net.is_killed(target.enclave_id) or self._handshake_cut(sim, caller_id, target):
+        """Measurement-gated session setup; a killed target is unreachable."""
+        if sim.net.is_killed(target.enclave_id):
             sim.log.emit(sim.now, caller_id, "attest_unreachable", target=target.enclave_id)
             raise Unreachable(target.enclave_id)
         if target.measurement != expected:
@@ -90,13 +90,6 @@ class AttestationMesh:
             sim.now, caller_id, "attested", target=target.enclave_id, session=session.session_id
         )
         return session
-
-    def _handshake_cut(self, sim: Simulation, caller_id: str, target: EnclaveIdentity) -> bool:
-        probe = Message(
-            msg_id=0, src=caller_id, dst=target.enclave_id, kind="attest_handshake",
-            payload={}, send_time=sim.now,
-        )
-        return sim.net._fate(probe, sim.now, 0.0)[0] is not None
 
     # -- enlistment --------------------------------------------------------
 

@@ -73,8 +73,7 @@ def cmd_verify(args) -> int:
 def cmd_replay(args) -> int:
     digests = []
     for attempt in (1, 2):
-        spec = load_scenario(_resolve(args.scenario), seed_override=args.seed)
-        world = run_scenario(spec)
+        world = run_scenario(_load(args))
         report = build_report(world)
         digests.append((world.sim.log.digest(), report_digest(report)))
         print(f"run {attempt}: events={len(world.sim.log.lines)} "

@@ -8,12 +8,11 @@ over the simulated network instead.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 GOSSIP_BATCH = 64  # records per gossip message
 MAX_ROUNDS = 1000  # rounds_until_quiet gives up after this many
-
-MODES = ("centralized", "distributed", "p2p")
 
 
 class TopologyError(Exception):
@@ -26,21 +25,17 @@ class NoCompliantNodes(Exception):
 
 @dataclass
 class Topology:
-    mode: str
-    nodes: dict[str, str]  # node_id -> kind (interface|service|payment|p2p)
+    nodes: tuple[str, ...]  # sorted node ids
     edges: frozenset[frozenset[str]]
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise TopologyError(f"unknown mode {self.mode!r}")
         for edge in self.edges:
             if len(edge) != 2 or not edge <= set(self.nodes):
                 raise TopologyError(f"bad edge {sorted(edge)}")
 
     @classmethod
-    def build(cls, mode: str, nodes: dict[str, str],
-              edges: list[tuple[str, str]]) -> Topology:
-        return cls(mode, dict(nodes),
+    def build(cls, nodes: Iterable[str], edges: list[tuple[str, str]]) -> Topology:
+        return cls(tuple(sorted(nodes)),
                    frozenset(frozenset(pair) for pair in edges))
 
     def neighbors(self, node: str) -> list[str]:
@@ -48,10 +43,6 @@ class Topology:
             other for edge in self.edges if node in edge
             for other in edge if other != node
         )
-
-    def interface_nodes(self) -> list[str]:
-        want = "p2p" if self.mode == "p2p" else "interface"
-        return sorted(n for n, kind in self.nodes.items() if kind == want)
 
 
 @dataclass
@@ -96,24 +87,22 @@ def gossip_round(topology: Topology, state: GossipState, prefer=first_wins,
                  send=None) -> list[tuple[str, str, dict[str, object]]]:
     """One synchronous round; returns the (src, dst, batch) messages sent.
 
-    Every interface node sends its ``fresh`` records, id -> record, to each
-    interface neighbour in batches, and its ``fresh`` set empties. Then each
+    Every node sends its ``fresh`` records, id -> record, to each
+    neighbour in batches, and its ``fresh`` set empties. Then each
     batch is merged at its destination with ``prefer``, or, given ``send``,
     handed to ``send(src, dst, batch)`` for the destination to merge.
     """
-    members = set(topology.interface_nodes())
     sends = []
     for node in sorted(state.fresh):
         ids = list(state.fresh[node])
         state.fresh[node].clear()
-        if not ids or node not in members:
+        if not ids:
             continue
         store = state.known[node]
         batches = [{record_id: store[record_id] for record_id in ids[i:i + GOSSIP_BATCH]}
                    for i in range(0, len(ids), GOSSIP_BATCH)]
         for neighbor in topology.neighbors(node):
-            if neighbor in members:
-                sends += [(node, neighbor, batch) for batch in batches]
+            sends += [(node, neighbor, batch) for batch in batches]
     for src, dst, batch in sends:
         if send is None:
             merge(state.node(dst), state.fresh[dst], batch, prefer)
@@ -163,7 +152,7 @@ class P2PRegistry:
     def __init__(self, topology: Topology):
         self.topology = topology
         self.state = GossipState()
-        for node in topology.interface_nodes():
+        for node in topology.nodes:
             self.state.node(node)
 
     def register(self, node_id: str, owner_id: str, cpu: CpuIdentity,
@@ -202,7 +191,7 @@ def p2p_broadcast_campaign(topology: Topology, entry_node: str,
     remainder that goes back to the renter. Duplicate floods are deduped by
     construction of the visit set.
     """
-    if not any(compliant.get(n) for n in topology.interface_nodes()):
+    if not any(compliant.get(n) for n in topology.nodes):
         raise NoCompliantNodes("no node holds a compliant delegated credential")
     visited = [entry_node]
     seen = {entry_node}

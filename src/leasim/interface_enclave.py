@@ -312,6 +312,8 @@ class InterfaceEnclave:
 
     def _on_quote_request(self, msg: Message, sim: Simulation) -> None:
         p = msg.payload
+        # numbered whether refused or not: ids follow the order of requests
+        self._campaign_seq += 1
         compliant = self.compliant_accounts(
             sim, p["service_id"], p["action_kind"], p["action_target"], p["revert_window"]
         )
@@ -322,7 +324,6 @@ class InterfaceEnclave:
         funds = quote_funds([price for _, price in compliant], p["count"])
         deposit = rate_floor(self.deposit_rate, funds)
         fee_allowance = rate_floor(self.fee_rate, funds)
-        self._campaign_seq += 1
         campaign_id = f"{self.actor_id}:c{self._campaign_seq}"
         campaign = Campaign(
             campaign_id=campaign_id,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import ledger
 from .simnet import CUT_OWNER_CHAIN, CUT_RENTER_CHAIN, Message, Session, Simulation
 
-OWNER_PROFILES = ("honest", "reverts_actions", "cuts_responses", "eclipsed")
+OWNER_PROFILES = ("honest", "reverts_actions")
 
 
 @dataclass

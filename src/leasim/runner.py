@@ -28,9 +28,8 @@ from .payment_enclave import PaymentEnclave
 from .scenario import ScenarioSpec
 from .service_enclave import LatencyModel, ServiceEnclave
 from .services import ServiceAction, ServiceActorAdapter, SocialService, VotingService
-from .simnet import CUT_OWNER_CHAIN, Simulation
+from .simnet import Simulation
 
-ENROLL_AT = 0.0
 POLL_AT = 0.25
 CAMPAIGNS_AT = 1.0
 
@@ -152,8 +151,6 @@ def build_world(spec: ScenarioSpec) -> World:
             backend = SocialService(svc.service_id, collusion=svc.collusion)
             for item in svc.items:
                 backend.add_item(item)
-            for item in svc.hidden_items:
-                backend.add_item(item, hidden=True)
         else:
             backend = VotingService(svc.service_id, policy=svc.policy,
                                     fake_credentials=set(svc.coerced))
@@ -321,10 +318,6 @@ def _enroll_and_schedule(world: World) -> None:
         )
         if ospec.polls:
             pollers.append((owner.actor_id, iface_id, {"owner_id": ospec.owner_id}))
-        if ospec.profile == "cuts_responses":
-            # the owner suppresses their own chain answers; attribution is theirs
-            sim.net.set_cut(CUT_OWNER_CHAIN, owner=owner.actor_id,
-                            owner_id=ospec.owner_id)
 
     if pollers:
         _schedule_polls(world, pollers)
@@ -369,9 +362,7 @@ def _schedule_gossip(world: World) -> None:
     """
     sim, spec, ifaces = world.sim, world.spec, world.ifaces
     topology = Topology.build(
-        "distributed", {iface_id: "interface" for iface_id in ifaces},
-        [(f"iface:{a}", f"iface:{b}") for a, b in spec.topology.edges],
-    )
+        ifaces, [(f"iface:{a}", f"iface:{b}") for a, b in spec.topology.edges])
     state = GossipState({i: iface.owners for i, iface in ifaces.items()},
                         {i: iface.changed for i, iface in ifaces.items()})
 
@@ -470,9 +461,8 @@ def _selection_open(world: World) -> bool:
 def _setup_p2p(world: World) -> None:
     spec, sim = world.spec, world.sim
     topo = Topology.build(
-        "p2p", {f"iface:{n}": "p2p" for n in spec.topology.interfaces},
-        [(f"iface:{a}", f"iface:{b}") for a, b in spec.topology.edges],
-    )
+        [f"iface:{n}" for n in spec.topology.interfaces],
+        [(f"iface:{a}", f"iface:{b}") for a, b in spec.topology.edges])
     registry = P2PRegistry(topo)
     registrations = []
     for i, ospec in enumerate(spec.owners):
@@ -520,7 +510,7 @@ def _setup_p2p(world: World) -> None:
 def _p2p_compliance(world: World, registry: P2PRegistry, topo: Topology,
                     intent) -> dict[str, bool]:
     compliant = {}
-    for node_id in topo.interface_nodes():
+    for node_id in topo.nodes:
         compliant[node_id] = _p2p_owner_at(world, registry, node_id, intent) is not None
     return compliant
 

@@ -23,13 +23,14 @@ from pathlib import Path
 import yaml
 
 from .coins import coins, rate
-from .gossip import MODES
 from .parties import OWNER_PROFILES
 from .simnet import CUT_POINTS
 
 # libyaml's safe loader, when PyYAML was built with it: it builds the same
 # objects as yaml.SafeLoader about ten times faster on large scenario files.
 SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+MODES = ("centralized", "distributed", "p2p")
 
 
 class SchemaError(Exception):
@@ -180,7 +181,6 @@ class ServiceSpec:
     kind: str = _field(_choice("social", "voting"))
     collusion: bool = _field(_flag, False)
     items: list[str] = _field(_list(_text), factory=list)
-    hidden_items: list[str] = _field(_list(_text), factory=list)
     ghosts: list[str] = _field(_list(_text), factory=list)
     policy: str = _field(_choice("first_counts", "last_counts"), "first_counts")  # voting only
     candidates: list[str] = _field(_list(_text), factory=list)
@@ -396,12 +396,6 @@ def _check_references(spec: ScenarioSpec, source: str) -> None:
         _known(entry.owner_id, owner_ids, f"{path}.owner", "owner")
         if entry.source == "renter_fork":
             _known(entry.renter_id, renter_ids, f"{path}.renter", "renter")
-
-    eclipsed_owners = {e.owner_id for e in spec.host.eclipse}
-    for i, owner in enumerate(spec.owners):
-        if owner.profile == "eclipsed" and owner.owner_id not in eclipsed_owners:
-            raise SchemaError(f"{source}.owners[{i}].profile",
-                              "eclipsed owner has no host.eclipse entry")
 
 
 def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioSpec:

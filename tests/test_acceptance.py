@@ -218,8 +218,7 @@ def test_c6_gossip_diameter_bound():
         for _ in range(rng.randrange(0, n)):
             a, b = rng.sample(range(n), 2)
             graph.add_edge(a, b)
-        nodes = {f"n{i}": "p2p" for i in graph.nodes}
-        topo = Topology.build("p2p", nodes,
+        topo = Topology.build([f"n{i}" for i in graph.nodes],
                               [(f"n{a}", f"n{b}") for a, b in graph.edges])
         state = GossipState()
         for i in graph.nodes:
@@ -247,10 +246,10 @@ def test_c7_cpu_binding_collapses_flood():
     """100 enrollments presenting one CPU identity across a random topology
     collapse to exactly one accepted binding after convergence."""
     rng = random.Random(2024)
-    names = {f"n{i}": "p2p" for i in range(12)}
+    names = [f"n{i}" for i in range(12)]
     edges = [(f"n{i}", f"n{(i + 1) % 12}") for i in range(12)]
     edges += [("n0", "n6"), ("n3", "n9")]
-    topo = Topology.build("p2p", names, edges)
+    topo = Topology.build(names, edges)
     registry = P2PRegistry(topo)
     cpu = CpuIdentity("cpu:flood")
     for i in range(100):

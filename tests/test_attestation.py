@@ -52,13 +52,6 @@ class TestAttest:
         with pytest.raises(att.Unreachable):
             mesh.attest(sim, "iface", GOOD, identity("svc"))
 
-    def test_severed_handshake_unreachable_not_mismatch(self):
-        # the host can cut the wire; it cannot fake a measurement
-        sim, mesh = mk_world()
-        sim.net.set_cut(kind="attest_handshake", dst="svc")
-        with pytest.raises(att.Unreachable):
-            mesh.attest(sim, "iface", GOOD, identity("svc"))
-
 
 class TestEnlist:
     def test_enlist_records_key(self):

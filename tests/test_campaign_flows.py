@@ -489,6 +489,25 @@ class TestBlameScopedToCampaign:
         assert any("self-inflicted" in e for e in renters["r2"]["evidence"])
 
 
+def test_campaign_index_counts_a_refused_quote():
+    """Campaign ids follow renter declaration order, refused quotes included:
+    r0's quote is refused (no owner allows ``follow``), so r1's campaign is
+    the second id, and a cut at campaign_index 1 reaches it."""
+    path = resources.files("leasim") / "scenarios" / "baseline.yaml"
+    raw = yaml.safe_load(path.read_text())
+    refused = {"service": "social", "action": "follow", "target": "item1", "count": 1}
+    raw["renters"].insert(0, {"id": "r0", "balance": "1000", "campaigns": [refused]})
+    raw["host"] = {"cuts": [{"kind": "svc_confirm", "campaign_index": 1}]}
+    world = run_scenario(parse_scenario(raw))
+    assert world.renters["r0"].results == [
+        {"kind": "quote_failed", "error": "NoCompliantAccounts"}]
+    (campaign,) = world.all_campaigns()
+    assert campaign.renter_id == "r1"
+    assert campaign.campaign_id == world.expected_campaign_ids[1] == "iface:0:c2"
+    assert [(msg.kind, msg.campaign_id) for msg, *_ in world.sim.dropped] == [
+        ("svc_confirm", "iface:0:c2")] * 3
+
+
 class TestVerdictRulesNoScenarioReaches:
     def test_renter_rule_that_burns_its_deposit_is_self_harm(self):
         path = resources.files("leasim") / "scenarios" / "baseline.yaml"
@@ -1324,6 +1343,12 @@ class TestScenarioLoader:
         (("host", "kills"), [{"actor": "payenc:0:0", "at": 10**400}], "host.kills[0].at"),
         (("topology",), {"mode": "distributed", "interfaces": ["a"], "edges": [["a", "a"]]},
          "topology.edges[0]"),
+        (("topology", "mode"), "star", "topology.mode"),
+        # retired inputs: a host cut writes an owner's own drop, host.eclipse
+        # eclipses an owner, and no run reads an item's visibility
+        (("owners", 0, "profile"), "cuts_responses", "owners[0].profile"),
+        (("owners", 0, "profile"), "eclipsed", "owners[0].profile"),
+        (("services", 0, "hidden_items"), ["item2"], "services[0].hidden_items"),
     ])
     def test_bad_field_value_exits_2(self, tmp_path, capsys, keys, value, field):
         """Flags must be real booleans, names non-empty strings, and every

@@ -18,12 +18,9 @@ from leasim.gossip import (
 )
 
 
-def mesh(graph: nx.Graph, mode: str = "distributed") -> Topology:
-    kind = "p2p" if mode == "p2p" else "interface"
-    return Topology.build(
-        mode, {f"n{v}": kind for v in graph.nodes},
-        [(f"n{u}", f"n{v}") for u, v in graph.edges],
-    )
+def mesh(graph: nx.Graph) -> Topology:
+    return Topology.build([f"n{v}" for v in graph.nodes],
+                          [(f"n{u}", f"n{v}") for u, v in graph.edges])
 
 
 def random_connected(rng: random.Random, n: int) -> nx.Graph:
@@ -34,18 +31,12 @@ def random_connected(rng: random.Random, n: int) -> nx.Graph:
 
 
 class TestTopology:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(TopologyError):
-            Topology.build("star", {"a": "interface"}, [])
-
     def test_edge_outside_node_set_rejected(self):
         with pytest.raises(TopologyError):
-            Topology.build("distributed", {"a": "interface"}, [("a", "b")])
+            Topology.build(["a"], [("a", "b")])
 
     def test_neighbors_sorted(self):
-        topo = Topology.build(
-            "distributed", {x: "interface" for x in "abc"}, [("b", "a"), ("b", "c")]
-        )
+        topo = Topology.build(["a", "b", "c"], [("b", "a"), ("b", "c")])
         assert topo.neighbors("b") == ["a", "c"]
 
 
@@ -132,7 +123,7 @@ class TestGossipRound:
 
 class TestP2PRegistry:
     def topo(self, n=5):
-        return mesh(nx.cycle_graph(n), mode="p2p")
+        return mesh(nx.cycle_graph(n))
 
     def test_flooded_ghost_wins_single_binding(self):
         topo = self.topo()
@@ -177,7 +168,7 @@ class TestP2PRegistry:
 
 class TestP2PBroadcast:
     def test_flood_fulfills_in_bfs_order(self):
-        topo = mesh(nx.path_graph(5), mode="p2p")
+        topo = mesh(nx.path_graph(5))
         result = p2p_broadcast_campaign(
             topo, "n2", count=2,
             compliant={"n0": True, "n1": False, "n2": False, "n3": True, "n4": True},
@@ -187,7 +178,7 @@ class TestP2PBroadcast:
         assert result["remainder"] == 0
 
     def test_partial_fulfillment_reports_remainder(self):
-        topo = mesh(nx.path_graph(3), mode="p2p")
+        topo = mesh(nx.path_graph(3))
         result = p2p_broadcast_campaign(
             topo, "n0", count=5, compliant={"n0": False, "n1": True, "n2": False}
         )
@@ -195,14 +186,14 @@ class TestP2PBroadcast:
         assert result["remainder"] == 4
 
     def test_no_compliant_nodes_raises(self):
-        topo = mesh(nx.path_graph(3), mode="p2p")
+        topo = mesh(nx.path_graph(3))
         with pytest.raises(NoCompliantNodes):
             p2p_broadcast_campaign(topo, "n0", count=1, compliant={})
 
     def test_flood_reaches_component_once_each(self):
         rng = random.Random(23)
         g = random_connected(rng, 12)
-        topo = mesh(g, mode="p2p")
+        topo = mesh(g)
         result = p2p_broadcast_campaign(
             topo, "n0", count=0, compliant={"n0": True}
         )

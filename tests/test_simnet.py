@@ -9,7 +9,6 @@ import tracemalloc
 import pytest
 
 from leasim import simnet
-from leasim.attestation import AttestationMesh, EnclaveIdentity, Measurement, Unreachable
 
 
 class Recorder:
@@ -269,16 +268,16 @@ class TestRuleIndex:
         assert sorted((p["c"], t) for t, _, p in recs["b"].inbox) == [
             (0, 1.5), (4, 2.75), (5, 3.5)]
 
-    def test_attest_handshake_cut_reads_the_wildcard_bucket(self):
-        good = Measurement("m")
-        target = EnclaveIdentity("svc", "service", good, "pk")
-        sim, _ = mk_sim()
-        mesh = AttestationMesh({good})
-        sim.net.set_cut(simnet.CUT_OWNER_CHAIN, kind="attest_handshake", dst="svc")
-        assert mesh.attest(sim, "iface", good, target).peer_b == "svc"
-        sim.net.set_cut(kind="attest_handshake", dst="svc")
-        with pytest.raises(Unreachable):
-            mesh.attest(sim, "iface", good, target)
+    def test_send_with_no_cut_point_or_owner_reads_the_wildcard_bucket(self):
+        sim, recs = mk_sim()
+        sim.net.set_cut(simnet.CUT_OWNER_CHAIN, kind="probe", dst="b", owner="cut2")
+        sim.send("a", "b", "probe", {"n": 0})
+        sim.run()
+        sim.net.set_cut(kind="probe", dst="b", owner="wild")
+        sim.send("a", "b", "probe", {"n": 1})
+        sim.run()
+        assert [p["n"] for _, _, p in recs["b"].inbox] == [0]
+        assert [by for *_, by in sim.dropped] == ["wild"]
 
     def test_send_checks_only_rules_at_its_cut_point(self, monkeypatch):
         checked = []
