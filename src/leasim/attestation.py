@@ -1,22 +1,35 @@
 """Mock attestation and enlistment mesh.
 
 Attestation is digest equality against a genuine measurement set taken from
-scenario config. Sessions established this way are opaque to the host (it may
-still drop or delay the packets). Payment enclaves escrow a backup spend key
-with the interface enclave, one escrow per share they hold; an escrow is
-usable only once its enclave has been observed dead, and a swept share is
-marked so a resurrected enclave can never race the recovery.
+scenario config. ``attest`` is the one place a ``Session`` is made: it logs
+the session it opens and raises instead when the target is dead or not
+genuine. The kinds sent between attested peers are simnet's ``SEALED_KINDS``,
+whose payloads the host cannot read (it may still drop or delay the packets).
+Payment enclaves escrow a backup spend key with the interface enclave, one
+escrow per share they hold; an escrow is usable only once its enclave has been
+observed dead, and a swept share is marked so a resurrected enclave can never
+race the recovery.
 
 Secrets (credentials, keys) are taint-tagged with the Secret wrapper (defined
 in simnet, which checks the wire, and re-exported here). The invariant that no
 secret crosses a non-attested channel is ``verify``'s ``no_unsessioned_secrets``:
-the simulation checks each cleartext message as it is delivered or dropped.
+the simulation checks each message of a cleartext kind as it is delivered or
+dropped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from leasim.simnet import Secret, Session, Simulation, contains_secret
+from leasim.simnet import Secret, Simulation, contains_secret
+
+
+@dataclass(frozen=True)
+class Session:
+    """A successful attestation between two peers."""
+
+    session_id: str
+    peer_a: str
+    peer_b: str
 
 
 class AttestationError(Exception):

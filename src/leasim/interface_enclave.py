@@ -17,7 +17,7 @@ from . import ledger
 from .attestation import AttestationMesh, EnclaveIdentity, RecoveryRefused
 from .coins import rate_floor
 from .gossip import merge
-from .simnet import Message, Session, Simulation
+from .simnet import Message, Simulation
 
 NONCE_TIMEOUT = 5.0
 
@@ -172,7 +172,6 @@ class InterfaceEnclave:
         self.last_beat: dict[str, float] = {}
         self._rebalance_tried: dict[str, set[int]] = {}
         self._watcher_running = False
-        self.sessions: dict[str, Session] = {}  # peer actor -> attested session
 
     # ------------------------------------------------------------------
     # dispatch
@@ -181,11 +180,6 @@ class InterfaceEnclave:
         handler = getattr(self, f"_on_{msg.kind}", None)
         if handler is not None:
             handler(msg, sim)
-
-    def _session_for(self, sim: Simulation, peer: str) -> Session:
-        if peer not in self.sessions:
-            self.sessions[peer] = Session(f"ifs:{self.actor_id}:{peer}", self.actor_id, peer)
-        return self.sessions[peer]
 
     # ------------------------------------------------------------------
     # enrollment
@@ -235,7 +229,7 @@ class InterfaceEnclave:
              "password": cred["password"].value,
              "action_kind": "login", "action_target": "-",
              "reply_to": self.actor_id, "dst_service": cred["service_actor"]},
-            session=self._session_for(sim, state["proxy_id"]), step=1,
+            step=1,
         )
 
     def _on_svc_response(self, msg: Message, sim: Simulation) -> None:
@@ -279,8 +273,7 @@ class InterfaceEnclave:
         """One round's batch for a neighbouring interface. Records travel as
         plain dicts, so the wire check sees the credentials they carry."""
         sim.send(self.actor_id, peer, "gossip_batch",
-                 {"records": [dict(vars(record)) for record in records.values()]},
-                 session=self._session_for(sim, peer))
+                 {"records": [dict(vars(record)) for record in records.values()]})
 
     def _on_gossip_batch(self, msg: Message, sim: Simulation) -> None:
         records = {r["owner_id"]: OwnerRecord(**r) for r in msg.payload["records"]}
@@ -319,7 +312,7 @@ class InterfaceEnclave:
         )
         if not compliant:
             sim.send(self.actor_id, msg.src, "quote_failed",
-                     {"error": "NoCompliantAccounts"}, session=msg.session)
+                     {"error": "NoCompliantAccounts"})
             return
         funds = quote_funds([price for _, price in compliant], p["count"])
         deposit = rate_floor(self.deposit_rate, funds)
@@ -347,7 +340,6 @@ class InterfaceEnclave:
             {"campaign_id": campaign_id, "funds": funds, "deposit": deposit,
              "fee_allowance": fee_allowance, "total": campaign.total,
              "escrow_address": campaign.escrow_address, "k": self.k},
-            session=msg.session,
         )
 
     # ------------------------------------------------------------------
@@ -388,14 +380,12 @@ class InterfaceEnclave:
         campaign = self.campaigns.get(p["campaign_id"])
         if campaign is None or campaign.status != "created":
             sim.send(self.actor_id, msg.src, "start_failed",
-                     {"campaign_id": p.get("campaign_id"), "error": "UnknownCampaign"},
-                     session=msg.session)
+                     {"campaign_id": p.get("campaign_id"), "error": "UnknownCampaign"})
             return
         error = self._verify_funding(campaign, p["chain_view"], p["funding_tx_id"])
         if error is not None:
             sim.send(self.actor_id, msg.src, "start_failed",
-                     {"campaign_id": campaign.campaign_id, "error": error},
-                     session=msg.session)
+                     {"campaign_id": campaign.campaign_id, "error": error})
             return
         campaign.funding_tx = p["chain_view"]["funding_tx"]
         campaign.refund_address = p["refund_address"]
@@ -405,7 +395,7 @@ class InterfaceEnclave:
         self._launch(sim, campaign)
         sim.send(self.actor_id, msg.src, "campaign_started",
                  {"campaign_id": campaign.campaign_id,
-                  "slots": len(campaign.slots)}, session=msg.session)
+                  "slots": len(campaign.slots)})
 
     def _launch(self, sim: Simulation, campaign: Campaign) -> None:
         compliant = self.compliant_accounts(
@@ -458,7 +448,6 @@ class InterfaceEnclave:
                  "value": share_note.value, "escrow_address": campaign.escrow_address,
                  "maintainer_address": self.maintainer_address,
                  "iface_id": self.actor_id},
-                session=self._session_for(sim, payment_id),
                 campaign_id=campaign.campaign_id,
             )
 
@@ -500,7 +489,6 @@ class InterfaceEnclave:
              "service_actor": cred["service_actor"],
              "action_kind": campaign.action_kind,
              "action_target": campaign.action_target},
-            session=self._session_for(sim, enclave),
             campaign_id=campaign.campaign_id, owner_id=owner_id,
         )
         return slot
@@ -543,7 +531,6 @@ class InterfaceEnclave:
              "owner_actor": f"owner:{slot.owner_id}",
              "renter_refund": campaign.refund_address,
              "renter_actor": campaign.renter_actor},
-            session=self._session_for(sim, share.payment_id),
             campaign_id=campaign.campaign_id, owner_id=slot.owner_id,
         )
 
@@ -654,7 +641,6 @@ class InterfaceEnclave:
             for enclave in sorted({s.service_enclave for s in campaign.slots.values()}):
                 sim.send(self.actor_id, enclave, "cancel_campaign",
                          {"campaign_id": campaign.campaign_id},
-                         session=self._session_for(sim, enclave),
                          campaign_id=campaign.campaign_id)
             for slot in campaign.slots.values():
                 if slot.status not in RESOLVED:
@@ -698,7 +684,6 @@ class InterfaceEnclave:
                 if share.alive and not share.released:
                     sim.send(self.actor_id, share.payment_id, "release_share",
                              {"campaign_id": campaign.campaign_id},
-                             session=self._session_for(sim, share.payment_id),
                              campaign_id=campaign.campaign_id)
         if all(share.released for share in campaign.shares.values()):
             self._terminate(sim, campaign)

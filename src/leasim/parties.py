@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ledger
-from .simnet import CUT_OWNER_CHAIN, CUT_RENTER_CHAIN, Message, Session, Simulation
+from .simnet import CUT_OWNER_CHAIN, CUT_RENTER_CHAIN, Message, Simulation
 
 OWNER_PROFILES = ("honest", "reverts_actions")
 
@@ -100,16 +100,15 @@ class ProxyActor:
                      campaign_id=msg.campaign_id)
         elif msg.kind == "svc_request":
             sim.send(self.actor_id, p["dst_service"], "svc_request", p,
-                     session=msg.session, campaign_id=msg.campaign_id,
-                     owner_id=msg.owner_id, step=msg.step)
+                     campaign_id=msg.campaign_id, owner_id=msg.owner_id, step=msg.step)
         elif msg.kind in ("svc_response", "svc_confirm"):
             if msg.kind == "svc_confirm":
                 # owner's device sees traffic metadata, never payload content
                 sim.send(self.actor_id, self.owner_actor, "relay_note",
                          {"service_id": p.get("service_id")})
             sim.send(self.actor_id, p["reply_to"], msg.kind, p,
-                     session=msg.session, cut_point=msg.cut_point,
-                     campaign_id=msg.campaign_id, owner_id=msg.owner_id, step=msg.step)
+                     cut_point=msg.cut_point, campaign_id=msg.campaign_id,
+                     owner_id=msg.owner_id, step=msg.step)
 
 
 @dataclass
@@ -132,7 +131,6 @@ class RenterActor:
     intents: list[CampaignIntent]
     view_mode: str = "honest_tip"  # or forged_fork
     poll_interval: float = 5.0
-    session: Session | None = None
 
     def __post_init__(self) -> None:
         if self.view_mode not in ("honest_tip", "forged_fork"):
@@ -156,7 +154,6 @@ class RenterActor:
                  "action_kind": intent.action_kind, "action_target": intent.action_target,
                  "count": intent.count, "revert_window": intent.revert_window,
                  "refund_address": self.address},
-                session=self.session,
             )
 
     def receive(self, msg: Message, sim: Simulation) -> None:
@@ -242,6 +239,5 @@ class RenterActor:
             self.actor_id, self.interface_id, "start_campaign",
             {"campaign_id": quote["campaign_id"], "funding_tx_id": tx.tx_id,
              "refund_address": self.address, "chain_view": view},
-            session=self.session, cut_point=CUT_RENTER_CHAIN,
-            campaign_id=quote["campaign_id"],
+            cut_point=CUT_RENTER_CHAIN, campaign_id=quote["campaign_id"],
         )

@@ -242,15 +242,13 @@ def build_world(spec: ScenarioSpec) -> World:
                            c.count, c.revert_window)
             for c in rspec.campaigns
         ]
-        session = mesh.attest(sim, f"renter:{rspec.renter_id}", GENUINE,
-                              primary.enclave.identity)
+        mesh.attest(sim, f"renter:{rspec.renter_id}", GENUINE, primary.enclave.identity)
         renter = RenterActor(
             rspec.renter_id, node.node_id,
             chain_supplier=lambda: node.chain,
             interface_id=primary_iface, intents=intents,
             view_mode=rspec.view,
             poll_interval=max(spec.chain.block_interval / 2, 1.0),
-            session=session,
         )
         sim.register(renter.actor_id, renter)
         renters[rspec.renter_id] = renter
@@ -300,7 +298,7 @@ def _enroll_and_schedule(world: World) -> None:
         owner = world.owners[ospec.owner_id]
         group = _owner_home(world, ospec)
         iface_id = group.enclave.actor_id
-        session = world.mesh.attest(sim, owner.actor_id, GENUINE, group.enclave.identity)
+        world.mesh.attest(sim, owner.actor_id, GENUINE, group.enclave.identity)
         payload_services = {}
         for entry in ospec.services:
             payload_services[entry.service_id] = {
@@ -314,7 +312,6 @@ def _enroll_and_schedule(world: World) -> None:
             owner.actor_id, iface_id, "enroll",
             {"owner_id": ospec.owner_id, "payout_address": owner.payout_address,
              "proxy_id": owner.proxy_id, "services": payload_services},
-            session=session,
         )
         if ospec.polls:
             pollers.append((owner.actor_id, iface_id, {"owner_id": ospec.owner_id}))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import ledger
 from .attestation import EnclaveIdentity, Secret
 from .services import OBSERVABLE_KINDS
-from .simnet import Message, Session, Simulation
+from .simnet import Message, Simulation
 
 GATE_TIMEOUT = 2.0
 
@@ -157,14 +157,13 @@ class ServiceEnclave:
     def _send_step(self, sim: Simulation, run: SlotRun, step: int) -> None:
         run.step = step
         latency = self.latency.draw_step(sim.rng, step)
-        session = Session(f"tls:{run.slot_id}", self.actor_id, run.service_actor)
         sim.send(
             self.actor_id, run.proxy_id, "svc_request",
             {"state_key": run.slot_id, "step": step, "username": run.username,
              "password": run.password.value, "action_kind": run.action_kind,
              "action_target": run.action_target, "slot_id": run.slot_id,
              "reply_to": self.actor_id, "dst_service": run.service_actor},
-            latency=latency, session=session,
+            latency=latency,
             campaign_id=run.campaign_id, owner_id=run.owner_id, step=step,
         )
         self._arm_timeout(sim, run, 3 * self.latency.mean_action, "timeout",

@@ -6,9 +6,12 @@ seeded source. Identical (scenario, seed) pairs therefore produce bit-identical
 event logs and reports.
 
 Host powers are exactly drop, delay and kill, plus eclipse feeds (serving a
-chosen fork to one owner's chain queries). The interception surface never
-exposes payloads of attested sessions: rules match on message metadata only.
-Cut points 1-5 name the five protocol messages an adversary can sever:
+chosen fork to one owner's chain queries). Rules match on message metadata
+only. Whether the host can read a payload is a property of the message kind:
+the kinds in ``SEALED_KINDS`` travel sealed, and every other kind is
+cleartext. Cut points 1-5 name the five protocol messages an
+adversary can sever; a cut point is set per send site, since one kind
+(``tx_copy``) rides different cuts to different receivers:
 
     1 renter latest-block   2 owner latest-block     3 service response
     4 return-deposit copy to renter                  5 reward-tx copy to owner
@@ -19,14 +22,13 @@ it, which is what fairness verdicts later cite as evidence.
 Credentials and keys travel wrapped in ``Secret``. The simulation checks each
 cleartext message as it is delivered or dropped and keeps the first one that
 carries a Secret (``Simulation.secret_leak``), so no message has to outlive
-its delivery for the report to check that no secret left an attested session.
+its delivery for the report to check that no secret travelled in cleartext.
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 CUT_RENTER_CHAIN = 1
@@ -43,14 +45,14 @@ CUT_POINTS = (
     CUT_REWARD_COPY,
 )
 
-
-@dataclass(frozen=True)
-class Session:
-    """Attested channel marker: payloads are opaque to the host."""
-
-    session_id: str
-    peer_a: str
-    peer_b: str
+# The message kinds whose payloads the host cannot read: each travels between
+# attested peers, or, for svc_request, over TLS to the service. Every other
+# kind is cleartext.
+SEALED_KINDS = frozenset({
+    "enroll", "gossip_batch", "quote_request", "quote", "quote_failed",
+    "start_campaign", "start_failed", "campaign_started", "share_assign",
+    "batch", "settle", "cancel_campaign", "release_share", "svc_request",
+})
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,6 @@ class Message:
     kind: str
     payload: dict
     send_time: float
-    session: Session | None = None
     cut_point: int | None = None
     campaign_id: str | None = None
     owner_id: str | None = None
@@ -104,6 +105,9 @@ class Message:
 
 @dataclass
 class DropRule:
+    """A host rule: a matching message is dropped, or, when ``extra`` is
+    set, delayed by ``extra``."""
+
     rule_id: str
     owner: str  # adversary actor this rule belongs to (verdict attribution)
     cut_point: int | None = None
@@ -115,6 +119,7 @@ class DropRule:
     step: int | None = None
     from_time: float = 0.0
     until_time: float | None = None
+    extra: float | None = None
 
     def matches(self, msg: Message, now: float) -> bool:
         if now < self.from_time:
@@ -133,14 +138,6 @@ class DropRule:
             if want is not None and want != got:
                 return False
         return True
-
-
-@dataclass(kw_only=True)
-class DelayRule(DropRule):
-    """Matches as a DropRule does; a matching message is delayed by ``extra``
-    instead of dropped."""
-
-    extra: float
 
 
 _DIGEST_CHUNK = 512  # lines sealed into one UTF-8 chunk
@@ -216,12 +213,10 @@ class EventLog:
         return hasher.hexdigest()
 
 
-class LogLines(Sequence):
+class LogLines:
     """A read-only view of an EventLog's lines, sealed and open, in order.
 
-    ``len`` costs nothing, iteration decodes one chunk at a time, and an
-    index decodes only the chunk that holds its line. Equal to a list or
-    view of the same lines."""
+    ``len`` costs nothing and iteration decodes one chunk at a time."""
 
     __slots__ = ("_log",)
 
@@ -236,21 +231,6 @@ class LogLines(Sequence):
         for chunk in log._chunks:
             yield from chunk.decode().split("\n")[:-1]
         yield from log._open
-
-    def __getitem__(self, index: int) -> str:
-        log, size = self._log, len(self)
-        if not -size <= index < size:
-            raise IndexError("log line index out of range")
-        index %= size
-        if index >= log._sealed:
-            return log._open[index - log._sealed]
-        chunk, at = divmod(index, _DIGEST_CHUNK)
-        return log._chunks[chunk].decode().split("\n")[at]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, LogLines)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 class HostControl:
@@ -299,8 +279,8 @@ class HostControl:
         )
         return rule
 
-    def add_delay(self, extra: float, *, owner: str = "host", **scope) -> DelayRule:
-        rule = DelayRule(
+    def add_delay(self, extra: float, *, owner: str = "host", **scope) -> DropRule:
+        rule = DropRule(
             rule_id=self._next_rule_id("delay"), owner=owner, extra=extra, **scope
         )
         self._install(rule)
@@ -344,7 +324,7 @@ class HostControl:
             ]
         for rule in rules:
             if rule.matches(msg, now):
-                if not isinstance(rule, DelayRule):
+                if rule.extra is None:
                     return rule, latency
                 latency += rule.extra
         return None, latency
@@ -429,7 +409,6 @@ class Simulation:
         payload: dict,
         *,
         latency: float = 0.0,
-        session: Session | None = None,
         cut_point: int | None = None,
         campaign_id: str | None = None,
         owner_id: str | None = None,
@@ -441,8 +420,8 @@ class Simulation:
         Raises ValueError, having numbered, logged and scheduled nothing,
         when the delivery time, after delay rules, is before now."""
         now = self.now
-        msg = Message(self._msg_seq + 1, src, dst, kind, payload, now, session,
-                      cut_point, campaign_id, owner_id, step)
+        msg = Message(self._msg_seq + 1, src, dst, kind, payload, now, cut_point,
+                      campaign_id, owner_id, step)
         net = self.net
         killed = net.killed.get(src)
         rule = None
@@ -494,7 +473,7 @@ class Simulation:
         actor.receive(msg, self)
 
     def host_visible_payload(self, msg: Message) -> dict | None:
-        """What the host's interception could read: None for attested traffic."""
-        if msg.session is not None:
+        """What the host's interception could read: None for a sealed kind."""
+        if msg.kind in SEALED_KINDS:
             return None
         return msg.payload

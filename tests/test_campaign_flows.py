@@ -21,14 +21,14 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import leasim
-from leasim import cli, ledger, powcore, runner, scenario
-from leasim.attestation import Secret
+from leasim import cli, ledger, powcore, runner, scenario, simnet
+from leasim.attestation import Secret, Session
 from leasim.interface_enclave import RESOLVED, InterfaceEnclave
 from leasim.ledger import BURN_ADDRESS, BlockHeader, Chain, Transaction, make_transaction
 from leasim.report import _judge_owner, build_report, render_report, report_digest, verify_world
 from leasim.runner import POLL_AT, build_world, estimate_schedule, run_scenario
 from leasim.scenario import SAFE_LOADER, SchemaError, load_scenario, parse_scenario
-from leasim.simnet import Message, Session, Simulation
+from leasim.simnet import Message, Simulation
 
 _worlds: dict[str, object] = {}
 
@@ -913,11 +913,7 @@ class TestDistributed:
                            " msg=28 src=iface:b dst=iface:a"]
 
     def test_unsessioned_gossip_leaks_credentials(self, monkeypatch):
-        session_for = InterfaceEnclave._session_for
-        monkeypatch.setattr(
-            InterfaceEnclave, "_session_for",
-            lambda self, sim, peer: None if peer.startswith("iface:")
-            else session_for(self, sim, peer))
+        monkeypatch.setattr(simnet, "SEALED_KINDS", simnet.SEALED_KINDS - {"gossip_batch"})
         world = self.run_with_host({})
         (check,) = [c for c in verify_world(world) if c[0] == "no_unsessioned_secrets"]
         assert check[1:] == (False, "secret in cleartext gossip_batch iface:a->iface:b")
@@ -929,7 +925,7 @@ class TestP2P:
         after its grace blocks."""
         world = world_for("p2p")
         assert (world.sim.now, world.node.chain.height) == (105.0, 7)
-        assert world.sim.log.lines[-1] == (
+        assert list(world.sim.log.lines)[-1] == (
             "t=105.000000 actor=node:main kind=mining_stopped height=7")
 
     def test_cpu_flood_collapses_to_one_binding(self):
@@ -1028,6 +1024,15 @@ class TestMiningStops:
         assert world.node.stopped
         assert world.sim.now < world.spec.timing.horizon
         assert len(world.node.chain.blocks) == self.BLOCKS[name]
+
+    def test_horizon_stops_a_run_with_events_queued(self):
+        """Cut off mid-campaign, the run ends at the horizon with timers and
+        deliveries still queued."""
+        raw = bundled_raw("replay")
+        raw["timing"]["horizon"] = 250.0
+        world = run_scenario(parse_scenario(raw))
+        assert world.sim.now <= 250.0
+        assert world.sim._queue
 
     def test_total_hash_attempts(self):
         assert sorted(self.BLOCKS) == BUNDLED
@@ -1226,6 +1231,19 @@ class TestMessageKindsDocumented:
         undocumented = sorted(k for k in kinds if f"\n| `{k}` |" not in doc)
         assert not undocumented
 
+    def test_sealed_column_is_the_sealed_kinds(self):
+        """Each Messages row's ``sealed`` cell says whether its kind is in
+        SEALED_KINDS, and every sealed kind has a row."""
+        doc = TestEventKindsDocumented.FORMATS.read_text()
+        table = doc.split("\n## Messages\n", 1)[1].split("\n| kind | sealed |", 1)[1]
+        rows = table.split("\n\n", 1)[0].splitlines()[2:]
+        sealed = {}
+        for row in rows:
+            kind, cell = (col.strip() for col in row.split("|")[1:3])
+            sealed[kind.strip("`")] = cell
+        assert set(sealed.values()) == {"yes", "no"}
+        assert {kind for kind, cell in sealed.items() if cell == "yes"} == simnet.SEALED_KINDS
+
 
 class TestScenarioKeysDocumented:
     def test_scenario_block_has_exactly_the_declared_keys(self):
@@ -1414,19 +1432,20 @@ class TestSecretTaint:
                 out.append(fate)
         return out
 
-    def test_shared_payload_with_a_secret_fails(self):
+    def test_shared_payload_with_a_secret_fails(self, monkeypatch):
         world = run_scenario(parse_scenario(ladder_shape(2, 1, 1)))
         ok, why = self.taint_check(world)
         scanned = len(world.sim.delivered) + len(world.sim.dropped)
         assert ok and why.startswith(f"{scanned} messages scanned")
 
         shared = {"login": ["user0", Secret("password", "pw-0")]}
-        session = Session("s-test", "owner:o0", "probe")
+        # m0-m4 are sealed kinds, m5-m9 cleartext
+        monkeypatch.setattr(simnet, "SEALED_KINDS",
+                            simnet.SEALED_KINDS | {f"m{n}" for n in range(5)})
 
         def send_all(sim):
-            for n, sealed in enumerate([True] * 5 + [False] * 5):
-                sim.send("owner:o0", "probe", f"m{n}", shared,
-                         session=session if sealed else None, latency=0.5)
+            for n in range(10):
+                sim.send("owner:o0", "probe", f"m{n}", shared, latency=0.5)
 
         world = self.run_with(lambda sim: sim.schedule_at(1.0, lambda: send_all(sim)))
         assert [self.fates(world, f"m{n}") for n in range(10)] == [["send", "recv"]] * 10
