@@ -1,10 +1,10 @@
 """Mock attestation and enlistment mesh.
 
 Attestation is digest equality against a genuine measurement set taken from
-scenario config. ``attest`` is the one place a ``Session`` is made: it logs
-the session it opens and raises instead when the target is dead or not
-genuine. The kinds sent between attested peers are simnet's ``SEALED_KINDS``,
-whose payloads the host cannot read (it may still drop or delay the packets).
+scenario config. ``attest`` logs the id of each session it opens, and raises
+instead when the target is dead or not genuine. The kinds sent between
+attested peers are simnet's ``SEALED_KINDS``, whose payloads the host cannot
+read (it may still drop or delay the packets).
 Payment enclaves escrow a backup spend key with the interface enclave, one
 escrow per share they hold; an escrow is usable only once its enclave has been
 observed dead, and a swept share is marked so a resurrected enclave can never
@@ -18,18 +18,9 @@ dropped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from leasim.simnet import Secret, Simulation, contains_secret
-
-
-@dataclass(frozen=True)
-class Session:
-    """A successful attestation between two peers."""
-
-    session_id: str
-    peer_a: str
-    peer_b: str
 
 
 class AttestationError(Exception):
@@ -86,7 +77,7 @@ class AttestationMesh:
     # -- attestation -------------------------------------------------------
 
     def attest(self, sim: Simulation, caller_id: str, expected: Measurement,
-               target: EnclaveIdentity) -> Session:
+               target: EnclaveIdentity) -> None:
         """Measurement-gated session setup; a killed target is unreachable."""
         if sim.net.is_killed(target.enclave_id):
             sim.log.emit(sim.now, caller_id, "attest_unreachable", target=target.enclave_id)
@@ -96,13 +87,10 @@ class AttestationMesh:
             sim.log.emit(sim.now, caller_id, "attest_mismatch", target=target.enclave_id)
             raise MeasurementMismatch(target.enclave_id)
         self._session_seq += 1
-        session = Session(
-            session_id=f"sess{self._session_seq}", peer_a=caller_id, peer_b=target.enclave_id
-        )
         sim.log.emit(
-            sim.now, caller_id, "attested", target=target.enclave_id, session=session.session_id
+            sim.now, caller_id, "attested", target=target.enclave_id,
+            session=f"sess{self._session_seq}"
         )
-        return session
 
     # -- enlistment --------------------------------------------------------
 

@@ -7,18 +7,30 @@ floored to base units.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 UNIT = 1_000_000  # base units per coin
 
 
 def coins(amount: int | float | str) -> int:
     """Parse a coin-denominated amount into base units (exact)."""
-    value = Fraction(str(amount)) * UNIT
+    value = _base_units(str(amount))
     if value.denominator != 1:
         raise ValueError(f"amount {amount!r} is finer than one base unit")
-    if value < 0:
+    if value.numerator < 0:
         raise ValueError(f"amount {amount!r} is negative")
-    return int(value)
+    return value.numerator
+
+
+@cache
+def _base_units(text: str) -> Fraction:
+    """``text`` as a coin amount in base units, possibly fractional.
+
+    A scenario repeats a few prices over thousands of owners, and
+    ``Fraction(str)`` is the costly step. The key is the text, never the raw
+    value: a list is unhashable, and ``True == 1.0`` would share an entry.
+    An invalid text raises each time, since a cache keeps no exception."""
+    return Fraction(text) * UNIT
 
 
 def rate(value: int | float | str) -> Fraction:

@@ -14,6 +14,7 @@ parsing, in ``_check_references``.
 """
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .simnet import CUT_POINTS
 
 # libyaml's safe loader, when PyYAML was built with it: it builds the same
 # objects as yaml.SafeLoader about ten times faster on large scenario files.
+# load_scenario runs it with the cyclic collector paused (see there).
 SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 MODES = ("centralized", "distributed", "p2p")
@@ -405,15 +407,30 @@ def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioSpec:
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None) -> ScenarioSpec:
+    """Read, parse and validate one scenario file. A file that cannot be
+    read, is not YAML or breaks the schema raises SchemaError.
+
+    The YAML parse and the validation run with the cyclic collector paused,
+    and it is turned back on only if it was on when the call began. Neither
+    the YAML tree nor the spec holds a cycle, so reference counting frees
+    them. With the collector on, every young collection would rescan the
+    growing tree, and the survivors would bring the next full collection
+    forward into the run."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(str(path), f"cannot read the file: {exc}") from None
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        raw = yaml.load(text, Loader=SAFE_LOADER)
-    except yaml.YAMLError as exc:
-        raise SchemaError(str(path), f"not valid YAML: {exc}") from None
-    spec = parse_scenario(raw, source=Path(path).stem)
+        try:
+            raw = yaml.load(text, Loader=SAFE_LOADER)
+        except yaml.YAMLError as exc:
+            raise SchemaError(str(path), f"not valid YAML: {exc}") from None
+        spec = parse_scenario(raw, source=Path(path).stem)
+    finally:
+        if collecting:
+            gc.enable()
     if seed_override is not None:
         spec.seed = seed_override
     return spec

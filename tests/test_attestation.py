@@ -34,10 +34,14 @@ def mk_world(actors=("iface", "svc", "pay")):
 
 
 class TestAttest:
-    def test_matching_measurement_yields_session(self):
+    def test_matching_measurement_logs_a_session(self):
         sim, mesh = mk_world()
-        session = mesh.attest(sim, "iface", GOOD, identity("svc"))
-        assert {session.peer_a, session.peer_b} == {"iface", "svc"}
+        mesh.attest(sim, "iface", GOOD, identity("svc"))
+        mesh.attest(sim, "svc", GOOD, identity("iface"))
+        assert list(sim.log.lines) == [
+            "t=0.000000 actor=iface kind=attested target=svc session=sess1",
+            "t=0.000000 actor=svc kind=attested target=iface session=sess2",
+        ]
 
     def test_mismatch_refused_before_any_secret_flows(self):
         sim, mesh = mk_world()

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import os
+import re
 import subprocess
 import sys
 import types
@@ -21,8 +22,8 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import leasim
-from leasim import cli, ledger, powcore, runner, scenario, simnet
-from leasim.attestation import Secret, Session
+from leasim import cli, coins, ledger, powcore, runner, scenario, simnet
+from leasim.attestation import Measurement, Secret
 from leasim.interface_enclave import RESOLVED, InterfaceEnclave
 from leasim.ledger import BURN_ADDRESS, BlockHeader, Chain, Transaction, make_transaction
 from leasim.report import _judge_owner, build_report, render_report, report_digest, verify_world
@@ -832,7 +833,9 @@ class TestCrossProcessDeterminism:
         src = str(Path(leasim.__file__).resolve().parent.parent)
 
         def digests(hash_seed: str) -> str:
-            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            inherited = os.environ.get("PYTHONPATH")
+            path = os.pathsep.join([src, inherited]) if inherited else src
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
             done = subprocess.run([sys.executable, "-c", self.DIGESTS, str(scenario)],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr
@@ -1395,6 +1398,118 @@ class TestScenarioLoader:
         assert f"{path}: cannot read the file" in capsys.readouterr().err
 
 
+def _baseline_with(tmp_path, keys: tuple, value, name: str = "coin") -> Path:
+    """``baseline`` with one value replaced, written to ``tmp_path``."""
+    raw = bundled_raw("baseline")
+    target = raw
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    return path
+
+
+class TestLoadPausesCollector:
+    """``load_scenario`` parses with the cyclic collector off and leaves it
+    as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    def test_no_collection_starts_during_a_large_load(self, tmp_path):
+        """The young collection that the pause defers may start as soon as
+        the collector is back on (under a line tracer, still inside
+        ``load_scenario``), so the hook counts only collections that start
+        while the YAML parse or the validation runs."""
+        path = tmp_path / "ladder3200.yaml"
+        path.write_text(yaml.dump(ladder_shape(3200, 4, 4), sort_keys=False,
+                                  Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper)))
+        parsing = {yaml.load.__code__, scenario.parse_scenario.__code__}
+        starts = []
+
+        def hook(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in parsing:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(hook)
+        try:
+            spec = load_scenario(path)
+        finally:
+            gc.callbacks.remove(hook)
+        assert len(spec.owners) == 3200
+        assert starts == []
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("text, error", [
+        (None, None),
+        ("name: broken\nchain: 5\n", "broken.chain: "),
+        ("name: broken\nowners: [o1, {id: o2\n", "not valid YAML"),
+    ], ids=["clean", "schema_error", "yaml_error"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_collector_state_is_restored(self, tmp_path, text, error, enabled):
+        path = tmp_path / "broken.yaml"
+        if text is None:
+            path = resources.files("leasim") / "scenarios" / "baseline.yaml"
+        else:
+            path.write_text(text)
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            load_scenario(path)
+        else:
+            with pytest.raises(SchemaError, match=re.escape(error)):
+                load_scenario(path)
+        assert gc.isenabled() is enabled
+
+
+class TestCoinErrors:
+    """A refused coin amount or rate gives the same message however often it
+    is loaded: the parse cache keeps no error and no raw value."""
+
+    PRICE = (("owners", 0, "services", 0, "price"), "owners[0].services[0].price")
+    RATE = (("economics", "deposit_rate"), "economics.deposit_rate")
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        coins._base_units.cache_clear()
+
+    @pytest.mark.parametrize("where, value, cause", [
+        (PRICE, -1, "amount -1 is negative"),
+        (PRICE, "-2.5", "amount '-2.5' is negative"),
+        (PRICE, 0.0000001, "amount 1e-07 is finer than one base unit"),
+        (PRICE, "0.0000005", "amount '0.0000005' is finer than one base unit"),
+        (PRICE, "abc", "Invalid literal for Fraction: 'abc'"),
+        (PRICE, [1], "Invalid literal for Fraction: '[1]'"),
+        (RATE, "-0.1", "rate '-0.1' is negative"),
+        (RATE, "abc", "Invalid literal for Fraction: 'abc'"),
+    ])
+    def test_same_message_on_every_load(self, tmp_path, where, value, cause):
+        keys, field = where
+        path = _baseline_with(tmp_path, keys, value)
+        for _ in range(2):
+            with pytest.raises(SchemaError) as refused:
+                load_scenario(path)
+            assert str(refused.value) == f"coin.{field}: {cause}"
+
+    def test_true_does_not_share_the_entry_of_1_0(self, tmp_path):
+        """``True == 1.0``, so a cache keyed on the raw value would accept it."""
+        keys, field = self.PRICE
+        one = _baseline_with(tmp_path, keys, 1.0, name="one")
+        assert load_scenario(one).owners[0].services[0].price == coins.UNIT
+        path = _baseline_with(tmp_path, keys, True)
+        for _ in range(2):
+            with pytest.raises(SchemaError) as refused:
+                load_scenario(path)
+            assert str(refused.value) == f"coin.{field}: Invalid literal for Fraction: 'True'"
+
+
 class _Probe:
     """An actor that accepts any message and keeps nothing."""
 
@@ -1570,5 +1685,5 @@ class TestCleartextLeafTypes:
     def test_field_walk_finds_a_secret_slot(self):
         assert _can_hold_secret(Secret)
         assert _can_hold_secret(Message)  # payload: dict
-        assert _can_hold_secret(Session | Secret)
+        assert _can_hold_secret(Measurement | Secret)
         assert _can_hold_secret(tuple[str, ...] | None) is False
