@@ -1,10 +1,12 @@
-"""Behavioral actors: identity owners, their relay proxies, and renters.
+"""Behavioral actors: identity owners, their devices, and renters.
 
-Owners answer chain queries from their own node view (or an eclipse feed the
-host wired in), relay settlement copies to the chain node, and optionally
-revert actions. Proxies are dumb relays on the owner's device: they echo
-enrollment nonces and forward chain queries and service traffic. Renters fund campaigns and present a chain view that is
-either the honest tip or a privately mined fork.
+An owner's device (``ProxyActor``) echoes enrollment nonces, answers the
+consistency gate's chain queries from its owner's node view (or an eclipse
+feed the host wired in), and relays service traffic; on each final
+confirmation it relayed, a ``reverts_actions`` owner schedules undoing its
+actions. The owner (``OwnerActor``) enrolls, polls, and redeems settlement
+copies by broadcasting them to the chain node. Renters fund campaigns and
+present a chain view that is either the honest tip or a privately mined fork.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ class OwnerActor:
 
     owner_id: str
     profile: str
-    proxy_id: str
     node_id: str
     chain_supplier: object  # () -> ledger.Chain, the owner's own node view
     service_backends: dict[str, object] = field(default_factory=dict)
@@ -33,9 +34,8 @@ class OwnerActor:
         if self.profile not in OWNER_PROFILES:
             raise ValueError(f"unknown owner profile {self.profile!r}")
         self.actor_id = f"owner:{self.owner_id}"
+        self.proxy_id = f"proxy:{self.owner_id}"
         self.payout_address = self.actor_id
-
-    # -- chain view --------------------------------------------------------
 
     def view_headers(self, sim: Simulation, lo: int, hi: int) -> list[ledger.BlockHeader]:
         """Headers at heights ``lo`` through ``hi`` that this owner can see."""
@@ -44,30 +44,21 @@ class OwnerActor:
             return feed(lo, hi)
         return self.chain_supplier().headers_from(lo, hi)
 
-    # -- message handling --------------------------------------------------
-
     def receive(self, msg: Message, sim: Simulation) -> None:
-        p = msg.payload
-        if msg.kind == "chain_query":
-            headers = self.view_headers(sim, *p["heights"])
-            sim.send(
-                self.actor_id, self.proxy_id, "chain_view",
-                {"headers": headers, "reply_to": p["reply_to"],
-                 "owner_id": self.owner_id, "slot_id": p.get("slot_id")},
-                cut_point=CUT_OWNER_CHAIN, owner_id=self.owner_id,
-                campaign_id=msg.campaign_id,
-            )
-        elif msg.kind == "tx_copy":
+        if msg.kind == "tx_copy":
             # settlement copy: redeem by broadcasting ourselves
-            sim.send(self.actor_id, self.node_id, "tx_broadcast", {"tx": p["tx"]})
-        elif msg.kind == "relay_note" and self.profile == "reverts_actions":
-            service_id = p.get("service_id")
-            backend = self.service_backends.get(service_id)
-            if backend is not None and hasattr(backend, "revert"):
-                sim.schedule_for(
-                    self.actor_id, self.revert_delay,
-                    lambda: self._revert_everything(sim, service_id, backend),
-                )
+            sim.send(self.actor_id, self.node_id, "tx_broadcast", {"tx": msg.payload["tx"]})
+
+    def confirmed(self, sim: Simulation, service_id: str) -> None:
+        """A final confirmation from ``service_id`` passed through this
+        owner's device: a ``reverts_actions`` owner undoes its actions there
+        ``revert_delay`` later, unless it has been killed by then."""
+        backend = self.service_backends.get(service_id)
+        if self.profile == "reverts_actions" and hasattr(backend, "revert"):
+            sim.schedule_for(
+                self.actor_id, self.revert_delay,
+                lambda: self._revert_everything(sim, service_id, backend),
+            )
 
     def _revert_everything(self, sim: Simulation, service_id: str, backend) -> None:
         username, password = self.credentials[service_id]
@@ -79,33 +70,33 @@ class OwnerActor:
 
 @dataclass
 class ProxyActor:
-    """The owner-device relay: echoes nonces, forwards chain and service traffic."""
+    """The owner's device: echoes nonces, answers chain queries from its
+    owner's view, relays service traffic."""
 
-    owner_id: str
+    owner: OwnerActor
 
     def __post_init__(self) -> None:
-        self.actor_id = f"proxy:{self.owner_id}"
-        self.owner_actor = f"owner:{self.owner_id}"
+        self.actor_id = self.owner.proxy_id
+        self.owner_id = self.owner.owner_id
 
     def receive(self, msg: Message, sim: Simulation) -> None:
         p = msg.payload
         if msg.kind == "nonce_rt":
             sim.send(self.actor_id, p["reply_to"], "nonce_echo", {"nonce": p["nonce"]})
         elif msg.kind == "chain_query":
-            sim.send(self.actor_id, self.owner_actor, "chain_query", p,
-                     campaign_id=msg.campaign_id, owner_id=self.owner_id)
-        elif msg.kind == "chain_view":
-            sim.send(self.actor_id, p["reply_to"], "chain_view", p,
-                     cut_point=CUT_OWNER_CHAIN, owner_id=self.owner_id,
-                     campaign_id=msg.campaign_id)
+            sim.send(
+                self.actor_id, p["reply_to"], "chain_view",
+                {"headers": self.owner.view_headers(sim, *p["heights"]),
+                 "owner_id": self.owner_id, "slot_id": p["slot_id"]},
+                cut_point=CUT_OWNER_CHAIN, owner_id=self.owner_id,
+                campaign_id=msg.campaign_id,
+            )
         elif msg.kind == "svc_request":
             sim.send(self.actor_id, p["dst_service"], "svc_request", p,
                      campaign_id=msg.campaign_id, owner_id=msg.owner_id, step=msg.step)
         elif msg.kind in ("svc_response", "svc_confirm"):
             if msg.kind == "svc_confirm":
-                # owner's device sees traffic metadata, never payload content
-                sim.send(self.actor_id, self.owner_actor, "relay_note",
-                         {"service_id": p.get("service_id")})
+                self.owner.confirmed(sim, p["service_id"])
             sim.send(self.actor_id, p["reply_to"], msg.kind, p,
                      cut_point=msg.cut_point, campaign_id=msg.campaign_id,
                      owner_id=msg.owner_id, step=msg.step)

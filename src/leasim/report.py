@@ -16,8 +16,6 @@ from .interface_enclave import InterfaceEnclave
 from .ledger import BURN_ADDRESS
 from .runner import World
 
-VERDICTS = ("fair", "harmed", "advantaged")
-
 
 def _landed(world: World, tx_id: str | None) -> bool:
     return tx_id is not None and world.node.chain.has_tx(tx_id)

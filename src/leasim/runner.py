@@ -222,15 +222,15 @@ def build_world(spec: ScenarioSpec) -> World:
 
     owners: dict[str, OwnerActor] = {}
     for ospec in spec.owners:
-        proxy = ProxyActor(ospec.owner_id)
         backing = {e.service_id: services[e.service_id] for e in ospec.services}
         creds = {e.service_id: (e.username, e.password) for e in ospec.services}
         owner = OwnerActor(
-            ospec.owner_id, ospec.profile, proxy.actor_id, node.node_id,
+            ospec.owner_id, ospec.profile, node.node_id,
             chain_supplier=lambda: node.chain,
             service_backends=backing, credentials=creds,
             revert_delay=ospec.revert_delay,
         )
+        proxy = ProxyActor(owner)
         sim.register(proxy.actor_id, proxy)
         sim.register(owner.actor_id, owner)
         owners[ospec.owner_id] = owner

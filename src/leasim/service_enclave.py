@@ -1,8 +1,10 @@
-"""Service enclave: runs action slots through owner proxies.
+"""Service enclave: runs action slots through owners' devices.
 
-Each slot goes through: consistency gate (owner chain view vs renter view),
-the service's multi-request pipeline over the proxy, an optional revert
-window, and external verification for observable actions. Each ``batch``
+Each slot goes through: the consistency gate (one ``chain_query`` to the
+owner's device, which answers with a ``chain_view`` of its owner's headers at
+the renter view's heights, checked against that view), the service's
+multi-request pipeline relayed by the device, an optional revert window, and
+external verification for observable actions. Each ``batch``
 message carries one slot, and an enclave's slots execute sequentially in
 virtual time; the per-exchange latency draws are the only place campaign time
 is spent, which is what makes the phase arithmetic exact under zero-variance

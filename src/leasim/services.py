@@ -7,8 +7,7 @@ Two services with opposite observability:
   earlier exchange leaves state unchanged while cutting only the final
   response leaves the action applied but unconfirmed. Public counters and a
   public actor listing make honest actions externally verifiable; ghost
-  accounts confirm without ever touching public state; hidden items need a
-  direct link.
+  accounts confirm without ever touching public state.
 - VotingService: one counted vote per credential (first_counts or
   last_counts), a ballot box whose observer API exposes only tallies, and an
   individual-verifiability hook (a credential holder can check their counted
@@ -59,7 +58,6 @@ class ServiceAction:
 @dataclass
 class ItemState:
     item_id: str
-    hidden: bool = False
     counters: dict[str, int] = field(default_factory=dict)
     public_actions: list[tuple[str, str]] = field(default_factory=list)  # (account, kind)
     private_log: list[tuple[str, str]] = field(default_factory=list)  # incl. ghost actions
@@ -86,8 +84,8 @@ class SocialService:
         if ghost:
             self.ghosts.add(username)
 
-    def add_item(self, item_id: str, *, hidden: bool = False) -> ItemState:
-        item = ItemState(item_id=item_id, hidden=hidden)
+    def add_item(self, item_id: str) -> ItemState:
+        item = ItemState(item_id=item_id)
         self.items[item_id] = item
         return item
 
@@ -128,9 +126,9 @@ class SocialService:
 
     # -- public state ------------------------------------------------------
 
-    def observe(self, item_id: str, *, has_link: bool = False) -> dict[str, int]:
+    def observe(self, item_id: str) -> dict[str, int]:
         item = self.items.get(item_id)
-        if item is None or (item.hidden and not has_link):
+        if item is None:
             raise NotFound(item_id)
         return dict(item.counters)
 
@@ -221,7 +219,8 @@ class VotingService:
         return {"status": "confirmed", "step": step}
 
     def cast_vote(self, username: str, password: str, candidate: str) -> dict:
-        """Single-shot cast (login + cast), used by owner-side revotes."""
+        """Single-shot cast (login + cast) under the pipeline key
+        ``direct:<username>``, with no relay in between."""
         first = self.handle_request(f"direct:{username}", 1, username, password,
                                     ServiceAction("vote", candidate))
         if first["status"] == "error":

@@ -760,7 +760,7 @@ class TestDeliveredMessagesFreed:
             return sum(1 for obj in gc.get_objects() if type(obj) is Message)
 
         before = live_messages()
-        world = run_scenario(parse_scenario(ladder_shape(200, 4, 4)))
+        world = run_scenario(parse_scenario(ladder_shape(220, 4, 4)))
         assert len(world.sim.delivered) > 10_000
         assert live_messages() - before <= len(world.sim.dropped)
 
@@ -1166,6 +1166,78 @@ class TestOwnerPolls:
         assert blocked == ([(f"{POLL_AT:.6f}", "owner:o2")] if kill_at < POLL_AT else [])
         others = [t for t, actor in poll_events(world) if actor == "owner:o1"]
         assert len(others) > len(sent) + 1
+
+
+class TestOwnerDevice:
+    """The owner's device (its proxy) answers the gate from its owner's view,
+    and tells a reverting owner of each final confirmation it relays, with no
+    message inside the device."""
+
+    @staticmethod
+    def events(world, kind: str) -> list[tuple[float, str]]:
+        """(time, actor) of every ``kind=<kind>`` line, in log order."""
+        out = []
+        for line in world.sim.log.lines:
+            t, actor, logged = line.split(" ", 3)[:3]
+            if logged == f"kind={kind}":
+                out.append((float(t[2:]), actor[6:]))
+        return out
+
+    def test_cut_2_delay_holds_the_gate_view_once(self):
+        raw = bundled_raw("baseline")
+        raw["host"] = {"delays": [{"cut_point": 2, "extra": 0.5}]}
+        world = run_scenario(parse_scenario(raw))
+        asked = [t for t, _actor in self.events(world, "send:chain_query")]
+        answered = [t for t, _actor in self.events(world, "recv:chain_view")]
+        assert len(asked) == 3
+        assert [round(b - a, 9) for a, b in zip(asked, answered)] == [0.5] * 3
+        assert slot_statuses(only_campaign(world)) == ["confirmed"] * 3
+
+    def test_cut_3_delay_holds_each_final_confirmation_twice(self):
+        """svc_confirm meets the host rules on both hops, service to device
+        and device to enclave, so a cut-3 delay adds its extra twice."""
+        raw = bundled_raw("baseline")
+        raw["host"] = {"delays": [{"cut_point": 3, "extra": 0.5}]}
+        world = run_scenario(parse_scenario(raw))
+        sent = [t for t, actor in self.events(world, "send:svc_confirm")
+                if actor == "svc:social"]
+        received = [t for t, actor in self.events(world, "recv:svc_confirm")
+                    if actor == "svcenc:0:0"]
+        assert len(sent) == 3
+        assert [round(b - a, 9) for a, b in zip(sent, received)] == [1.0] * 3
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_no_relay_note(self, name):
+        assert not any("relay_note" in line for line in world_for(name).sim.log.lines)
+
+    def test_a_reverting_owner_still_reverts(self):
+        world = world_for("revert")
+        confirmed = [t for t, actor in self.events(world, "recv:svc_confirm")
+                     if actor == "proxy:o2"]
+        reverts = [line for line in world.sim.log.lines if " kind=owner_revert " in line]
+        revert_delay = parse_scenario(bundled_raw("revert")).owners[1].revert_delay
+        assert reverts == [f"t={confirmed[0] + revert_delay:.6f} actor=owner:o2 "
+                           "kind=owner_revert service=social item=item1 action=upvote"]
+
+    def test_a_killed_owners_device_still_answers_the_gate(self):
+        """``owner:o2`` is killed after the launch (91 s) and before its gate:
+        its polls, its own redemption and its revert stop, but its device
+        still answers the gate, so its slot is performed and not reverted."""
+        raw = bundled_raw("revert")
+        raw["host"] = {"kills": [{"actor": "owner:o2", "at": 92.0}]}
+        world = run_scenario(parse_scenario(raw))
+        campaign = only_campaign(world)
+        assert campaign.phase_marks["service_start"] < 92.0
+        (slot,) = [s for s in campaign.slots.values() if s.owner_id == "o2"]
+        assert (slot.status, slot.detail) == ("confirmed", "externally verified")
+        assert [actor for _t, actor in self.events(world, "send:chain_view")] == [
+            "proxy:o1", "proxy:o2", "proxy:o3"]
+        assert not self.events(world, "owner_revert")
+        polls = [float(t) for t, actor in poll_events(world) if actor == "owner:o2"]
+        assert max(polls) < 92.0
+        assert any(float(t) > 92.0 for t, actor in poll_events(world) if actor == "owner:o1")
+        assert {actor for _t, actor in self.events(world, "drop_dead:tx_copy")} == {"owner:o2"}
+        assert "owner:o2" not in {a for _t, a in self.events(world, "send:tx_broadcast")}
 
 
 class TestEnrollmentFailure:

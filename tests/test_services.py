@@ -91,16 +91,6 @@ class TestGhostAccounts:
         assert svc.exposed_accounts("post1") == {"spook", "alice"}
 
 
-class TestHiddenItems:
-    def test_hidden_item_needs_link(self):
-        svc = mk_social()
-        svc.add_item("secret", hidden=True)
-        drive_pipeline(svc, "k1", "alice", "pw-a", ServiceAction("upvote", "secret"))
-        with pytest.raises(services.NotFound):
-            svc.observe("secret")
-        assert svc.observe("secret", has_link=True) == {"upvote": 1}
-
-
 class TestRevert:
     def test_revert_removes_public_effect(self):
         svc = mk_social()

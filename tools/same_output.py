@@ -8,11 +8,19 @@ at seeds 0-23, through ``perfbench/workloads.py``. Then one child process per
 side (REV's ``src/`` and this tree's ``src/``, each with ``PYTHONHASHSEED=0``)
 runs the 14 bundled scenarios of this tree and the 48 generated ones, and for
 each prints the SHA-256 of the JSON report (``canonical_json``), of the text
-report (``render_report``) and of the ``leasim verify`` lines. Both sides run
-the same scenario files, so only the program differs.
+report (``render_report``), of the ``leasim verify`` lines and of the run's
+outcome: the verdicts with their evidence, the party balances, each
+campaign's phase marks, each slot's status and whether its settlement
+landed, and which ``verify`` checks passed. Both sides run the same scenario
+files, so only the program differs.
+
+A change to message plumbing moves the event log, and so every report's
+``event_digest``, without moving any outcome: for each scenario whose bytes
+differ, the tool also says whether its outcome is equal.
 
 Exit status: 0 with "62 scenarios identical"; 1 with one line per scenario
-whose output differs, then "K of 62 scenarios differ"; 2 when a child fails.
+whose output differs, then "K of 62 scenarios differ" and how many of them
+differ in outcome; 2 when a child fails.
 """
 from __future__ import annotations
 
@@ -40,10 +48,21 @@ def sha(text):
 for path in sys.argv[1:]:
     world = run_scenario(load_scenario(path))
     report = build_report(world)
+    results = verify_world(world)
     checks = "".join(f"{'PASS' if ok else 'FAIL'} {name}: {why}\\n"
-                     for name, ok, why in verify_world(world))
+                     for name, ok, why in results)
+    outcome = {
+        "verdicts": report["verdicts"],
+        "parties": report["parties"],
+        "campaigns": [
+            {"phases": c["phases"],
+             "slots": [[s["slot_id"], s["status"], s["settlement"]["landed"]]
+                       for s in c["slots"]]}
+            for c in report["campaigns"]],
+        "verify": [[name, ok] for name, ok, _why in results],
+    }
     print(sha(canonical_json(report)), sha(render_report(report)), sha(checks),
-          flush=True)
+          sha(canonical_json(outcome)), flush=True)
 """
 
 
@@ -99,15 +118,21 @@ def main(argv: list[str]) -> int:
             print(f"{side}: child exited {code}\n{err}", file=sys.stderr)
             return 2
         outputs.append(out.splitlines())
-    differ = 0
+    differ = moved = 0
     for (name, _path), base, ours in zip(found, *outputs):
+        *ours, our_outcome = ours.split()
+        *base, base_outcome = base.split()
         if ours != base:
             differ += 1
-            kinds = [kind for kind, a, b in zip(("json", "text", "verify"),
-                                                ours.split(), base.split()) if a != b]
-            print(f"{name}: {', '.join(kinds)} output differs from {rev}")
+            kinds = [kind for kind, a, b in zip(("json", "text", "verify"), ours, base)
+                     if a != b]
+            same = our_outcome == base_outcome
+            moved += not same
+            print(f"{name}: {', '.join(kinds)} output differs from {rev}; "
+                  f"outcome {'equal' if same else 'differs'}")
     if differ:
-        print(f"{differ} of {len(found)} scenarios differ")
+        print(f"{differ} of {len(found)} scenarios differ, "
+              f"{moved} of them in outcome")
         return 1
     print(f"{len(found)} scenarios identical")
     return 0
