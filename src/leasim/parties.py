@@ -87,7 +87,7 @@ class ProxyActor:
             sim.send(
                 self.actor_id, p["reply_to"], "chain_view",
                 {"headers": self.owner.view_headers(sim, *p["heights"]),
-                 "owner_id": self.owner_id, "slot_id": p["slot_id"]},
+                 "slot_id": p["slot_id"]},
                 cut_point=CUT_OWNER_CHAIN, owner_id=self.owner_id,
                 campaign_id=msg.campaign_id,
             )

@@ -146,11 +146,13 @@ def build_world(spec: ScenarioSpec) -> World:
 
     services: dict[str, object] = {}
     service_actors: dict[str, ServiceActorAdapter] = {}
+    ghosts: dict[str, list[str]] = {}
     for svc in spec.services:
         if svc.kind == "social":
             backend = SocialService(svc.service_id, collusion=svc.collusion)
             for item in svc.items:
                 backend.add_item(item)
+            ghosts[svc.service_id] = svc.ghosts
         else:
             backend = VotingService(svc.service_id, policy=svc.policy,
                                     fake_credentials=set(svc.coerced))
@@ -165,10 +167,9 @@ def build_world(spec: ScenarioSpec) -> World:
     for owner in spec.owners:
         for entry in owner.services:
             backend = services[entry.service_id]
-            svc_spec = spec.service(entry.service_id)
             if isinstance(backend, SocialService):
                 backend.add_account(entry.username, entry.password,
-                                    ghost=entry.username in svc_spec.ghosts)
+                                    ghost=entry.username in ghosts[entry.service_id])
             else:
                 backend.add_account(entry.username, entry.password)
 
@@ -277,12 +278,6 @@ def build_world(spec: ScenarioSpec) -> World:
 # ----------------------------------------------------------------------
 
 
-def _owner_home(world: World, ospec) -> InterfaceGroup:
-    if ospec.home_interface and ospec.home_interface in world.groups:
-        return world.groups[ospec.home_interface]
-    return world.groups[list(world.groups)[0]]
-
-
 def _policy(entry) -> Policy:
     """An owner's policy for one service: a whitelist of None permits any
     target, an empty one none."""
@@ -294,9 +289,11 @@ def _policy(entry) -> Policy:
 def _enroll_and_schedule(world: World) -> None:
     spec, sim = world.spec, world.sim
     pollers = []
+    # an owner with no home interface enrolls at the first
+    first = next(iter(world.groups.values()))
     for ospec in spec.owners:
         owner = world.owners[ospec.owner_id]
-        group = _owner_home(world, ospec)
+        group = world.groups.get(ospec.home_interface, first)
         iface_id = group.enclave.actor_id
         world.mesh.attest(sim, owner.actor_id, GENUINE, group.enclave.identity)
         payload_services = {}

@@ -22,15 +22,59 @@ from functools import cache
 from pathlib import Path
 
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .coins import coins, rate
 from .parties import OWNER_PROFILES
 from .simnet import CUT_POINTS
 
-# libyaml's safe loader, when PyYAML was built with it: it builds the same
-# objects as yaml.SafeLoader about ten times faster on large scenario files.
-# load_scenario runs it with the cyclic collector paused (see there).
-SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_STR, _SEQ, _MAP = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "seq", "map"))
+
+
+class TreeWalk:
+    """Builds a document from the composed node tree in one walk, in place of
+    PyYAML's generic constructor: a ``!!str`` scalar is its ``node.value``, a
+    ``!!seq`` node a list, and a ``!!map`` node whose keys are all ``!!str``
+    scalars a dict. Every other node (ints, floats, bools, nulls, timestamps,
+    ``!!binary``, unknown tags, a map with any other key, ``<<`` merge keys
+    included) goes whole to PyYAML's own ``construct_object``, which raises
+    every error it raises without the walk. Both keep what they build in
+    ``constructed_objects``, so an alias is the same object wherever it is
+    used, a collection that holds itself loads as it does under
+    ``yaml.SafeLoader``, and the base class still finishes the document (its
+    deferred fills, then its reset)."""
+
+    def construct_document(self, node):
+        self._build(node)
+        return super().construct_document(node)
+
+    def _build(self, node):
+        kind, tag = type(node), node.tag
+        if kind is ScalarNode and tag == _STR:
+            return node.value
+        built = self.constructed_objects
+        if node in built:
+            return built[node]
+        if kind is SequenceNode and tag == _SEQ:
+            # entered before its items are built, so an alias to it finds it
+            data = built[node] = []
+            data.extend([self._build(item) for item in node.value])
+            return data
+        if kind is MappingNode and tag == _MAP and all(
+                type(key) is ScalarNode and key.tag == _STR for key, _ in node.value):
+            data = built[node] = {}
+            for key, value in node.value:
+                data[key.value] = self._build(value)
+            return data
+        return self.construct_object(node)
+
+
+# The scenario loader: libyaml composes the node tree in C when PyYAML was
+# built with it (yaml.SafeLoader's pure-Python composer when not), and
+# TreeWalk, not PyYAML's generic construction step, builds the document from
+# it, the same objects yaml.safe_load builds. load_scenario runs it with the
+# cyclic collector paused (see there).
+SAFE_LOADER = type("SafeLoader", (TreeWalk, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
 
 MODES = ("centralized", "distributed", "p2p")
 
@@ -409,6 +453,12 @@ def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioSpec:
 def load_scenario(path: str | Path, seed_override: int | None = None) -> ScenarioSpec:
     """Read, parse and validate one scenario file. A file that cannot be
     read, is not YAML or breaks the schema raises SchemaError.
+
+    SAFE_LOADER composes the file into a node tree and builds the document
+    in one walk of it (TreeWalk): text scalars, lists, and maps with only
+    text keys it builds itself; numbers, booleans, nulls, timestamps, other
+    tags and maps with any other key it hands to PyYAML's own constructors,
+    so a node that PyYAML refuses with a YAML error is "not valid YAML" here.
 
     The YAML parse and the validation run with the cyclic collector paused,
     and it is turned back on only if it was on when the call began. Neither

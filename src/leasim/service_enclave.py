@@ -138,10 +138,8 @@ class ServiceEnclave:
 
     def _on_chain_view(self, p: dict, sim: Simulation) -> None:
         run = self.active
-        if run is None or run.status != "gating" or p.get("owner_id") != run.owner_id:
-            return
-        if p.get("slot_id") not in (None, run.slot_id):
-            return  # stale reply from an earlier slot of the same owner
+        if run is None or run.status != "gating" or p["slot_id"] != run.slot_id:
+            return  # no slot gating, or a stale reply from an earlier slot
         run.epoch += 1
         try:
             consistent = ledger.check_consistency(

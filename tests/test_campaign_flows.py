@@ -1360,6 +1360,45 @@ class TestScenarioLoader:
         assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text) == ladder_shape(
             200, 4, 4)
 
+    # the walk over libyaml's tree (SAFE_LOADER where PyYAML has libyaml) and
+    # over the pure-Python composer
+    @pytest.fixture(
+        params=[SAFE_LOADER, type("PyLoader", (scenario.TreeWalk, yaml.SafeLoader), {})],
+        ids=["safe_loader", "pure_python"])
+    def loader(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("text", [
+        "list: &l [a, 1]\nsame_list: *l\nmap: &m {k: v}\nsame_map: *m\n",
+        "base: &b {x: 1, y: two}\nderived:\n  <<: *b\n  y: 3\n",
+        "- !!str 12\n- !!int \"3\"\n- !!float 1\n- !!float .5\n",
+        "2: two\ntrue: yes\n~: none\n",
+        "at: 2001-12-14t21:59:43.10-05:00\nblob: !!binary aGVsbG8=\n",
+        "",
+    ], ids=["aliases", "merge_key", "explicit_tags", "non_str_keys", "timestamp_binary",
+            "empty"])
+    def test_walk_builds_what_safe_load_builds(self, loader, text):
+        assert yaml.load(text, Loader=loader) == yaml.safe_load(text)
+
+    def test_alias_is_one_object(self, loader):
+        doc = yaml.load("list: &l [a, 1]\nsame_list: *l\nmap: &m {k: v}\nsame_map: *m\n"
+                        "merged: {<<: {inner: *l}}\n", Loader=loader)
+        assert doc["list"] is doc["same_list"] is doc["merged"]["inner"]
+        assert doc["map"] is doc["same_map"]
+        holder = yaml.load("&a [*a]\n", Loader=loader)
+        assert holder[0] is holder
+
+    @pytest.mark.parametrize("text", ["? [a]\n: 1\n", "price: !foo 2\n"],
+                             ids=["list_key", "unknown_tag"])
+    def test_unbuildable_node_is_a_yaml_error(self, loader, text, tmp_path, monkeypatch):
+        with pytest.raises(yaml.YAMLError):
+            yaml.load(text, Loader=loader)
+        path = tmp_path / "unbuildable.yaml"
+        path.write_text(text)
+        monkeypatch.setattr(scenario, "SAFE_LOADER", loader)
+        with pytest.raises(SchemaError, match="not valid YAML"):
+            load_scenario(path)
+
     def test_malformed_file_is_a_schema_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("name: broken\nowners: [o1, {id: o2\n")
