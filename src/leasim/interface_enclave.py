@@ -110,7 +110,6 @@ class Campaign:
     slots: dict[str, Slot] = field(default_factory=dict)
     spares: list[tuple[str, int]] = field(default_factory=list)  # (owner_id, price)
     shares: dict[int, ShareInfo] = field(default_factory=dict)
-    slot_seq: int = 0
     open_slots: int = 0  # slots whose status is not in RESOLVED
     settle_outstanding: set[str] = field(default_factory=set)
     escrow_notes: list[tuple[str, int]] = field(default_factory=list)
@@ -453,8 +452,7 @@ class InterfaceEnclave:
 
     def _add_slot(self, sim: Simulation, campaign: Campaign, owner_id: str,
                   price: int, *, replacing: Slot | None = None) -> Slot:
-        index = campaign.slot_seq
-        campaign.slot_seq += 1
+        index = len(campaign.slots)  # only this method adds slots
         share_index = (replacing.share_index if replacing is not None
                        else index % len(campaign.shares))
         enclave = (replacing.service_enclave if replacing is not None

@@ -15,6 +15,7 @@ from .coins import fmt
 from .interface_enclave import InterfaceEnclave
 from .ledger import BURN_ADDRESS
 from .runner import World
+from .services import ServiceAction
 
 
 def _landed(world: World, tx_id: str | None) -> bool:
@@ -29,33 +30,19 @@ def _owner_username(world: World, owner_id: str, service_id: str) -> str | None:
     return cred[0] if cred else None
 
 
-def _ground_truth(world: World, slot, logged: dict) -> dict:
-    """What the service itself says happened, independent of any enclave.
-
-    ``logged`` maps (service, item) to the set of (user, kind) pairs in the
-    item's private log; it is filled as items are first asked about, so each
-    log is read once per report.
-    """
+def _ground_truth(world: World, slot) -> dict:
+    """What the service itself says happened, independent of any enclave."""
     backend = world.services.get(slot.service_id)
     username = _owner_username(world, slot.owner_id, slot.service_id)
     if backend is None or username is None:
         return {"performed": False, "public_effect": False}
-    if hasattr(backend, "public_effect_exists"):  # social
-        key = (slot.service_id, slot.action_target)
-        done = logged.get(key)
-        if done is None:
-            item = backend.items.get(slot.action_target)
-            done = logged[key] = set(item.private_log) if item is not None else set()
-        performed = (username, slot.action_kind) in done
-        effect = backend.public_effect_exists(username, slot.action_target,
-                                              slot.action_kind)
-        return {"performed": performed, "public_effect": effect}
-    performed = username in backend.votes or username in backend.shadow_votes
-    return {"performed": performed, "public_effect": backend.counted(username)}
+    action = ServiceAction(slot.action_kind, slot.action_target)
+    return {"performed": backend.performed(username, action),
+            "public_effect": backend.public_effect(username, action)}
 
 
-def _slot_entry(world: World, slot, logged: dict) -> dict:
-    truth = _ground_truth(world, slot, logged)
+def _slot_entry(world: World, slot) -> dict:
+    truth = _ground_truth(world, slot)
     return {
         "slot_id": slot.slot_id,
         "index": slot.index,
@@ -79,9 +66,9 @@ def _slot_entry(world: World, slot, logged: dict) -> dict:
     }
 
 
-def _campaign_entry(world: World, campaign, logged: dict) -> dict:
+def _campaign_entry(world: World, campaign) -> dict:
     slots = [
-        _slot_entry(world, s, logged)
+        _slot_entry(world, s)
         for s in sorted(campaign.slots.values(), key=lambda s: s.index)
     ]
 
@@ -118,7 +105,7 @@ def _campaign_entry(world: World, campaign, logged: dict) -> dict:
         if s["status"] == "confirmed" and s["effect_claimed"]
         and not s["ground_truth"]["public_effect"]
     ]
-    collusive = world.spec.service(campaign.service_id).collusion
+    collusive = world.services[campaign.service_id].colludes
     funding_id = campaign.funding_tx.tx_id if campaign.funding_tx is not None else None
     return {
         "campaign_id": campaign.campaign_id,
@@ -306,8 +293,7 @@ def _judge_maintainer(campaigns: list[dict]) -> dict:
 
 def build_report(world: World) -> dict:
     chain = world.node.chain
-    logged: dict = {}
-    campaigns = [_campaign_entry(world, c, logged)
+    campaigns = [_campaign_entry(world, c)
                  for c in sorted(world.all_campaigns(),
                                  key=lambda c: c.campaign_id)]
     owned: dict[str, list[tuple[dict, dict]]] = {}

@@ -27,7 +27,14 @@ from .parties import CampaignIntent, OwnerActor, ProxyActor, RenterActor
 from .payment_enclave import PaymentEnclave
 from .scenario import ScenarioSpec
 from .service_enclave import LatencyModel, ServiceEnclave
-from .services import ServiceAction, ServiceActorAdapter, SocialService, VotingService
+from .services import (
+    SERVICE_KINDS,
+    Service,
+    ServiceAction,
+    ServiceActorAdapter,
+    SocialService,
+    VotingService,
+)
 from .simnet import Simulation
 
 POLL_AT = 0.25
@@ -98,7 +105,7 @@ class World:
     sim: Simulation
     node: ChainNodeActor
     mesh: AttestationMesh
-    services: dict[str, object]
+    services: dict[str, Service]
     service_actors: dict[str, ServiceActorAdapter]
     groups: dict[str, InterfaceGroup]
     owners: dict[str, OwnerActor]
@@ -144,34 +151,25 @@ def build_world(spec: ScenarioSpec) -> World:
     sim.register(node.node_id, node)
     node.start(sim)
 
-    services: dict[str, object] = {}
+    services: dict[str, Service] = {}
     service_actors: dict[str, ServiceActorAdapter] = {}
-    ghosts: dict[str, list[str]] = {}
     for svc in spec.services:
         if svc.kind == "social":
-            backend = SocialService(svc.service_id, collusion=svc.collusion)
-            for item in svc.items:
-                backend.add_item(item)
-            ghosts[svc.service_id] = svc.ghosts
+            backend = SocialService(svc.service_id, items=svc.items, ghosts=svc.ghosts)
         else:
             backend = VotingService(svc.service_id, policy=svc.policy,
-                                    fake_credentials=set(svc.coerced))
-            for cand in svc.candidates:
-                backend.add_candidate(cand)
+                                    candidates=svc.candidates, coerced=svc.coerced)
         services[svc.service_id] = backend
         adapter = ServiceActorAdapter(f"svc:{svc.service_id}", backend)
         service_actors[svc.service_id] = adapter
         sim.register(adapter.actor_id, adapter)
+    observable = frozenset(adapter.actor_id for adapter in service_actors.values()
+                           if adapter.service.OBSERVABLE)
 
     # owner accounts exist server-side before anything runs
     for owner in spec.owners:
         for entry in owner.services:
-            backend = services[entry.service_id]
-            if isinstance(backend, SocialService):
-                backend.add_account(entry.username, entry.password,
-                                    ghost=entry.username in ghosts[entry.service_id])
-            else:
-                backend.add_account(entry.username, entry.password)
+            services[entry.service_id].add_account(entry.username, entry.password)
 
     mesh = AttestationMesh(genuine={GENUINE})
     latency = LatencyModel(model=spec.latency.model)
@@ -185,7 +183,7 @@ def build_world(spec: ScenarioSpec) -> World:
             enc_id = f"svcenc:{name}:{i}"
             enc = ServiceEnclave(enc_id, _identity(enc_id, "service"),
                                  difficulty_bits=spec.chain.difficulty_bits,
-                                 latency=latency)
+                                 latency=latency, observable=observable)
             sim.register(enc_id, enc)
             service_encs.append(enc)
         payment_encs = []
@@ -564,8 +562,7 @@ def estimate_schedule(spec: ScenarioSpec) -> dict:
     pipeline_len = 0.0
     for rspec in spec.renters:
         for c in rspec.campaigns:
-            svc = spec.service(c.service_id)
-            steps = (SocialService if svc.kind == "social" else VotingService).PIPELINE_LENGTH
+            steps = SERVICE_KINDS[spec.service(c.service_id).kind].PIPELINE_LENGTH
             pipeline_len = max(
                 pipeline_len, sum(latency.step_means[:steps])
             )

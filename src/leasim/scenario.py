@@ -22,10 +22,12 @@ from functools import cache
 from pathlib import Path
 
 import yaml
+from yaml.constructor import ConstructorError
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .coins import coins, rate
 from .parties import OWNER_PROFILES
+from .services import SERVICE_KINDS
 from .simnet import CUT_POINTS
 
 _STR, _SEQ, _MAP = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "seq", "map"))
@@ -38,11 +40,16 @@ class TreeWalk:
     scalars a dict. Every other node (ints, floats, bools, nulls, timestamps,
     ``!!binary``, unknown tags, a map with any other key, ``<<`` merge keys
     included) goes whole to PyYAML's own ``construct_object``, which raises
-    every error it raises without the walk. Both keep what they build in
+    every YAML error it raises without the walk. Both keep what they build in
     ``constructed_objects``, so an alias is the same object wherever it is
     used, a collection that holds itself loads as it does under
     ``yaml.SafeLoader``, and the base class still finishes the document (its
-    deferred fills, then its reset)."""
+    deferred fills, then its reset).
+
+    PyYAML's constructors raise a plain Python error on a tagged scalar they
+    cannot build (``!!int x``: ValueError, ``!!bool maybe``: KeyError,
+    ``!!timestamp x``: AttributeError); ``construct_object`` raises it as
+    the YAML error it is, marked with the node's place in the file."""
 
     def construct_document(self, node):
         self._build(node)
@@ -67,6 +74,13 @@ class TreeWalk:
                 data[key.value] = self._build(value)
             return data
         return self.construct_object(node)
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (AttributeError, LookupError, ValueError) as exc:
+            raise ConstructorError(None, None, f"cannot build {node.tag}: "
+                                   f"{type(exc).__name__}: {exc}", node.start_mark) from None
 
 
 # The scenario loader: libyaml composes the node tree in C when PyYAML was
@@ -224,8 +238,7 @@ class TopologySpec:
 @dataclass
 class ServiceSpec:
     service_id: str = _field(_text, key="id")
-    kind: str = _field(_choice("social", "voting"))
-    collusion: bool = _field(_flag, False)
+    kind: str = _field(_choice(*SERVICE_KINDS))
     items: list[str] = _field(_list(_text), factory=list)
     ghosts: list[str] = _field(_list(_text), factory=list)
     policy: str = _field(_choice("first_counts", "last_counts"), "first_counts")  # voting only
@@ -458,7 +471,8 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     in one walk of it (TreeWalk): text scalars, lists, and maps with only
     text keys it builds itself; numbers, booleans, nulls, timestamps, other
     tags and maps with any other key it hands to PyYAML's own constructors,
-    so a node that PyYAML refuses with a YAML error is "not valid YAML" here.
+    so a node that PyYAML refuses, with a YAML error or with a Python error
+    on a tagged scalar it cannot build, is "not valid YAML" here.
 
     The YAML parse and the validation run with the cyclic collector paused,
     and it is turned back on only if it was on when the call began. Neither

@@ -4,11 +4,13 @@ Each slot goes through: the consistency gate (one ``chain_query`` to the
 owner's device, which answers with a ``chain_view`` of its owner's headers at
 the renter view's heights, checked against that view), the service's
 multi-request pipeline relayed by the device, an optional revert window, and
-external verification for observable actions. Each ``batch``
-message carries one slot, and an enclave's slots execute sequentially in
-virtual time; the per-exchange latency draws are the only place campaign time
-is spent, which is what makes the phase arithmetic exact under zero-variance
-latencies.
+external verification when the slot's service has public effects (its actor
+is in the ``observable`` set the world builder passes in, from each service
+kind's ``OBSERVABLE``); an unobservable service's confirmation is final. Each
+``batch`` message carries one slot, and an enclave's slots execute
+sequentially in virtual time; the per-exchange latency draws are the only
+place campaign time is spent, which is what makes the phase arithmetic exact
+under zero-variance latencies.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 from . import ledger
 from .attestation import EnclaveIdentity, Secret
-from .services import OBSERVABLE_KINDS
 from .simnet import Message, Simulation
 
 GATE_TIMEOUT = 2.0
@@ -69,11 +70,13 @@ class SlotRun:
 
 class ServiceEnclave:
     def __init__(self, actor_id: str, identity: EnclaveIdentity, *,
-                 difficulty_bits: int, latency: LatencyModel):
+                 difficulty_bits: int, latency: LatencyModel,
+                 observable: frozenset[str]):
         self.actor_id = actor_id
         self.identity = identity
         self.difficulty_bits = difficulty_bits
         self.latency = latency
+        self.observable = observable  # actor ids of the services with public effects
         self.queue: list[SlotRun] = []
         self.active: SlotRun | None = None
         self.cancelled: set[str] = set()
@@ -199,7 +202,7 @@ class ServiceEnclave:
             self._verify(sim, run)
 
     def _verify(self, sim: Simulation, run: SlotRun) -> None:
-        if not OBSERVABLE_KINDS.get(run.action_kind, False):
+        if run.service_actor not in self.observable:
             # nothing to check externally; the service's word is final
             self._resolve(sim, run, "confirmed", "unobservable; confirmation final")
             return

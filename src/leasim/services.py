@@ -1,28 +1,43 @@
 """Mock target services.
 
-Two services with opposite observability:
+Every service kind is a ``Service``: accounts, and a pipeline of
+``PIPELINE_LENGTH`` exchanges per action. Step 1 logs in, each later step
+must follow the one before under the same driver-chosen key, and only the
+last step acts, so cutting any earlier exchange leaves state unchanged while
+cutting only the final response leaves the action done but unconfirmed.
+Each kind also says:
 
-- SocialService: authenticated multi-request pipeline (5 exchanges per
-  action); the action takes effect only on the final exchange, so cutting any
-  earlier exchange leaves state unchanged while cutting only the final
-  response leaves the action applied but unconfirmed. Public counters and a
-  public actor listing make honest actions externally verifiable; ghost
-  accounts confirm without ever touching public state.
-- VotingService: one counted vote per credential (first_counts or
-  last_counts), a ballot box whose observer API exposes only tallies, and an
-  individual-verifiability hook (a credential holder can check their counted
-  vote, nobody else can).
+- ``OBSERVABLE``: whether its actions' effects are public. A service enclave
+  checks every confirmed action on an observable service from outside, and
+  takes an unobservable service's confirmation as final, whatever the
+  action's name.
+- ``performed(username, action)`` and ``public_effect(username, action)``:
+  whether the service did the action at all, and whether its effect counts
+  where the public sees it. The report's ground truth.
+- ``colludes``: whether the service plays along with some accounts, derived
+  from its ``ghosts`` or ``coerced`` list. The report's
+  ``collusive_service`` flag.
+
+The two kinds have opposite observability:
+
+- SocialService: 5 exchanges per action. Public counters and a public actor
+  listing make honest actions externally verifiable; ghost accounts confirm
+  without ever touching public state.
+- VotingService: 2 exchanges (login, cast). One counted vote per credential
+  (first_counts or last_counts), a ballot box whose observer API exposes
+  only tallies, and an individual-verifiability hook (a credential holder
+  can check their counted vote, nobody else can). A coerced credential's
+  ballot confirms and never counts.
 
 Services are passive actors: they answer request messages immediately; all
 latency is sampled by the callers.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from leasim.simnet import CUT_SERVICE_RESPONSE, Simulation
-
-OBSERVABLE_KINDS = {"upvote": True, "post": True, "follow": True, "vote": False}
 
 
 class ServiceError(Exception):
@@ -30,14 +45,6 @@ class ServiceError(Exception):
 
 
 class AuthFailed(ServiceError):
-    pass
-
-
-class DuplicateAction(ServiceError):
-    pass
-
-
-class AlreadyVoted(ServiceError):
     pass
 
 
@@ -55,41 +62,21 @@ class ServiceAction:
     target: str
 
 
-@dataclass
-class ItemState:
-    item_id: str
-    counters: dict[str, int] = field(default_factory=dict)
-    public_actions: list[tuple[str, str]] = field(default_factory=list)  # (account, kind)
-    private_log: list[tuple[str, str]] = field(default_factory=list)  # incl. ghost actions
+class Service:
+    """Accounts and the login-then-act pipeline. A kind sets
+    ``PIPELINE_LENGTH``, ``OBSERVABLE`` and ``colludes``, acts in ``_act``
+    and answers ``performed`` and ``public_effect``."""
 
+    PIPELINE_LENGTH: int
+    OBSERVABLE: bool
 
-class SocialService:
-    """Observable service with a 5-request action pipeline."""
-
-    PIPELINE_LENGTH = 5
-
-    def __init__(self, service_id: str, *, collusion: bool = False):
+    def __init__(self, service_id: str):
         self.service_id = service_id
-        self.collusion = collusion
         self.accounts: dict[str, str] = {}
-        self.ghosts: set[str] = set()
-        self.items: dict[str, ItemState] = {}
-        self.applied: set[tuple[str, str, str]] = set()  # (account, item, kind)
-        self._stages: dict[str, int] = {}  # pipeline state per driver-chosen key
+        self._stages: dict[str, int] = {}  # last step done per driver-chosen key
 
-    # -- administration ----------------------------------------------------
-
-    def add_account(self, username: str, password: str, *, ghost: bool = False) -> None:
+    def add_account(self, username: str, password: str) -> None:
         self.accounts[username] = password
-        if ghost:
-            self.ghosts.add(username)
-
-    def add_item(self, item_id: str) -> ItemState:
-        item = ItemState(item_id=item_id)
-        self.items[item_id] = item
-        return item
-
-    # -- pipeline ----------------------------------------------------------
 
     def handle_request(self, state_key: str, step: int, username: str, password: str,
                        action: ServiceAction) -> dict:
@@ -97,25 +84,45 @@ class SocialService:
         if step == 1:
             if self.accounts.get(username) != password:
                 return {"status": "error", "error": "AuthFailed", "step": step}
-            self._stages[state_key] = 1
-            return {"status": "ok", "step": step}
-        if self._stages.get(state_key, 0) != step - 1:
+        elif self._stages.get(state_key) != step - 1:
             return {"status": "error", "error": "BadPipelineOrder", "step": step}
-        self._stages[state_key] = step
         if step < self.PIPELINE_LENGTH:
+            self._stages[state_key] = step
             return {"status": "ok", "step": step}
-        # final exchange: apply the action
         del self._stages[state_key]
-        return self._apply(username, action, step)
+        return self._act(username, action, step)
 
-    def _apply(self, username: str, action: ServiceAction, step: int) -> dict:
+
+@dataclass
+class ItemState:
+    item_id: str
+    counters: dict[str, int] = field(default_factory=dict)
+    public_actions: list[tuple[str, str]] = field(default_factory=list)  # (account, kind)
+    confirmed: set[tuple[str, str]] = field(default_factory=set)  # incl. ghost actions
+
+
+class SocialService(Service):
+    """Observable service with a 5-request action pipeline."""
+
+    PIPELINE_LENGTH = 5
+    OBSERVABLE = True
+
+    def __init__(self, service_id: str, *, items: Iterable[str] = (),
+                 ghosts: Iterable[str] = ()):
+        super().__init__(service_id)
+        self.items = {item_id: ItemState(item_id) for item_id in items}
+        self.ghosts = set(ghosts)  # confirmed without any public effect
+        self.colludes = bool(self.ghosts)
+        self.applied: set[tuple[str, str, str]] = set()  # (account, item, kind)
+
+    def _act(self, username: str, action: ServiceAction, step: int) -> dict:
         item = self.items.get(action.target)
         if item is None:
             return {"status": "error", "error": "NotFound", "step": step}
         key = (username, action.target, action.kind)
         if key in self.applied:
             return {"status": "error", "error": "DuplicateAction", "step": step}
-        item.private_log.append((username, action.kind))
+        item.confirmed.add((username, action.kind))
         if username in self.ghosts:
             # plays along: confirmation without any public effect
             return {"status": "confirmed", "step": step, "effect": "none"}
@@ -124,6 +131,18 @@ class SocialService:
         item.public_actions.append((username, action.kind))
         return {"status": "confirmed", "step": step, "effect": "applied"}
 
+    def performed(self, username: str, action: ServiceAction) -> bool:
+        """The service confirmed the action at some point, ghost or not."""
+        item = self.items.get(action.target)
+        return item is not None and (username, action.kind) in item.confirmed
+
+    def public_effect(self, username: str, action: ServiceAction) -> bool:
+        """External verification: effect visible from an independent account.
+
+        ``applied`` holds exactly the (account, item, kind) triples in the
+        items' ``public_actions``: ``_act`` and ``revert`` change both."""
+        return (username, action.target, action.kind) in self.applied
+
     # -- public state ------------------------------------------------------
 
     def observe(self, item_id: str) -> dict[str, int]:
@@ -131,13 +150,6 @@ class SocialService:
         if item is None:
             raise NotFound(item_id)
         return dict(item.counters)
-
-    def public_effect_exists(self, username: str, item_id: str, kind: str) -> bool:
-        """External verification: effect visible from an independent account.
-
-        ``applied`` holds exactly the (account, item, kind) triples in the
-        items' ``public_actions``: ``_apply`` and ``revert`` change both."""
-        return (username, item_id, kind) in self.applied
 
     def revert(self, username: str, item_id: str, kind: str) -> None:
         key = (username, item_id, kind)
@@ -164,69 +176,47 @@ class SocialService:
         item = self.items.get(item_id)
         if item is None:
             return set()
-        return {username for username, _ in item.private_log}
+        return {username for username, _ in item.confirmed}
 
 
-class VotingService:
+class VotingService(Service):
     """Unobservable service: ballots are unlinkable, observers see tallies only."""
 
     PIPELINE_LENGTH = 2  # login, cast
+    OBSERVABLE = False
 
     def __init__(self, service_id: str, *, policy: str = "first_counts",
-                 fake_credentials: set[str] | None = None):
+                 candidates: Iterable[str] = (), coerced: Iterable[str] = ()):
         if policy not in ("first_counts", "last_counts"):
             raise ValueError(f"unknown vote policy {policy!r}")
-        self.service_id = service_id
+        super().__init__(service_id)
         self.policy = policy
-        self.accounts: dict[str, str] = {}
-        self.candidates: set[str] = set()
+        self.candidates = set(candidates)
+        self.coerced = set(coerced)  # their ballots confirm and never count
+        self.colludes = bool(self.coerced)
         self.votes: dict[str, str] = {}  # private linkage, never exposed
-        self.fake_credentials = set(fake_credentials or ())  # coercion scenario flag
-        self.shadow_votes: dict[str, str] = {}  # cast with fake creds, never counted
-        self._stages: dict[str, int] = {}
+        self.shadow_votes: dict[str, str] = {}  # cast by coerced accounts
 
-    def add_account(self, username: str, password: str) -> None:
-        self.accounts[username] = password
-
-    def add_candidate(self, candidate: str) -> None:
-        self.candidates.add(candidate)
-
-    def handle_request(self, state_key: str, step: int, username: str, password: str,
-                       action: ServiceAction) -> dict:
-        if step == 1:
-            if self.accounts.get(username) != password:
-                return {"status": "error", "error": "AuthFailed", "step": step}
-            self._stages[state_key] = 1
-            return {"status": "ok", "step": step}
-        if self._stages.get(state_key, 0) != 1:
-            return {"status": "error", "error": "BadPipelineOrder", "step": step}
-        del self._stages[state_key]
-        return self._cast(username, action.target, step)
-
-    def _cast(self, username: str, candidate: str, step: int) -> dict:
+    def _act(self, username: str, action: ServiceAction, step: int) -> dict:
+        candidate = action.target
         if candidate not in self.candidates:
             return {"status": "error", "error": "NotFound", "step": step}
-        if username in self.fake_credentials:
+        if username in self.coerced:
             # indistinguishable confirmation; the ballot never counts
             self.shadow_votes[username] = candidate
             return {"status": "confirmed", "step": step}
-        if username in self.votes:
-            if self.policy == "first_counts":
-                return {"status": "error", "error": "AlreadyVoted", "step": step}
-            self.votes[username] = candidate  # last_counts: override
-            return {"status": "confirmed", "step": step}
-        self.votes[username] = candidate
+        if username in self.votes and self.policy == "first_counts":
+            return {"status": "error", "error": "AlreadyVoted", "step": step}
+        self.votes[username] = candidate  # last_counts: a later ballot overrides
         return {"status": "confirmed", "step": step}
 
-    def cast_vote(self, username: str, password: str, candidate: str) -> dict:
-        """Single-shot cast (login + cast) under the pipeline key
-        ``direct:<username>``, with no relay in between."""
-        first = self.handle_request(f"direct:{username}", 1, username, password,
-                                    ServiceAction("vote", candidate))
-        if first["status"] == "error":
-            return first
-        return self.handle_request(f"direct:{username}", 2, username, password,
-                                   ServiceAction("vote", candidate))
+    def performed(self, username: str, _action: ServiceAction) -> bool:
+        """The service took a ballot from the account, counted or not."""
+        return username in self.votes or username in self.shadow_votes
+
+    def public_effect(self, username: str, _action: ServiceAction) -> bool:
+        """The account's ballot counts in the tallies."""
+        return username in self.votes
 
     # -- observer API ------------------------------------------------------
 
@@ -240,15 +230,15 @@ class VotingService:
         """Individual verifiability: only the credential holder can check."""
         if self.accounts.get(username) != password:
             raise AuthFailed(username)
-        if username in self.fake_credentials:
+        if username in self.coerced:
             return self.shadow_votes.get(username)  # the lie that keeps coercion safe
         return self.votes.get(username)
 
-    def counted(self, username: str) -> bool:
-        return username in self.votes
-
     def exposed_accounts(self, _target: str) -> set[str]:
         return set()  # ballots are unlinkable even for the service's campaigns
+
+
+SERVICE_KINDS: dict[str, type[Service]] = {"social": SocialService, "voting": VotingService}
 
 
 class ServiceActorAdapter:
@@ -276,9 +266,8 @@ class ServiceActorAdapter:
                 step=p["step"],
             )
         elif msg.kind == "svc_verify":
-            visible = self.service.public_effect_exists(
-                p["username"], p["item_id"], p["action_kind"]
-            )
+            visible = self.service.public_effect(
+                p["username"], ServiceAction(p["action_kind"], p["item_id"]))
             sim.send(self.actor_id, msg.src, "svc_verify_resp",
                      {"visible": visible, "slot_id": p.get("slot_id")},
                      campaign_id=msg.campaign_id, owner_id=msg.owner_id)

@@ -29,6 +29,7 @@ from leasim.ledger import BURN_ADDRESS, BlockHeader, Chain, Transaction, make_tr
 from leasim.report import _judge_owner, build_report, render_report, report_digest, verify_world
 from leasim.runner import POLL_AT, build_world, estimate_schedule, run_scenario
 from leasim.scenario import SAFE_LOADER, SchemaError, load_scenario, parse_scenario
+from leasim.services import ServiceAction
 from leasim.simnet import Message, Simulation
 
 _worlds: dict[str, object] = {}
@@ -248,6 +249,48 @@ class TestCollusionAsymmetry:
         assert verdicts["owners"]["ov1"]["verdict"] == "fair"
         assert verdicts["renters"]["r1"]["verdict"] == "fair"
 
+    # whether a confirmed action is checked from outside follows the
+    # service's kind, not the action's name
+
+    @staticmethod
+    def renamed(name: str, old: str, new: str):
+        """Run bundled scenario ``name`` with action ``old`` called ``new``
+        in every owner policy and campaign."""
+        raw = bundled_raw(name)
+        for owner in raw["owners"]:
+            for entry in owner["services"]:
+                entry["allowed"] = [new if a == old else a for a in entry["allowed"]]
+        for renter in raw["renters"]:
+            for campaign in renter["campaigns"]:
+                assert campaign["action"] == old
+                campaign["action"] = new
+        return run_scenario(parse_scenario(raw))
+
+    def test_social_ghosts_caught_whatever_the_action_is_called(self):
+        world = self.renamed("collusion_social", "upvote", "like")
+        report = build_report(world)
+
+        def outcome(rep):
+            return [(s["owner_id"], s["status"], s["detail"], s["settlement"]["landed"],
+                     s["substituted_by"]) for s in rep["campaigns"][0]["slots"]]
+
+        assert outcome(report) == outcome(report_for("collusion_social"))
+        ghosts = [s for s in report["campaigns"][0]["slots"] if s["owner_id"] in ("og1", "og2")]
+        assert [(s["status"], s["settlement"]["landed"]) for s in ghosts] == [("failed", False)] * 2
+        assert all(s["substituted_by"] for s in ghosts)
+        assert world.node.chain.balance("owner:og1") == world.node.chain.balance("owner:og2") == 0
+        evidence = [line for group in ("owners", "renters")
+                    for verdict in report["verdicts"][group].values()
+                    for line in verdict["evidence"]]
+        assert evidence and not any("undetectable" in line for line in evidence)
+
+    @pytest.mark.parametrize("action", ["ballot", "post"])
+    def test_voting_confirmation_final_whatever_the_action_is_called(self, action):
+        campaign = only_campaign(self.renamed("collusion_voting", "vote", action))
+        assert campaign.status == "terminated"
+        assert [(s.status, s.detail) for s in campaign.slots.values()] == [
+            ("confirmed", "unobservable; confirmation final")] * 3
+
 
 class TestEclipse:
     def test_stale_view_excluded_before_work(self):
@@ -326,8 +369,8 @@ class TestRevertWindow:
         world = world_for("revert")
         assert world.node.chain.balance("owner:o2") == 0
         # the public effect is gone
-        assert not world.services["social"].public_effect_exists(
-            "ben", "item1", "upvote")
+        assert not world.services["social"].public_effect(
+            "ben", ServiceAction("upvote", "item1"))
 
     def test_griefer_judged_fair(self):
         verdicts = report_for("revert")["verdicts"]
@@ -1388,8 +1431,14 @@ class TestScenarioLoader:
         holder = yaml.load("&a [*a]\n", Loader=loader)
         assert holder[0] is holder
 
-    @pytest.mark.parametrize("text", ["? [a]\n: 1\n", "price: !foo 2\n"],
-                             ids=["list_key", "unknown_tag"])
+    # PyYAML's constructors raise ValueError, KeyError, AttributeError and
+    # IndexError on the tagged scalars from "bad_int" on, the last one
+    # built after its map, in the base class's deferred fills
+    @pytest.mark.parametrize("text", [
+        "? [a]\n: 1\n", "price: !foo 2\n", "price: !!int x\n", "seed: !!bool maybe\n",
+        "price: !!timestamp x\n", "price: !!float ''\n", "? 1\n: !!int x\n",
+    ], ids=["list_key", "unknown_tag", "bad_int", "bad_bool", "bad_timestamp", "empty_float",
+            "bad_int_under_int_key"])
     def test_unbuildable_node_is_a_yaml_error(self, loader, text, tmp_path, monkeypatch):
         with pytest.raises(yaml.YAMLError):
             yaml.load(text, Loader=loader)
@@ -1398,6 +1447,21 @@ class TestScenarioLoader:
         monkeypatch.setattr(scenario, "SAFE_LOADER", loader)
         with pytest.raises(SchemaError, match="not valid YAML"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("old, new", [
+        ('price: "2"', "price: !!int x"), ("seed: 42", "seed: !!bool maybe"),
+        ('price: "2"', "price: !!timestamp x"),
+    ])
+    def test_unbuildable_scalar_exits_2_naming_the_file(self, loader, old, new, tmp_path,
+                                                        monkeypatch, capsys):
+        text = (resources.files("leasim") / "scenarios" / "baseline.yaml").read_text()
+        assert old in text
+        path = tmp_path / "unbuildable.yaml"
+        path.write_text(text.replace(old, new, 1))
+        monkeypatch.setattr(scenario, "SAFE_LOADER", loader)
+        assert cli.main(["verify", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not valid YAML: cannot build" in err and "line " in err
 
     def test_malformed_file_is_a_schema_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -1443,7 +1507,8 @@ class TestScenarioLoader:
         assert (cut.campaign_index, cut.step) == (0, 1)
 
     @pytest.mark.parametrize("keys, value, field", [
-        (("services", 0, "collusion"), "false", "services[0].collusion"),
+        # retired: a service colludes when its ghosts or coerced list is non-empty
+        (("services", 0, "collusion"), True, "services[0].collusion"),
         (("owners", 0, "polls"), "no", "owners[0].polls"),
         (("owners", 0, "services", 0, "accepts_revert_window"), 1,
          "owners[0].services[0].accepts_revert_window"),

@@ -8,11 +8,19 @@ from leasim import services, simnet
 from leasim.services import ServiceAction
 
 
-def mk_social(**kw):
-    svc = services.SocialService("news", **kw)
+def mk_social(ghosts=()):
+    svc = services.SocialService("news", items=["post1"], ghosts=ghosts)
     svc.add_account("alice", "pw-a")
     svc.add_account("bob", "pw-b")
-    svc.add_item("post1")
+    svc.add_account("spook", "pw-s")
+    return svc
+
+
+def mk_voting(policy="first_counts", coerced=()):
+    svc = services.VotingService("poll", policy=policy, candidates=["red", "blue"],
+                                 coerced=coerced)
+    for name in ("u1", "u2", "u3"):
+        svc.add_account(name, f"pw-{name}")
     return svc
 
 
@@ -23,6 +31,73 @@ def drive_pipeline(svc, key, user, pw, action):
         if out["status"] == "error":
             return out
     return out
+
+
+def cast(svc, user, candidate):
+    return drive_pipeline(svc, user, user, f"pw-{user}", ServiceAction("vote", candidate))
+
+
+# each kind: a service, one of its accounts with its password, and an action
+# that account may take
+KINDS = {
+    "social": (mk_social, "alice", "pw-a", ServiceAction("upvote", "post1")),
+    "voting": (mk_voting, "u1", "pw-u1", ServiceAction("vote", "red")),
+}
+
+
+class TestPipeline:
+    """The login-then-act pipeline every service kind shares."""
+
+    @pytest.fixture(params=sorted(KINDS))
+    def kind(self, request):
+        make, user, pw, action = KINDS[request.param]
+        return make(), user, pw, action
+
+    def test_effect_only_at_final_step(self, kind):
+        svc, user, pw, action = kind
+        for step in range(1, svc.PIPELINE_LENGTH):
+            assert svc.handle_request("k1", step, user, pw, action) == {
+                "status": "ok", "step": step}
+            assert not svc.performed(user, action), f"effect leaked at step {step}"
+        out = svc.handle_request("k1", svc.PIPELINE_LENGTH, user, pw, action)
+        assert out["status"] == "confirmed"
+        assert svc.performed(user, action) and svc.public_effect(user, action)
+
+    def test_out_of_order_step_rejected(self, kind):
+        svc, user, pw, action = kind
+        svc.handle_request("k1", 1, user, pw, action)
+        out = svc.handle_request("k1", 3, user, pw, action)
+        assert out["error"] == "BadPipelineOrder"
+        assert not svc.performed(user, action)
+
+    def test_auth_failed_stops_pipeline(self, kind):
+        svc, user, _pw, action = kind
+        out = drive_pipeline(svc, "k1", user, "wrong", action)
+        assert out == {"status": "error", "error": "AuthFailed", "step": 1}
+        assert not svc.performed(user, action)
+
+    def test_step_past_the_last_rejected(self, kind):
+        svc, user, pw, action = kind
+        for step in range(1, svc.PIPELINE_LENGTH):
+            svc.handle_request("k1", step, user, pw, action)
+        out = svc.handle_request("k1", svc.PIPELINE_LENGTH + 1, user, pw, action)
+        assert out["error"] == "BadPipelineOrder"
+        assert not svc.performed(user, action)
+        # and after the last step, the key starts over at a login
+        drive_pipeline(svc, "k2", user, pw, action)
+        out = svc.handle_request("k2", svc.PIPELINE_LENGTH + 1, user, pw, action)
+        assert out["error"] == "BadPipelineOrder"
+
+    def test_voting_step_three_does_not_cast(self):
+        svc = mk_voting()
+        action = ServiceAction("vote", "red")
+        svc.handle_request("k1", 1, "u1", "pw-u1", action)
+        out = svc.handle_request("k1", 3, "u1", "pw-u1", action)
+        assert out == {"status": "error", "error": "BadPipelineOrder", "step": 3}
+        assert svc.tallies() == {"blue": 0, "red": 0}
+        # the login still stands, so the real cast goes through
+        assert svc.handle_request("k1", 2, "u1", "pw-u1", action)["status"] == "confirmed"
+        assert svc.tallies() == {"blue": 0, "red": 1}
 
 
 class TestSocialPipeline:
@@ -36,20 +111,6 @@ class TestSocialPipeline:
         assert out == {"status": "confirmed", "step": 5, "effect": "applied"}
         assert svc.observe("post1") == {"upvote": 1}
 
-    def test_out_of_order_step_rejected(self):
-        svc = mk_social()
-        action = ServiceAction("upvote", "post1")
-        svc.handle_request("k1", 1, "alice", "pw-a", action)
-        out = svc.handle_request("k1", 3, "alice", "pw-a", action)
-        assert out["error"] == "BadPipelineOrder"
-        assert svc.observe("post1") == {}
-
-    def test_auth_failed_stops_pipeline(self):
-        svc = mk_social()
-        out = drive_pipeline(svc, "k1", "alice", "wrong", ServiceAction("upvote", "post1"))
-        assert out["error"] == "AuthFailed"
-        assert svc.observe("post1") == {}
-
     def test_duplicate_action_clean_rejection(self):
         svc = mk_social()
         action = ServiceAction("upvote", "post1")
@@ -62,6 +123,7 @@ class TestSocialPipeline:
         svc = mk_social()
         out = drive_pipeline(svc, "k1", "alice", "pw-a", ServiceAction("upvote", "ghost-post"))
         assert out["error"] == "NotFound"
+        assert not svc.performed("alice", ServiceAction("upvote", "ghost-post"))
 
     def test_concurrent_pipelines_do_not_interfere(self):
         svc = mk_social()
@@ -74,30 +136,37 @@ class TestSocialPipeline:
         assert svc.observe("post1") == {"upvote": 1, "post": 1}
 
 
+def test_colludes_follows_the_lists():
+    assert not mk_social().colludes and mk_social(ghosts=["spook"]).colludes
+    assert not mk_voting().colludes and mk_voting(coerced=["u2"]).colludes
+
+
 class TestGhostAccounts:
     def test_ghost_confirms_without_public_effect(self):
-        svc = mk_social()
-        svc.add_account("spook", "pw-s", ghost=True)
-        out = drive_pipeline(svc, "k1", "spook", "pw-s", ServiceAction("upvote", "post1"))
+        svc = mk_social(ghosts=["spook"])
+        action = ServiceAction("upvote", "post1")
+        out = drive_pipeline(svc, "k1", "spook", "pw-s", action)
         assert out == {"status": "confirmed", "step": 5, "effect": "none"}
         assert svc.observe("post1") == {}
-        assert not svc.public_effect_exists("spook", "post1", "upvote")
+        assert svc.performed("spook", action) and not svc.public_effect("spook", action)
 
     def test_colluding_view_still_sees_ghost_activity(self):
-        svc = mk_social(collusion=True)
-        svc.add_account("spook", "pw-s", ghost=True)
+        svc = mk_social(ghosts=["spook"])
         drive_pipeline(svc, "k1", "spook", "pw-s", ServiceAction("upvote", "post1"))
         drive_pipeline(svc, "k2", "alice", "pw-a", ServiceAction("upvote", "post1"))
         assert svc.exposed_accounts("post1") == {"spook", "alice"}
+        assert svc.exposed_accounts("nowhere") == set()
 
 
 class TestRevert:
     def test_revert_removes_public_effect(self):
         svc = mk_social()
-        drive_pipeline(svc, "k1", "alice", "pw-a", ServiceAction("upvote", "post1"))
+        action = ServiceAction("upvote", "post1")
+        drive_pipeline(svc, "k1", "alice", "pw-a", action)
         svc.revert("alice", "post1", "upvote")
         assert svc.observe("post1") == {"upvote": 0}
-        assert not svc.public_effect_exists("alice", "post1", "upvote")
+        assert not svc.public_effect("alice", action)
+        assert svc.performed("alice", action)  # it happened, and was undone
 
     def test_revert_without_action(self):
         svc = mk_social()
@@ -124,13 +193,15 @@ class TestPublicEffect:
     @settings(max_examples=60, deadline=None)
     @given(_OPS)
     def test_agrees_with_the_items_public_actions(self, ops):
-        svc = mk_social()
-        svc.add_item("post2")
-        svc.add_account("spook", "pw-s", ghost=True)
+        svc = mk_social(ghosts=["spook"])
+        svc.items["post2"] = services.ItemState("post2")
+        confirmed = set()
         for n, (op, user, item_id, kind) in enumerate(ops):
             if op == "apply":
-                drive_pipeline(svc, f"k{n}", user, _PASSWORDS[user],
-                               ServiceAction(kind, item_id))
+                out = drive_pipeline(svc, f"k{n}", user, _PASSWORDS[user],
+                                     ServiceAction(kind, item_id))
+                if out["status"] == "confirmed":
+                    confirmed.add((user, item_id, kind))
             else:
                 try:
                     svc.revert(user, item_id, kind)
@@ -142,41 +213,36 @@ class TestPublicEffect:
                         item = svc.items.get(probe_item)
                         expect = item is not None and (
                             probe_user, probe_kind) in item.public_actions
-                        assert svc.public_effect_exists(
-                            probe_user, probe_item, probe_kind) is expect, (n, ops[:n + 1])
-
-
-def mk_voting(policy="first_counts", fake=()):
-    svc = services.VotingService("poll", policy=policy, fake_credentials=set(fake))
-    for name in ("u1", "u2", "u3"):
-        svc.add_account(name, f"pw-{name}")
-    svc.add_candidate("red")
-    svc.add_candidate("blue")
-    return svc
+                        probe = ServiceAction(probe_kind, probe_item)
+                        assert svc.public_effect(probe_user, probe) is expect, (
+                            n, ops[:n + 1])
+                        assert svc.performed(probe_user, probe) is (
+                            (probe_user, probe_item, probe_kind) in confirmed)
 
 
 class TestVoting:
     def test_first_counts_rejects_revote(self):
         svc = mk_voting()
-        assert svc.cast_vote("u1", "pw-u1", "red")["status"] == "confirmed"
-        out = svc.cast_vote("u1", "pw-u1", "blue")
+        assert cast(svc, "u1", "red")["status"] == "confirmed"
+        out = cast(svc, "u1", "blue")
         assert out["error"] == "AlreadyVoted"
         assert svc.tallies() == {"blue": 0, "red": 1}
 
     def test_last_counts_overrides(self):
         svc = mk_voting(policy="last_counts")
-        svc.cast_vote("u1", "pw-u1", "red")
-        out = svc.cast_vote("u1", "pw-u1", "blue")
+        cast(svc, "u1", "red")
+        out = cast(svc, "u1", "blue")
         assert out["status"] == "confirmed"
         assert svc.tallies() == {"blue": 1, "red": 0}
 
     def test_unknown_candidate(self):
         svc = mk_voting()
-        assert svc.cast_vote("u1", "pw-u1", "green")["error"] == "NotFound"
+        assert cast(svc, "u1", "green")["error"] == "NotFound"
+        assert not svc.performed("u1", ServiceAction("vote", "green"))
 
     def test_verify_my_vote_requires_credentials(self):
         svc = mk_voting()
-        svc.cast_vote("u1", "pw-u1", "red")
+        cast(svc, "u1", "red")
         assert svc.verify_my_vote("u1", "pw-u1") == "red"
         with pytest.raises(services.AuthFailed):
             svc.verify_my_vote("u1", "stolen-guess")
@@ -188,7 +254,7 @@ class TestVoting:
         def observer_view(assignment):
             svc = mk_voting()
             for user, cand in assignment:
-                svc.cast_vote(user, f"pw-{user}", cand)
+                cast(svc, user, cand)
             return (svc.tallies(), svc.exposed_accounts("poll"))
 
         a = observer_view([("u1", "red"), ("u2", "blue"), ("u3", "red")])
@@ -199,15 +265,16 @@ class TestVoting:
 
 class TestCoercedCredentials:
     def test_shadow_vote_confirms_but_never_counts(self):
-        svc = mk_voting(fake=("u2",))
-        out = svc.cast_vote("u2", "pw-u2", "red")
+        svc = mk_voting(coerced=["u2"])
+        out = cast(svc, "u2", "red")
         assert out["status"] == "confirmed"  # indistinguishable from a real cast
         assert svc.tallies() == {"blue": 0, "red": 0}
-        assert not svc.counted("u2")
+        action = ServiceAction("vote", "red")
+        assert svc.performed("u2", action) and not svc.public_effect("u2", action)
 
     def test_verification_repeats_the_lie(self):
-        svc = mk_voting(fake=("u2",))
-        svc.cast_vote("u2", "pw-u2", "red")
+        svc = mk_voting(coerced=["u2"])
+        cast(svc, "u2", "red")
         assert svc.verify_my_vote("u2", "pw-u2") == "red"
 
 
