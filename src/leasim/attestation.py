@@ -1,10 +1,11 @@
 """Mock attestation and enlistment mesh.
 
-Attestation is digest equality against a genuine measurement set taken from
-scenario config. ``attest`` logs the id of each session it opens, and raises
-instead when the target is dead or not genuine. The kinds sent between
-attested peers are simnet's ``SEALED_KINDS``, whose payloads the host cannot
-read (it may still drop or delay the packets).
+Attestation is digest equality against the mesh's genuine measurement set
+(the runner passes its one build, ``GENUINE``). ``attest`` logs the id of
+each session it opens, and raises instead when the target is dead or not
+genuine. The kinds sent between attested peers are simnet's
+``SEALED_KINDS``, whose payloads the host cannot read (it may still drop or
+delay the packets).
 Payment enclaves escrow a backup spend key with the interface enclave, one
 escrow per share they hold; an escrow is usable only once its enclave has been
 observed dead, and a swept share is marked so a resurrected enclave can never

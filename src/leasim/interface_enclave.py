@@ -203,12 +203,12 @@ class InterfaceEnclave:
         sim.schedule(NONCE_TIMEOUT, lambda: self._nonce_timeout(sim, nonce))
 
     def _nonce_timeout(self, sim: Simulation, nonce: str) -> None:
-        state = self._pending_enroll.get(nonce)
-        if state is None or state["echoed"]:
-            return
-        del self._pending_enroll[nonce]
-        sim.log.emit(sim.now, self.actor_id, "enroll_failed", owner=state["owner_id"],
-                     error="ProxyUnreachable")
+        """An enrollment still pending ``NONCE_TIMEOUT`` after it began fails:
+        its proxy never echoed the nonce, or a test login went unanswered."""
+        state = self._pending_enroll.pop(nonce, None)
+        if state is not None:
+            sim.log.emit(sim.now, self.actor_id, "enroll_failed", owner=state["owner_id"],
+                         error="LoginUnanswered" if state["echoed"] else "ProxyUnreachable")
 
     def _on_nonce_echo(self, msg: Message, sim: Simulation) -> None:
         state = self._pending_enroll.get(msg.payload["nonce"])

@@ -3,16 +3,18 @@
 An owner's device (``ProxyActor``) echoes enrollment nonces, answers the
 consistency gate's chain queries from its owner's node view (or an eclipse
 feed the host wired in), and relays service traffic; on each final
-confirmation it relayed, a ``reverts_actions`` owner schedules undoing its
-actions. The owner (``OwnerActor``) enrolls, polls, and redeems settlement
-copies by broadcasting them to the chain node. Renters fund campaigns and
-present a chain view that is either the honest tip or a privately mined fork.
+confirmation it relayed, a ``reverts_actions`` owner schedules its
+service's ``revert_all``, which undoes whatever that kind can undo. The
+owner (``OwnerActor``) enrolls, polls, and redeems settlement copies by
+broadcasting them to the chain node. Renters fund campaigns and present a
+chain view that is either the honest tip or a privately mined fork.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from . import ledger
+from .services import Service
 from .simnet import CUT_OWNER_CHAIN, CUT_RENTER_CHAIN, Message, Simulation
 
 OWNER_PROFILES = ("honest", "reverts_actions")
@@ -26,13 +28,11 @@ class OwnerActor:
     profile: str
     node_id: str
     chain_supplier: object  # () -> ledger.Chain, the owner's own node view
-    service_backends: dict[str, object] = field(default_factory=dict)
+    service_backends: dict[str, Service] = field(default_factory=dict)
     credentials: dict[str, tuple[str, str]] = field(default_factory=dict)  # sid -> (user, pw)
     revert_delay: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.profile not in OWNER_PROFILES:
-            raise ValueError(f"unknown owner profile {self.profile!r}")
         self.actor_id = f"owner:{self.owner_id}"
         self.proxy_id = f"proxy:{self.owner_id}"
         self.payout_address = self.actor_id
@@ -53,17 +53,13 @@ class OwnerActor:
         """A final confirmation from ``service_id`` passed through this
         owner's device: a ``reverts_actions`` owner undoes its actions there
         ``revert_delay`` later, unless it has been killed by then."""
-        backend = self.service_backends.get(service_id)
-        if self.profile == "reverts_actions" and hasattr(backend, "revert"):
-            sim.schedule_for(
-                self.actor_id, self.revert_delay,
-                lambda: self._revert_everything(sim, service_id, backend),
-            )
+        if self.profile == "reverts_actions":
+            sim.schedule_for(self.actor_id, self.revert_delay,
+                             lambda: self._revert_everything(sim, service_id))
 
-    def _revert_everything(self, sim: Simulation, service_id: str, backend) -> None:
-        username, password = self.credentials[service_id]
-        for item_id, kind in backend.actions_of(username, password):
-            backend.revert(username, item_id, kind)
+    def _revert_everything(self, sim: Simulation, service_id: str) -> None:
+        backend = self.service_backends[service_id]
+        for item_id, kind in backend.revert_all(*self.credentials[service_id]):
             sim.log.emit(sim.now, self.actor_id, "owner_revert",
                          service=service_id, item=item_id, action=kind)
 
@@ -124,8 +120,6 @@ class RenterActor:
     poll_interval: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.view_mode not in ("honest_tip", "forged_fork"):
-            raise ValueError(f"unknown renter view mode {self.view_mode!r}")
         self.actor_id = f"renter:{self.renter_id}"
         self.address = self.actor_id
         self.forged_fork: ledger.Chain | None = None

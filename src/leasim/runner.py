@@ -27,14 +27,7 @@ from .parties import CampaignIntent, OwnerActor, ProxyActor, RenterActor
 from .payment_enclave import PaymentEnclave
 from .scenario import ScenarioSpec
 from .service_enclave import LatencyModel, ServiceEnclave
-from .services import (
-    SERVICE_KINDS,
-    Service,
-    ServiceAction,
-    ServiceActorAdapter,
-    SocialService,
-    VotingService,
-)
+from .services import SERVICE_KINDS, Service, ServiceAction, ServiceActorAdapter
 from .simnet import Simulation
 
 POLL_AT = 0.25
@@ -154,11 +147,8 @@ def build_world(spec: ScenarioSpec) -> World:
     services: dict[str, Service] = {}
     service_actors: dict[str, ServiceActorAdapter] = {}
     for svc in spec.services:
-        if svc.kind == "social":
-            backend = SocialService(svc.service_id, items=svc.items, ghosts=svc.ghosts)
-        else:
-            backend = VotingService(svc.service_id, policy=svc.policy,
-                                    candidates=svc.candidates, coerced=svc.coerced)
+        kind = SERVICE_KINDS[svc.kind]
+        backend = kind(svc.service_id, **{name: getattr(svc, name) for name in kind.FIELDS})
         services[svc.service_id] = backend
         adapter = ServiceActorAdapter(f"svc:{svc.service_id}", backend)
         service_actors[svc.service_id] = adapter
@@ -559,10 +549,11 @@ def estimate_schedule(spec: ScenarioSpec) -> dict:
     block = spec.chain.block_interval
     k = spec.chain.confirmation_depth
     funding_wait = k * block  # funding lands in block 1; k confirmations
+    kinds = {svc.service_id: SERVICE_KINDS[svc.kind] for svc in spec.services}
     pipeline_len = 0.0
     for rspec in spec.renters:
         for c in rspec.campaigns:
-            steps = SERVICE_KINDS[spec.service(c.service_id).kind].PIPELINE_LENGTH
+            steps = kinds[c.service_id].PIPELINE_LENGTH
             pipeline_len = max(
                 pipeline_len, sum(latency.step_means[:steps])
             )

@@ -27,7 +27,7 @@ from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .coins import coins, rate
 from .parties import OWNER_PROFILES
-from .services import SERVICE_KINDS
+from .services import SERVICE_KINDS, VOTE_POLICIES
 from .simnet import CUT_POINTS
 
 _STR, _SEQ, _MAP = (f"tag:yaml.org,2002:{kind}" for kind in ("str", "seq", "map"))
@@ -241,9 +241,18 @@ class ServiceSpec:
     kind: str = _field(_choice(*SERVICE_KINDS))
     items: list[str] = _field(_list(_text), factory=list)
     ghosts: list[str] = _field(_list(_text), factory=list)
-    policy: str = _field(_choice("first_counts", "last_counts"), "first_counts")  # voting only
+    policy: str = _field(_choice(*VOTE_POLICIES), VOTE_POLICIES[0])
     candidates: list[str] = _field(_list(_text), factory=list)
     coerced: list[str] = _field(_list(_text), factory=list)
+
+
+def _service(raw, path: str) -> ServiceSpec:
+    """A ``services[]`` entry, which may name only its own kind's ``FIELDS``."""
+    spec = _parse(ServiceSpec, raw, path)
+    foreign = raw.keys() - {"id", "kind", *SERVICE_KINDS[spec.kind].FIELDS}
+    if foreign:
+        raise SchemaError(f"{path}.{min(foreign)}", f"not a field of a {spec.kind} service")
+    return spec
 
 
 @dataclass
@@ -345,17 +354,11 @@ class ScenarioSpec:
     latency: LatencySpec = _field(_section(LatencySpec), factory=LatencySpec)
     timing: TimingSpec = _field(_section(TimingSpec), factory=TimingSpec)
     topology: TopologySpec = _field(_section(TopologySpec), factory=TopologySpec)
-    services: list[ServiceSpec] = _field(_list(_section(ServiceSpec)), factory=list)
+    services: list[ServiceSpec] = _field(_list(_service), factory=list)
     owners: list[OwnerSpec] = _field(_list(_section(OwnerSpec)), factory=list)
     renters: list[RenterSpec] = _field(_list(_section(RenterSpec)), factory=list)
     host: HostSpec = _field(_section(HostSpec), factory=HostSpec)
     maintainer_address: str = _field(_text, "maintainer")
-
-    def service(self, service_id: str) -> ServiceSpec:
-        for spec in self.services:
-            if spec.service_id == service_id:
-                return spec
-        raise KeyError(service_id)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Mock target services.
+"""Mock target services, and the one place that knows what a service kind is.
 
 Every service kind is a ``Service``: accounts, and a pipeline of
 ``PIPELINE_LENGTH`` exchanges per action. Step 1 logs in, each later step
@@ -7,6 +7,8 @@ last step acts, so cutting any earlier exchange leaves state unchanged while
 cutting only the final response leaves the action done but unconfirmed.
 Each kind also says:
 
+- ``FIELDS``: its scenario fields, which are also its constructor's keyword
+  parameters. A ``services[]`` entry may name no other kind's field.
 - ``OBSERVABLE``: whether its actions' effects are public. A service enclave
   checks every confirmed action on an observable service from outside, and
   takes an unobservable service's confirmation as final, whatever the
@@ -17,17 +19,19 @@ Each kind also says:
 - ``colludes``: whether the service plays along with some accounts, derived
   from its ``ghosts`` or ``coerced`` list. The report's
   ``collusive_service`` flag.
+- ``revert_all(username, password)``: what a ``reverts_actions`` owner
+  undoes, as ``(target, action kind)`` pairs. The base undoes nothing.
 
 The two kinds have opposite observability:
 
 - SocialService: 5 exchanges per action. Public counters and a public actor
   listing make honest actions externally verifiable; ghost accounts confirm
-  without ever touching public state.
+  without ever touching public state. An account can revert its actions.
 - VotingService: 2 exchanges (login, cast). One counted vote per credential
-  (first_counts or last_counts), a ballot box whose observer API exposes
-  only tallies, and an individual-verifiability hook (a credential holder
-  can check their counted vote, nobody else can). A coerced credential's
-  ballot confirms and never counts.
+  (``VOTE_POLICIES``), a ballot box whose observer API exposes only tallies,
+  and an individual-verifiability hook (a credential holder can check their
+  counted vote, nobody else can). A coerced credential's ballot confirms and
+  never counts. A cast ballot cannot be reverted.
 
 Services are passive actors: they answer request messages immediately; all
 latency is sampled by the callers.
@@ -38,6 +42,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from leasim.simnet import CUT_SERVICE_RESPONSE, Simulation
+
+VOTE_POLICIES = ("first_counts", "last_counts")  # which of a credential's ballots counts
 
 
 class ServiceError(Exception):
@@ -63,10 +69,11 @@ class ServiceAction:
 
 
 class Service:
-    """Accounts and the login-then-act pipeline. A kind sets
+    """Accounts and the login-then-act pipeline. A kind sets ``FIELDS``,
     ``PIPELINE_LENGTH``, ``OBSERVABLE`` and ``colludes``, acts in ``_act``
     and answers ``performed`` and ``public_effect``."""
 
+    FIELDS: tuple[str, ...]
     PIPELINE_LENGTH: int
     OBSERVABLE: bool
 
@@ -92,18 +99,23 @@ class Service:
         del self._stages[state_key]
         return self._act(username, action, step)
 
+    def revert_all(self, username: str, password: str) -> list[tuple[str, str]]:
+        """Undo every action of the account; returns what was undone. A kind
+        whose actions cannot be undone undoes nothing."""
+        return []
+
 
 @dataclass
 class ItemState:
     item_id: str
     counters: dict[str, int] = field(default_factory=dict)
-    public_actions: list[tuple[str, str]] = field(default_factory=list)  # (account, kind)
     confirmed: set[tuple[str, str]] = field(default_factory=set)  # incl. ghost actions
 
 
 class SocialService(Service):
     """Observable service with a 5-request action pipeline."""
 
+    FIELDS = ("items", "ghosts")
     PIPELINE_LENGTH = 5
     OBSERVABLE = True
 
@@ -113,7 +125,8 @@ class SocialService(Service):
         self.items = {item_id: ItemState(item_id) for item_id in items}
         self.ghosts = set(ghosts)  # confirmed without any public effect
         self.colludes = bool(self.ghosts)
-        self.applied: set[tuple[str, str, str]] = set()  # (account, item, kind)
+        # (account, item, kind) of every action in public state, in the order applied
+        self.applied: dict[tuple[str, str, str], None] = {}
 
     def _act(self, username: str, action: ServiceAction, step: int) -> dict:
         item = self.items.get(action.target)
@@ -126,9 +139,8 @@ class SocialService(Service):
         if username in self.ghosts:
             # plays along: confirmation without any public effect
             return {"status": "confirmed", "step": step, "effect": "none"}
-        self.applied.add(key)
+        self.applied[key] = None
         item.counters[action.kind] = item.counters.get(action.kind, 0) + 1
-        item.public_actions.append((username, action.kind))
         return {"status": "confirmed", "step": step, "effect": "applied"}
 
     def performed(self, username: str, action: ServiceAction) -> bool:
@@ -137,10 +149,7 @@ class SocialService(Service):
         return item is not None and (username, action.kind) in item.confirmed
 
     def public_effect(self, username: str, action: ServiceAction) -> bool:
-        """External verification: effect visible from an independent account.
-
-        ``applied`` holds exactly the (account, item, kind) triples in the
-        items' ``public_actions``: ``_act`` and ``revert`` change both."""
+        """External verification: effect visible from an independent account."""
         return (username, action.target, action.kind) in self.applied
 
     # -- public state ------------------------------------------------------
@@ -155,21 +164,22 @@ class SocialService(Service):
         key = (username, item_id, kind)
         if key not in self.applied:
             raise NothingToRevert(f"{username} never applied {kind} on {item_id}")
-        self.applied.discard(key)
-        item = self.items[item_id]
-        item.counters[kind] -= 1
-        item.public_actions.remove((username, kind))
+        del self.applied[key]
+        self.items[item_id].counters[kind] -= 1
 
     def actions_of(self, username: str, password: str) -> list[tuple[str, str]]:
-        """The account's own activity view (login required)."""
+        """The account's own activity view (login required): its applied
+        actions by item, each item's in the order applied."""
         if self.accounts.get(username) != password:
             raise AuthFailed(username)
-        return [
-            (item_id, kind)
-            for item_id, item in sorted(self.items.items())
-            for acting, kind in item.public_actions
-            if acting == username
-        ]
+        mine = [(item_id, kind) for acting, item_id, kind in self.applied if acting == username]
+        return sorted(mine, key=lambda pair: pair[0])
+
+    def revert_all(self, username: str, password: str) -> list[tuple[str, str]]:
+        done = self.actions_of(username, password)
+        for item_id, kind in done:
+            self.revert(username, item_id, kind)
+        return done
 
     def exposed_accounts(self, item_id: str) -> set[str]:
         """What a colluding service learns: everyone who acted on the item."""
@@ -182,13 +192,12 @@ class SocialService(Service):
 class VotingService(Service):
     """Unobservable service: ballots are unlinkable, observers see tallies only."""
 
+    FIELDS = ("policy", "candidates", "coerced")
     PIPELINE_LENGTH = 2  # login, cast
     OBSERVABLE = False
 
-    def __init__(self, service_id: str, *, policy: str = "first_counts",
+    def __init__(self, service_id: str, *, policy: str = VOTE_POLICIES[0],
                  candidates: Iterable[str] = (), coerced: Iterable[str] = ()):
-        if policy not in ("first_counts", "last_counts"):
-            raise ValueError(f"unknown vote policy {policy!r}")
         super().__init__(service_id)
         self.policy = policy
         self.candidates = set(candidates)
@@ -196,27 +205,28 @@ class VotingService(Service):
         self.colludes = bool(self.coerced)
         self.votes: dict[str, str] = {}  # private linkage, never exposed
         self.shadow_votes: dict[str, str] = {}  # cast by coerced accounts
+        self.confirmed: set[tuple[str, str]] = set()  # every ballot ever confirmed
 
     def _act(self, username: str, action: ServiceAction, step: int) -> dict:
         candidate = action.target
         if candidate not in self.candidates:
             return {"status": "error", "error": "NotFound", "step": step}
         if username in self.coerced:
-            # indistinguishable confirmation; the ballot never counts
             self.shadow_votes[username] = candidate
-            return {"status": "confirmed", "step": step}
-        if username in self.votes and self.policy == "first_counts":
+        elif username in self.votes and self.policy == "first_counts":
             return {"status": "error", "error": "AlreadyVoted", "step": step}
-        self.votes[username] = candidate  # last_counts: a later ballot overrides
+        else:
+            self.votes[username] = candidate  # last_counts: a later ballot overrides
+        self.confirmed.add((username, candidate))
         return {"status": "confirmed", "step": step}
 
-    def performed(self, username: str, _action: ServiceAction) -> bool:
-        """The service took a ballot from the account, counted or not."""
-        return username in self.votes or username in self.shadow_votes
+    def performed(self, username: str, action: ServiceAction) -> bool:
+        """A ballot of the account for the candidate confirmed at some point."""
+        return (username, action.target) in self.confirmed
 
-    def public_effect(self, username: str, _action: ServiceAction) -> bool:
-        """The account's ballot counts in the tallies."""
-        return username in self.votes
+    def public_effect(self, username: str, action: ServiceAction) -> bool:
+        """The account's counted ballot is for the action's candidate."""
+        return self.votes.get(username) == action.target
 
     # -- observer API ------------------------------------------------------
 

@@ -29,7 +29,7 @@ from leasim.ledger import BURN_ADDRESS, BlockHeader, Chain, Transaction, make_tr
 from leasim.report import _judge_owner, build_report, render_report, report_digest, verify_world
 from leasim.runner import POLL_AT, build_world, estimate_schedule, run_scenario
 from leasim.scenario import SAFE_LOADER, SchemaError, load_scenario, parse_scenario
-from leasim.services import ServiceAction
+from leasim.services import SERVICE_KINDS, ServiceAction
 from leasim.simnet import Message, Simulation
 
 _worlds: dict[str, object] = {}
@@ -248,6 +248,47 @@ class TestCollusionAsymmetry:
         verdicts = report["verdicts"]
         assert verdicts["owners"]["ov1"]["verdict"] == "fair"
         assert verdicts["renters"]["r1"]["verdict"] == "fair"
+
+    @pytest.mark.parametrize("policy, owner, truth, tallies", [
+        # the second ballot is refused AlreadyVoted: no ballot for south at all
+        ("first_counts", "o1", [(True, True), (False, False)], {"north": 1, "south": 0}),
+        # the second ballot replaces the first, which stays performed and paid
+        ("last_counts", "o1", [(True, False), (True, True)], {"north": 0, "south": 1}),
+        # a coerced credential's shadow ballots both confirm and neither counts
+        ("first_counts", "ov1", [(True, False), (True, False)], {"north": 0, "south": 0}),
+    ])
+    def test_one_owner_in_two_voting_campaigns_is_fair(self, policy, owner, truth, tallies):
+        """One owner in two campaigns, ``north`` then ``south``. Ground truth
+        reads the candidate and the ballot's history: a confirmed ballot stays
+        performed after a later one replaces it, and a refused one is no
+        ballot for its candidate. So the owner, paid for every confirmed
+        slot, is fair, neither harmed nor advantaged."""
+        raw = bundled_raw("collusion_voting")
+        raw["services"][0]["policy"] = policy
+        raw["owners"] = [o for o in raw["owners"] if o["id"] == owner]
+        raw["renters"] = [
+            {"id": renter, "balance": "1000", "campaigns": [
+                {"service": "ballots", "action": "vote", "target": target, "count": 1}]}
+            for renter, target in (("r1", "north"), ("r2", "south"))]
+        world = run_scenario(parse_scenario(raw))
+        report = build_report(world)
+        slots = [c["slots"][0] for c in report["campaigns"]]
+        assert [(s["ground_truth"]["performed"], s["ground_truth"]["public_effect"])
+                for s in slots] == truth
+        assert [s["status"] for s in slots] == [
+            "confirmed" if performed else "failed" for performed, _ in truth]
+        assert report["verdicts"]["owners"][owner]["verdict"] == "fair"
+        assert world.services["ballots"].tallies() == tallies
+
+    def test_reverting_voter_reverts_nothing(self):
+        """A cast ballot cannot be undone, so a ``reverts_actions`` owner on
+        a voting service logs no ``owner_revert`` and the tallies stand."""
+        raw = bundled_raw("collusion_voting")
+        raw["owners"][1]["profile"] = "reverts_actions"
+        world = run_scenario(parse_scenario(raw))
+        assert not any(" kind=owner_revert " in line for line in world.sim.log.lines)
+        assert world.services["ballots"].tallies() == {"north": 2, "south": 0}
+        assert build_report(world)["verdicts"]["owners"]["o1"]["verdict"] == "fair"
 
     # whether a confirmed action is checked from outside follows the
     # service's kind, not the action's name
@@ -1322,6 +1363,19 @@ class TestEnrollmentFailure:
         assert [s.owner_id for s in only_campaign(world).slots.values()] == ["o2", "o3"]
         assert all(ok for _, ok, _ in verify_world(world))
 
+    def test_unanswered_login(self):
+        """The nonce comes back but no test login answer does: each
+        enrollment fails at the nonce timeout, and the quote finds no one."""
+        raw = TestOwnerPolls.baseline()
+        raw["host"] = {"cuts": [{"kind": "svc_response", "dst": "iface:0"}]}
+        world = run_scenario(parse_scenario(raw))
+        assert self.enrollment_lines(world) == [
+            f"t=5.000000 enroll_failed owner={owner} error=LoginUnanswered"
+            for owner in ("o1", "o2", "o3")]
+        assert world.groups["0"].enclave._pending_enroll == {}
+        assert world.renters["r1"].results == [
+            {"kind": "quote_failed", "error": "NoCompliantAccounts"}]
+
 
 class TestEventKindsDocumented:
     FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
@@ -1370,8 +1424,15 @@ class TestScenarioKeysDocumented:
                           Loader=SAFE_LOADER)
         mismatches = []
 
+        kinds_shown = set()
+
         def walk(cls, node, path):
             declared, _required = scenario._keys(cls)
+            if cls is scenario.ServiceSpec:
+                # each entry shows its own kind's fields, and each kind is shown
+                kinds_shown.add(node["kind"])
+                declared = {key: declared[key] for key in
+                            ("id", "kind", *SERVICE_KINDS[node["kind"]].FIELDS)}
             if set(node) != set(declared):
                 mismatches.append((path, sorted(set(declared) - set(node)),
                                    sorted(set(node) - set(declared))))
@@ -1390,6 +1451,7 @@ class TestScenarioKeysDocumented:
         walk(scenario.ScenarioSpec, block, "scenario")
         # each entry: (path, declared but undocumented, documented but undeclared)
         assert not mismatches
+        assert kinds_shown == set(SERVICE_KINDS)
 
 
 class TestScenarioLoader:
@@ -1562,6 +1624,31 @@ class TestScenarioLoader:
         path.write_text(yaml.safe_dump(raw, sort_keys=False))
         assert cli.main(["verify", "--scenario", str(path)]) == 2
         assert f"bad_field.{field}: " in capsys.readouterr().err
+
+    def test_service_fields_are_the_kinds_fields(self):
+        """``ServiceSpec`` declares exactly the fields some kind reads."""
+        declared = {f.name for f in dataclasses.fields(scenario.ServiceSpec)}
+        read = {name for kind in SERVICE_KINDS.values() for name in kind.FIELDS}
+        assert declared - {"service_id", "kind"} == read
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("collusion_social", "coerced", ["gh1"]),
+        ("collusion_social", "candidates", ["north"]),
+        ("collusion_social", "policy", "last_counts"),
+        ("collusion_voting", "items", ["north"]),
+        ("collusion_voting", "ghosts", []),
+    ])
+    def test_another_kinds_field_exits_2(self, tmp_path, capsys, name, key, value):
+        """Each kind reads only its own fields, so another kind's field,
+        even an empty one, would be parsed and then ignored."""
+        raw = bundled_raw(name)
+        raw["services"][0][key] = value
+        path = tmp_path / "foreign.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        assert cli.main(["verify", "--scenario", str(path)]) == 2
+        kind = raw["services"][0]["kind"]
+        assert (f"foreign.services[0].{key}: not a field of a {kind} service"
+                in capsys.readouterr().err)
 
     def test_directory_exits_2(self, tmp_path, capsys):
         assert cli.main(["verify", "--scenario", str(tmp_path)]) == 2

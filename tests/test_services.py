@@ -173,6 +173,19 @@ class TestRevert:
         with pytest.raises(services.NothingToRevert):
             svc.revert("alice", "post1", "upvote")
 
+    def test_revert_all_undoes_every_action_of_the_account(self):
+        svc = mk_social()
+        svc.items["post0"] = services.ItemState("post0")
+        for n, (user, pw, item_id) in enumerate([("alice", "pw-a", "post1"),
+                                                 ("bob", "pw-b", "post1"),
+                                                 ("alice", "pw-a", "post0")]):
+            drive_pipeline(svc, f"k{n}", user, pw, ServiceAction("upvote", item_id))
+        assert svc.revert_all("alice", "pw-a") == [("post0", "upvote"), ("post1", "upvote")]
+        assert svc.actions_of("alice", "pw-a") == []
+        assert (svc.observe("post0"), svc.observe("post1")) == ({"upvote": 0}, {"upvote": 1})
+        with pytest.raises(services.AuthFailed):
+            svc.revert_all("bob", "wrong")
+
     def test_reverted_action_can_be_reapplied(self):
         # the duplicate check follows the applied set, not history
         svc = mk_social()
@@ -192,32 +205,41 @@ _OPS = st.lists(st.tuples(st.sampled_from(("apply", "revert")), st.sampled_from(
 class TestPublicEffect:
     @settings(max_examples=60, deadline=None)
     @given(_OPS)
-    def test_agrees_with_the_items_public_actions(self, ops):
+    def test_agrees_with_a_reference_set(self, ops):
+        """``public_effect``, ``performed`` and ``actions_of`` against sets the
+        test keeps itself: an action is public from a non-ghost confirmation
+        until its revert, and performed from any confirmation on."""
         svc = mk_social(ghosts=["spook"])
         svc.items["post2"] = services.ItemState("post2")
+        public: dict[tuple[str, str, str], None] = {}  # in the order applied
         confirmed = set()
         for n, (op, user, item_id, kind) in enumerate(ops):
+            key = (user, item_id, kind)
             if op == "apply":
                 out = drive_pipeline(svc, f"k{n}", user, _PASSWORDS[user],
                                      ServiceAction(kind, item_id))
                 if out["status"] == "confirmed":
-                    confirmed.add((user, item_id, kind))
+                    confirmed.add(key)
+                    if user != "spook":
+                        public[key] = None
             else:
                 try:
                     svc.revert(user, item_id, kind)
                 except services.NothingToRevert:
-                    pass
+                    assert key not in public
+                else:
+                    del public[key]
             for probe_user in _USERS:
                 for probe_item in ("post1", "post2", "nowhere"):
                     for probe_kind in ("upvote", "post"):
-                        item = svc.items.get(probe_item)
-                        expect = item is not None and (
-                            probe_user, probe_kind) in item.public_actions
                         probe = ServiceAction(probe_kind, probe_item)
-                        assert svc.public_effect(probe_user, probe) is expect, (
-                            n, ops[:n + 1])
-                        assert svc.performed(probe_user, probe) is (
-                            (probe_user, probe_item, probe_kind) in confirmed)
+                        probe_key = (probe_user, probe_item, probe_kind)
+                        assert svc.public_effect(probe_user, probe) is (
+                            probe_key in public), (n, ops[:n + 1])
+                        assert svc.performed(probe_user, probe) is (probe_key in confirmed)
+                mine = [(i, k) for u, i, k in public if u == probe_user]
+                assert svc.actions_of(probe_user, _PASSWORDS[probe_user]) == sorted(
+                    mine, key=lambda pair: pair[0])
 
 
 class TestVoting:
@@ -234,6 +256,40 @@ class TestVoting:
         out = cast(svc, "u1", "blue")
         assert out["status"] == "confirmed"
         assert svc.tallies() == {"blue": 1, "red": 0}
+
+    def test_ground_truth_reads_the_candidate(self):
+        """A refused second ballot is neither performed nor counted for its
+        candidate; the first stays both."""
+        svc = mk_voting()
+        cast(svc, "u1", "red")
+        assert cast(svc, "u1", "blue")["error"] == "AlreadyVoted"
+        red, blue = ServiceAction("vote", "red"), ServiceAction("vote", "blue")
+        assert svc.performed("u1", red) and svc.public_effect("u1", red)
+        assert not svc.performed("u1", blue) and not svc.public_effect("u1", blue)
+
+    def test_last_counts_effect_moves_to_the_later_candidate(self):
+        svc = mk_voting(policy="last_counts")
+        cast(svc, "u1", "red")
+        cast(svc, "u1", "blue")
+        red, blue = ServiceAction("vote", "red"), ServiceAction("vote", "blue")
+        assert not svc.public_effect("u1", red) and svc.public_effect("u1", blue)
+        # the replaced ballot was confirmed all the same
+        assert svc.performed("u1", red) and svc.performed("u1", blue)
+
+    def test_coerced_ballots_stay_performed_and_never_count(self):
+        svc = mk_voting(coerced=["u1"])
+        cast(svc, "u1", "red")
+        cast(svc, "u1", "blue")
+        red, blue = ServiceAction("vote", "red"), ServiceAction("vote", "blue")
+        assert svc.performed("u1", red) and svc.performed("u1", blue)
+        assert not svc.public_effect("u1", red) and not svc.public_effect("u1", blue)
+        assert svc.verify_my_vote("u1", "pw-u1") == "blue"
+
+    def test_a_ballot_cannot_be_reverted(self):
+        svc = mk_voting()
+        cast(svc, "u1", "red")
+        assert svc.revert_all("u1", "pw-u1") == []
+        assert svc.tallies() == {"blue": 0, "red": 1}
 
     def test_unknown_candidate(self):
         svc = mk_voting()
