@@ -49,14 +49,6 @@ class Measurement:
     digest: str  # equal digests <=> identical enclave code
 
 
-@dataclass(frozen=True)
-class EnclaveIdentity:
-    enclave_id: str
-    kind: str  # interface | service | payment
-    measurement: Measurement
-    public_key: str
-
-
 @dataclass
 class EscrowReceipt:
     payment_id: str
@@ -66,71 +58,67 @@ class EscrowReceipt:
 
 
 class AttestationMesh:
-    """Registry of genuine measurements, enlistments and key escrows."""
+    """Registry of genuine measurements, each actor's measurement, enlistments
+    and key escrows. Actors are named by id throughout."""
 
     def __init__(self, genuine: set[Measurement]):
         self.genuine = set(genuine)
+        self.measurements: dict[str, Measurement] = {}  # actor id -> its code's digest
         self._session_seq = 0
-        # interface id -> enclave id -> the enlisted enclave's identity
-        self.enlisted: dict[str, dict[str, EnclaveIdentity]] = {}
+        self.enlisted: dict[str, set[str]] = {}  # interface id -> enlisted enclave ids
         self.escrows: dict[str, EscrowReceipt] = {}  # share address -> receipt
+
+    def launch(self, actor_id: str, measurement: Measurement) -> None:
+        """Record the measurement of the code ``actor_id`` runs."""
+        self.measurements[actor_id] = measurement
 
     # -- attestation -------------------------------------------------------
 
     def attest(self, sim: Simulation, caller_id: str, expected: Measurement,
-               target: EnclaveIdentity) -> None:
+               target_id: str) -> None:
         """Measurement-gated session setup; a killed target is unreachable."""
-        if sim.net.is_killed(target.enclave_id):
-            sim.log.emit(sim.now, caller_id, "attest_unreachable", target=target.enclave_id)
-            raise Unreachable(target.enclave_id)
-        if target.measurement != expected:
+        if sim.net.is_killed(target_id):
+            sim.log.emit(sim.now, caller_id, "attest_unreachable", target=target_id)
+            raise Unreachable(target_id)
+        if self.measurements.get(target_id) != expected:
             # no session, no secrets sent
-            sim.log.emit(sim.now, caller_id, "attest_mismatch", target=target.enclave_id)
-            raise MeasurementMismatch(target.enclave_id)
+            sim.log.emit(sim.now, caller_id, "attest_mismatch", target=target_id)
+            raise MeasurementMismatch(target_id)
         self._session_seq += 1
         sim.log.emit(
-            sim.now, caller_id, "attested", target=target.enclave_id,
+            sim.now, caller_id, "attested", target=target_id,
             session=f"sess{self._session_seq}"
         )
 
     # -- enlistment --------------------------------------------------------
 
-    def enlist(self, sim: Simulation, interface: EnclaveIdentity,
-               other: EnclaveIdentity) -> EnclaveIdentity:
-        """Mutual attestation, then key exchange; idempotent per enclave_id."""
-        registry = self.enlisted.setdefault(interface.enclave_id, {})
-        if other.enclave_id in registry:
-            return registry[other.enclave_id]
-        for side in (other, interface):
-            if side.measurement not in self.genuine:
-                sim.log.emit(
-                    sim.now, interface.enclave_id, "attest_mismatch", target=side.enclave_id
-                )
-                raise MeasurementMismatch(side.enclave_id)
-        self.attest(sim, interface.enclave_id, other.measurement, other)
-        self.attest(sim, other.enclave_id, interface.measurement, interface)
-        registry[other.enclave_id] = other
-        sim.log.emit(sim.now, interface.enclave_id, "enlisted", enclave=other.enclave_id)
-        return other
+    def enlist(self, sim: Simulation, interface_id: str, other_id: str) -> None:
+        """Mutual attestation, then key exchange; idempotent per enclave id."""
+        registry = self.enlisted.setdefault(interface_id, set())
+        if other_id in registry:
+            return
+        for side in (other_id, interface_id):
+            if self.measurements.get(side) not in self.genuine:
+                sim.log.emit(sim.now, interface_id, "attest_mismatch", target=side)
+                raise MeasurementMismatch(side)
+        self.attest(sim, interface_id, self.measurements[other_id], other_id)
+        self.attest(sim, other_id, self.measurements[interface_id], interface_id)
+        registry.add(other_id)
+        sim.log.emit(sim.now, interface_id, "enlisted", enclave=other_id)
 
     def is_enlisted(self, interface_id: str, enclave_id: str) -> bool:
-        return enclave_id in self.enlisted.get(interface_id, {})
+        return enclave_id in self.enlisted.get(interface_id, ())
 
     # -- key escrow / crash recovery --------------------------------------
 
-    def backup_keys(self, sim: Simulation, payment: EnclaveIdentity,
-                    interface: EnclaveIdentity, key_handle: str) -> EscrowReceipt:
-        if not self.is_enlisted(interface.enclave_id, payment.enclave_id):
-            raise NotEnlisted(payment.enclave_id)
-        receipt = EscrowReceipt(
-            payment_id=payment.enclave_id,
-            interface_id=interface.enclave_id,
-            key_handle=key_handle,
-        )
+    def backup_keys(self, sim: Simulation, payment_id: str, interface_id: str,
+                    key_handle: str) -> EscrowReceipt:
+        if not self.is_enlisted(interface_id, payment_id):
+            raise NotEnlisted(payment_id)
+        receipt = EscrowReceipt(payment_id=payment_id, interface_id=interface_id,
+                                key_handle=key_handle)
         self.escrows[key_handle] = receipt
-        sim.log.emit(
-            sim.now, interface.enclave_id, "keys_escrowed", payment=payment.enclave_id
-        )
+        sim.log.emit(sim.now, interface_id, "keys_escrowed", payment=payment_id)
         return receipt
 
     def authorize_recovery(self, sim: Simulation, interface_id: str,

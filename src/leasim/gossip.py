@@ -1,10 +1,11 @@
 """Multi-enclave topologies: record gossip and P2P owner registration.
 
 One engine: ``gossip_round`` sends each node's changed records to its
-neighbours in batches, and ``merge`` applies a batch under a per-mode
-preference. A pure round merges at once, so convergence can be checked
-against graph-distance oracles; the distributed-mode runner sends each batch
-over the simulated network instead.
+neighbours in batches, never back to the neighbour a record came from, and
+``merge`` applies a batch under a per-mode preference. A pure round merges
+at once, so convergence can be checked against graph-distance oracles; the
+distributed-mode runner sends each batch over the simulated network
+instead.
 """
 from __future__ import annotations
 
@@ -48,10 +49,11 @@ class Topology:
 @dataclass
 class GossipState:
     """Per-node known records; ``fresh`` holds, per node and in order, the ids
-    of records it took or changed since its last round."""
+    of records it took or changed since its last round, each mapped to the
+    neighbour it came from (None for a change made at the node)."""
 
     known: dict[str, dict[str, object]] = field(default_factory=dict)
-    fresh: dict[str, dict[str, None]] = field(default_factory=dict)
+    fresh: dict[str, dict[str, str | None]] = field(default_factory=dict)
 
     def node(self, node_id: str) -> dict[str, object]:
         self.fresh.setdefault(node_id, {})
@@ -69,16 +71,18 @@ def first_wins(new: object, current: object) -> bool:
     return False
 
 
-def merge(store: dict[str, object], fresh: dict[str, None],
-          batch: dict[str, object], prefer=first_wins) -> list[str]:
+def merge(store: dict[str, object], fresh: dict[str, str | None],
+          batch: dict[str, object], prefer=first_wins,
+          source: str | None = None) -> list[str]:
     """Take each record ``store`` lacks or ``prefer(new, current)`` favours,
-    and mark it in ``fresh`` to pass on next round; returns the ids taken."""
+    and mark it in ``fresh`` as come from ``source``, to pass on next round;
+    returns the ids taken."""
     taken = []
     for record_id, record in batch.items():
         current = store.get(record_id)
         if current is None or prefer(record, current):
             store[record_id] = record
-            fresh[record_id] = None
+            fresh[record_id] = source
             taken.append(record_id)
     return taken
 
@@ -87,25 +91,27 @@ def gossip_round(topology: Topology, state: GossipState, prefer=first_wins,
                  send=None) -> list[tuple[str, str, dict[str, object]]]:
     """One synchronous round; returns the (src, dst, batch) messages sent.
 
-    Every node sends its ``fresh`` records, id -> record, to each
-    neighbour in batches, and its ``fresh`` set empties. Then each
-    batch is merged at its destination with ``prefer``, or, given ``send``,
-    handed to ``send(src, dst, batch)`` for the destination to merge.
+    Every node sends its ``fresh`` records, id -> record, in batches to
+    each neighbour but the one a record came from, which holds it already,
+    and its ``fresh`` set empties. Then each batch is merged at its
+    destination with ``prefer``, or, given ``send``, handed to
+    ``send(src, dst, batch)`` for the destination to merge.
     """
     sends = []
     for node in sorted(state.fresh):
-        ids = list(state.fresh[node])
+        fresh = list(state.fresh[node].items())
         state.fresh[node].clear()
-        if not ids:
+        if not fresh:
             continue
         store = state.known[node]
-        batches = [{record_id: store[record_id] for record_id in ids[i:i + GOSSIP_BATCH]}
-                   for i in range(0, len(ids), GOSSIP_BATCH)]
         for neighbor in topology.neighbors(node):
-            sends += [(node, neighbor, batch) for batch in batches]
+            ids = [record_id for record_id, source in fresh if source != neighbor]
+            sends += [(node, neighbor,
+                       {record_id: store[record_id] for record_id in ids[i:i + GOSSIP_BATCH]})
+                      for i in range(0, len(ids), GOSSIP_BATCH)]
     for src, dst, batch in sends:
         if send is None:
-            merge(state.node(dst), state.fresh[dst], batch, prefer)
+            merge(state.node(dst), state.fresh[dst], batch, prefer, src)
         else:
             send(src, dst, batch)
     return sends

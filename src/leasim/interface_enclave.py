@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ledger
-from .attestation import AttestationMesh, EnclaveIdentity, RecoveryRefused
+from .attestation import AttestationMesh, RecoveryRefused
 from .coins import rate_floor
 from .gossip import merge
 from .simnet import Message, Simulation
@@ -136,7 +136,6 @@ class InterfaceEnclave:
     def __init__(
         self,
         actor_id: str,
-        identity: EnclaveIdentity,
         mesh: AttestationMesh,
         *,
         difficulty_bits: int,
@@ -151,7 +150,6 @@ class InterfaceEnclave:
         node_id: str,
     ):
         self.actor_id = actor_id
-        self.identity = identity
         self.mesh = mesh
         self.difficulty_bits = difficulty_bits
         self.k = confirmation_depth
@@ -164,7 +162,9 @@ class InterfaceEnclave:
         self.payment_enclaves = list(payment_enclaves)
         self.node_id = node_id
         self.owners: dict[str, OwnerRecord] = {}
-        self.changed: dict[str, None] = {}  # owner ids to gossip next round, in order
+        # owner ids to gossip next round, in order, each mapped to the
+        # interface its record came from (None when it changed here)
+        self.changed: dict[str, str | None] = {}
         self.campaigns: dict[str, Campaign] = {}
         self._campaign_seq = 0
         self._pending_enroll: dict[str, dict] = {}  # nonce -> enrollment record
@@ -277,7 +277,7 @@ class InterfaceEnclave:
     def _on_gossip_batch(self, msg: Message, sim: Simulation) -> None:
         records = {r["owner_id"]: OwnerRecord(**r) for r in msg.payload["records"]}
         learned = [owner_id for owner_id in records if owner_id not in self.owners]
-        merge(self.owners, self.changed, records, OwnerRecord.polled_after)
+        merge(self.owners, self.changed, records, OwnerRecord.polled_after, msg.src)
         for owner_id in learned:
             sim.log.emit(sim.now, self.actor_id, "gossip_owner", owner=owner_id,
                          via=msg.src)
@@ -435,10 +435,8 @@ class InterfaceEnclave:
                 index=i, payment_id=payment_id, address=share_note.owner_address,
                 head_note_id=share_note.note_id, head_value=share_note.value,
             )
-            self.mesh.backup_keys(
-                sim, self.mesh.enlisted[self.actor_id][payment_id], self.identity,
-                key_handle=share_note.owner_address,
-            )
+            self.mesh.backup_keys(sim, payment_id, self.actor_id,
+                                  key_handle=share_note.owner_address)
             self.last_beat.setdefault(payment_id, sim.now)
             sim.send(
                 self.actor_id, payment_id, "share_assign",
@@ -534,9 +532,7 @@ class InterfaceEnclave:
 
     def _on_settled(self, msg: Message, sim: Simulation) -> None:
         p = msg.payload
-        campaign = self.campaigns.get(p["campaign_id"])
-        if campaign is None:
-            return
+        campaign = self.campaigns[p["campaign_id"]]
         slot = campaign.slots[p["slot_id"]]
         tx: ledger.Transaction = p["tx"]
         slot.settlement_tx = tx.tx_id
@@ -549,9 +545,7 @@ class InterfaceEnclave:
 
     def _on_insufficient_share(self, msg: Message, sim: Simulation) -> None:
         p = msg.payload
-        campaign = self.campaigns.get(p["campaign_id"])
-        if campaign is None:
-            return
+        campaign = self.campaigns[p["campaign_id"]]
         slot = campaign.slots[p["slot_id"]]
         needed = slot.reward + slot.deposit_share + slot.fee
         # head_value lags behind queued settlements, so remember refusals to
@@ -688,9 +682,7 @@ class InterfaceEnclave:
 
     def _on_share_released(self, msg: Message, sim: Simulation) -> None:
         p = msg.payload
-        campaign = self.campaigns.get(p["campaign_id"])
-        if campaign is None:
-            return
+        campaign = self.campaigns[p["campaign_id"]]
         share = campaign.shares[p["share_index"]]
         share.released = True
         tx: ledger.Transaction | None = p.get("tx")

@@ -171,7 +171,7 @@ class RenterActor:
             outputs.append((self.address, note.value - total, "change"))
         tx = ledger.make_transaction([note.note_id], outputs, {self.address},
                                      memo=f"fund:{quote['campaign_id']}")
-        record = {"quote": quote, "funding_tx": tx, "started": False}
+        record = {"quote": quote, "funding_tx": tx}
         if self.view_mode == "forged_fork":
             self._start_with_fork(sim, record)
         else:
@@ -181,13 +181,10 @@ class RenterActor:
             sim.schedule(self.poll_interval, lambda: self._poll_funding(sim, record))
 
     def _poll_funding(self, sim: Simulation, record: dict) -> None:
-        if record["started"]:
-            return
         quote = record["quote"]
         chain = self.chain_supplier()
         tx_id = record["funding_tx"].tx_id
         if chain.confirmations(tx_id) >= quote["k"]:
-            record["started"] = True
             self._send_start(sim, record, chain)
         else:
             sim.schedule(self.poll_interval, lambda: self._poll_funding(sim, record))
@@ -204,7 +201,6 @@ class RenterActor:
         for _ in range(quote["k"] - 1):
             fork = fork.append_block([])
         self.forged_fork = fork
-        record["started"] = True
         sim.log.emit(sim.now, self.actor_id, "forged_fork",
                      height=fork.height, campaign=quote["campaign_id"])
         self._send_start(sim, record, fork)

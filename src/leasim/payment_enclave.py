@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import ledger
-from .attestation import EnclaveIdentity
 from .service_enclave import LatencyModel
 from .simnet import CUT_DEPOSIT_COPY, CUT_REWARD_COPY, Message, Simulation
 
@@ -40,10 +39,9 @@ def _cost(order: dict) -> int:
 
 
 class PaymentEnclave:
-    def __init__(self, actor_id: str, identity: EnclaveIdentity, *,
-                 latency: LatencyModel, liveness_window: float, node_id: str):
+    def __init__(self, actor_id: str, *, latency: LatencyModel, liveness_window: float,
+                 node_id: str):
         self.actor_id = actor_id
-        self.identity = identity
         self.latency = latency
         self.liveness_window = liveness_window
         self.node_id = node_id

@@ -523,20 +523,19 @@ def _check_atomic_settlements(world: World) -> tuple[bool, str]:
 
 def _check_linear_share_chains(world: World) -> tuple[bool, str]:
     checked = 0
-    for group in world.groups.values():
-        for enc in group.payment_encs:
-            for share in enc.shares.values():
-                prev_out = None
-                for tx in share.issued:
-                    if prev_out is not None and prev_out not in tx.inputs:
-                        return False, (
-                            f"share {share.address} breaks the chain at "
-                            f"{tx.tx_id[:12]}"
-                        )
-                    change = [n for n, kind in tx.outputs
-                              if n.owner_address == share.address]
-                    prev_out = change[0].note_id if change else None
-                    checked += 1
+    for enc in world.payment_encs:
+        for share in enc.shares.values():
+            prev_out = None
+            for tx in share.issued:
+                if prev_out is not None and prev_out not in tx.inputs:
+                    return False, (
+                        f"share {share.address} breaks the chain at "
+                        f"{tx.tx_id[:12]}"
+                    )
+                change = [n for n, kind in tx.outputs
+                          if n.owner_address == share.address]
+                prev_out = change[0].note_id if change else None
+                checked += 1
     return True, f"{checked} settlement txs form linear per-share chains"
 
 

@@ -1,7 +1,7 @@
 """World construction and the run loop.
 
-Builds every actor a scenario describes, wires the host's adversarial script
-into the network layer, and runs the event queue until all campaigns reach a
+Builds the actors a scenario's traffic reaches, wires the host's adversarial
+script into the network layer, and runs the event queue until all campaigns reach a
 terminal outcome (or the horizon cuts the run off, which is itself a valid
 outcome under suppression scripts). Everything observable afterwards hangs
 off the returned World.
@@ -12,7 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import ledger
-from .attestation import AttestationMesh, EnclaveIdentity, Measurement, Secret
+from .attestation import AttestationMesh, Measurement, Secret
 from .gossip import (
     CpuIdentity,
     GossipState,
@@ -85,30 +85,23 @@ class ChainNodeActor:
 
 
 @dataclass
-class InterfaceGroup:
-    name: str
-    enclave: InterfaceEnclave
-    service_encs: list[ServiceEnclave]
-    payment_encs: list[PaymentEnclave]
-
-
-@dataclass
 class World:
+    """Everything a run leaves behind. A p2p world builds only the chain node
+    and the service backends: the actor fields stay empty and ``p2p`` holds
+    its outcome."""
+
     spec: ScenarioSpec
     sim: Simulation
     node: ChainNodeActor
     mesh: AttestationMesh
     services: dict[str, Service]
-    service_actors: dict[str, ServiceActorAdapter]
-    groups: dict[str, InterfaceGroup]
-    owners: dict[str, OwnerActor]
-    renters: dict[str, RenterActor]
-    expected_campaign_ids: list[str]
+    service_actors: dict[str, ServiceActorAdapter] = field(default_factory=dict)
+    ifaces: dict[str, InterfaceEnclave] = field(default_factory=dict)  # renters' first
+    payment_encs: list[PaymentEnclave] = field(default_factory=list)  # the first's
+    owners: dict[str, OwnerActor] = field(default_factory=dict)
+    renters: dict[str, RenterActor] = field(default_factory=dict)
+    expected_campaign_ids: list[str] = field(default_factory=list)
     p2p: dict = field(default_factory=dict)
-
-    @property
-    def ifaces(self) -> dict[str, InterfaceEnclave]:
-        return {g.enclave.actor_id: g.enclave for g in self.groups.values()}
 
     def all_campaigns(self) -> list:
         return [c for iface in self.ifaces.values()
@@ -119,13 +112,6 @@ class World:
             if campaign_id in iface.campaigns:
                 return iface.campaigns[campaign_id]
         return None
-
-
-def _identity(actor_id: str, kind: str) -> EnclaveIdentity:
-    return EnclaveIdentity(
-        enclave_id=actor_id, kind=kind, measurement=GENUINE,
-        public_key=f"pk:{actor_id}",
-    )
 
 
 def build_world(spec: ScenarioSpec) -> World:
@@ -145,49 +131,60 @@ def build_world(spec: ScenarioSpec) -> World:
     node.start(sim)
 
     services: dict[str, Service] = {}
-    service_actors: dict[str, ServiceActorAdapter] = {}
     for svc in spec.services:
         kind = SERVICE_KINDS[svc.kind]
-        backend = kind(svc.service_id, **{name: getattr(svc, name) for name in kind.FIELDS})
-        services[svc.service_id] = backend
-        adapter = ServiceActorAdapter(f"svc:{svc.service_id}", backend)
-        service_actors[svc.service_id] = adapter
-        sim.register(adapter.actor_id, adapter)
-    observable = frozenset(adapter.actor_id for adapter in service_actors.values()
-                           if adapter.service.OBSERVABLE)
-
+        services[svc.service_id] = kind(
+            svc.service_id, **{name: getattr(svc, name) for name in kind.FIELDS})
     # owner accounts exist server-side before anything runs
     for owner in spec.owners:
         for entry in owner.services:
             services[entry.service_id].add_account(entry.username, entry.password)
 
-    mesh = AttestationMesh(genuine={GENUINE})
-    latency = LatencyModel(model=spec.latency.model)
+    world = World(spec=spec, sim=sim, node=node,
+                  mesh=AttestationMesh(genuine={GENUINE}), services=services)
+    if spec.topology.mode == "p2p":
+        _setup_p2p(world)
+    else:
+        _build_actors(world)
+        _enroll_and_schedule(world)
+        _install_host_script(world)
+    return world
 
-    group_names = spec.topology.interfaces or ["0"]
-    groups: dict[str, InterfaceGroup] = {}
-    for name in group_names:
-        iface_id = f"iface:{name}"
-        service_encs = []
-        for i in range(spec.topology.service_enclaves):
-            enc_id = f"svcenc:{name}:{i}"
-            enc = ServiceEnclave(enc_id, _identity(enc_id, "service"),
-                                 difficulty_bits=spec.chain.difficulty_bits,
-                                 latency=latency, observable=observable)
-            sim.register(enc_id, enc)
-            service_encs.append(enc)
-        payment_encs = []
-        for i in range(spec.topology.payment_enclaves):
-            enc_id = f"payenc:{name}:{i}"
-            enc = PaymentEnclave(enc_id, _identity(enc_id, "payment"),
-                                 latency=latency,
-                                 liveness_window=spec.timing.liveness_window,
-                                 node_id=node.node_id)
-            sim.register(enc_id, enc)
-            payment_encs.append(enc)
-        identity = _identity(iface_id, "interface")
+
+def _build_actors(world: World) -> None:
+    """Register the service adapters, every interface, the first interface's
+    service and payment enclaves, and the owners, proxies and renters.
+
+    Renters quote only at the first interface, so only it dispatches slots
+    and settlements; the others hold and gossip owner records.
+    """
+    spec, sim, mesh = world.spec, world.sim, world.mesh
+    for service_id, backend in world.services.items():
+        adapter = ServiceActorAdapter(f"svc:{service_id}", backend)
+        world.service_actors[service_id] = adapter
+        sim.register(adapter.actor_id, adapter)
+    observable = frozenset(adapter.actor_id for adapter in world.service_actors.values()
+                           if adapter.service.OBSERVABLE)
+
+    latency = LatencyModel(model=spec.latency.model)
+    names = spec.topology.interfaces or ["0"]
+    service_encs = [
+        ServiceEnclave(f"svcenc:{names[0]}:{i}", difficulty_bits=spec.chain.difficulty_bits,
+                       latency=latency, observable=observable)
+        for i in range(spec.topology.service_enclaves)]
+    world.payment_encs = [
+        PaymentEnclave(f"payenc:{names[0]}:{i}", latency=latency,
+                       liveness_window=spec.timing.liveness_window,
+                       node_id=world.node.node_id)
+        for i in range(spec.topology.payment_enclaves)]
+    enclaves = (*service_encs, *world.payment_encs)
+    for enc in enclaves:
+        sim.register(enc.actor_id, enc)
+        mesh.launch(enc.actor_id, GENUINE)
+    for name in names:
+        first = name == names[0]
         iface = InterfaceEnclave(
-            iface_id, identity, mesh,
+            f"iface:{name}", mesh,
             difficulty_bits=spec.chain.difficulty_bits,
             confirmation_depth=spec.chain.confirmation_depth,
             deposit_rate=spec.economics.deposit_rate,
@@ -195,72 +192,51 @@ def build_world(spec: ScenarioSpec) -> World:
             poll_interval=spec.timing.poll_interval,
             liveness_window=spec.timing.liveness_window,
             maintainer_address=spec.maintainer_address,
-            service_enclaves=[e.actor_id for e in service_encs],
-            payment_enclaves=[e.actor_id for e in payment_encs],
-            node_id=node.node_id,
+            service_enclaves=[e.actor_id for e in service_encs] if first else [],
+            payment_enclaves=[e.actor_id for e in world.payment_encs] if first else [],
+            node_id=world.node.node_id,
         )
-        sim.register(iface_id, iface)
-        for enc in service_encs:
-            mesh.enlist(sim, identity, enc.identity)
-        for enc in payment_encs:
-            mesh.enlist(sim, identity, enc.identity)
-        groups[name] = InterfaceGroup(name, iface, service_encs, payment_encs)
+        sim.register(iface.actor_id, iface)
+        mesh.launch(iface.actor_id, GENUINE)
+        world.ifaces[iface.actor_id] = iface
+        if first:
+            for enc in enclaves:
+                mesh.enlist(sim, iface.actor_id, enc.actor_id)
+    primary_iface = f"iface:{names[0]}"
 
-    primary = groups[group_names[0]]
-    primary_iface = primary.enclave.actor_id
-
-    owners: dict[str, OwnerActor] = {}
     for ospec in spec.owners:
-        backing = {e.service_id: services[e.service_id] for e in ospec.services}
+        backing = {e.service_id: world.services[e.service_id] for e in ospec.services}
         creds = {e.service_id: (e.username, e.password) for e in ospec.services}
         owner = OwnerActor(
-            ospec.owner_id, ospec.profile, node.node_id,
-            chain_supplier=lambda: node.chain,
+            ospec.owner_id, ospec.profile, world.node.node_id,
+            chain_supplier=lambda: world.node.chain,
             service_backends=backing, credentials=creds,
             revert_delay=ospec.revert_delay,
         )
         proxy = ProxyActor(owner)
         sim.register(proxy.actor_id, proxy)
         sim.register(owner.actor_id, owner)
-        owners[ospec.owner_id] = owner
+        world.owners[ospec.owner_id] = owner
 
-    renters: dict[str, RenterActor] = {}
     for rspec in spec.renters:
         intents = [
             CampaignIntent(c.service_id, c.action_kind, c.action_target,
                            c.count, c.revert_window)
             for c in rspec.campaigns
         ]
-        mesh.attest(sim, f"renter:{rspec.renter_id}", GENUINE, primary.enclave.identity)
+        mesh.attest(sim, f"renter:{rspec.renter_id}", GENUINE, primary_iface)
         renter = RenterActor(
-            rspec.renter_id, node.node_id,
-            chain_supplier=lambda: node.chain,
+            rspec.renter_id, world.node.node_id,
+            chain_supplier=lambda: world.node.chain,
             interface_id=primary_iface, intents=intents,
             view_mode=rspec.view,
             poll_interval=max(spec.chain.block_interval / 2, 1.0),
         )
         sim.register(renter.actor_id, renter)
-        renters[rspec.renter_id] = renter
-
-    expected_ids = []
-    seq = 0
-    for rspec in spec.renters:
+        world.renters[rspec.renter_id] = renter
         for _ in rspec.campaigns:
-            seq += 1
-            expected_ids.append(f"{primary_iface}:c{seq}")
-
-    world = World(
-        spec=spec, sim=sim, node=node, mesh=mesh, services=services,
-        service_actors=service_actors, groups=groups, owners=owners,
-        renters=renters, expected_campaign_ids=expected_ids,
-    )
-
-    if spec.topology.mode == "p2p":
-        _setup_p2p(world)
-    else:
-        _enroll_and_schedule(world)
-        _install_host_script(world)
-    return world
+            world.expected_campaign_ids.append(
+                f"{primary_iface}:c{len(world.expected_campaign_ids) + 1}")
 
 
 # ----------------------------------------------------------------------
@@ -278,12 +254,11 @@ def _enroll_and_schedule(world: World) -> None:
     spec, sim = world.spec, world.sim
     pollers = []
     # an owner with no home interface enrolls at the first
-    first = next(iter(world.groups.values()))
+    first = next(iter(world.ifaces))
     for ospec in spec.owners:
         owner = world.owners[ospec.owner_id]
-        group = world.groups.get(ospec.home_interface, first)
-        iface_id = group.enclave.actor_id
-        world.mesh.attest(sim, owner.actor_id, GENUINE, group.enclave.identity)
+        iface_id = f"iface:{ospec.home_interface}" if ospec.home_interface else first
+        world.mesh.attest(sim, owner.actor_id, GENUINE, iface_id)
         payload_services = {}
         for entry in ospec.services:
             payload_services[entry.service_id] = {
@@ -394,10 +369,8 @@ def _eclipse_feed(world: World, ecl):
 
 def _campaigns_settled(world: World) -> bool:
     """True once every renter intent has an outcome: a failure recorded or
-    its campaign terminated. A p2p world runs all its slots inside
-    ``_setup_p2p``, so it is settled as soon as ``build_world`` returns."""
-    if world.spec.topology.mode == "p2p":
-        return True
+    its campaign terminated. A p2p world has no renter actors, so it is
+    settled from the start."""
     outcomes = 0
     expected = sum(len(r.intents) for r in world.renters.values())
     for renter in world.renters.values():

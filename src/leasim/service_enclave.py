@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ledger
-from .attestation import EnclaveIdentity, Secret
+from .attestation import Secret
 from .simnet import Message, Simulation
 
 GATE_TIMEOUT = 2.0
@@ -69,11 +69,9 @@ class SlotRun:
 
 
 class ServiceEnclave:
-    def __init__(self, actor_id: str, identity: EnclaveIdentity, *,
-                 difficulty_bits: int, latency: LatencyModel,
+    def __init__(self, actor_id: str, *, difficulty_bits: int, latency: LatencyModel,
                  observable: frozenset[str]):
         self.actor_id = actor_id
-        self.identity = identity
         self.difficulty_bits = difficulty_bits
         self.latency = latency
         self.observable = observable  # actor ids of the services with public effects

@@ -14,10 +14,6 @@ GOOD = att.Measurement("m-good")
 EVIL = att.Measurement("m-evil")
 
 
-def identity(enclave_id, kind="service", measurement=GOOD):
-    return att.EnclaveIdentity(enclave_id, kind, measurement, f"pk:{enclave_id}")
-
-
 class Sink:
     def __init__(self, actor_id):
         self.actor_id = actor_id
@@ -26,70 +22,95 @@ class Sink:
         pass
 
 
-def mk_world(actors=("iface", "svc", "pay")):
+def mk_world(actors=("iface", "svc", "pay"), evil=()):
+    """Register ``actors``, each launched with the good build unless named
+    in ``evil``."""
     sim = simnet.Simulation(seed=7)
+    mesh = att.AttestationMesh(genuine={GOOD})
     for name in actors:
         sim.register(name, Sink(name))
-    return sim, att.AttestationMesh(genuine={GOOD})
+        mesh.launch(name, EVIL if name in evil else GOOD)
+    return sim, mesh
 
 
 class TestAttest:
     def test_matching_measurement_logs_a_session(self):
         sim, mesh = mk_world()
-        mesh.attest(sim, "iface", GOOD, identity("svc"))
-        mesh.attest(sim, "svc", GOOD, identity("iface"))
+        mesh.attest(sim, "iface", GOOD, "svc")
+        mesh.attest(sim, "svc", GOOD, "iface")
         assert list(sim.log.lines) == [
             "t=0.000000 actor=iface kind=attested target=svc session=sess1",
             "t=0.000000 actor=svc kind=attested target=iface session=sess2",
         ]
 
     def test_mismatch_refused_before_any_secret_flows(self):
+        sim, mesh = mk_world(evil=("svc",))
+        with pytest.raises(att.MeasurementMismatch):
+            mesh.attest(sim, "iface", GOOD, "svc")
+        assert "attest_mismatch" in sim.log.text()
+
+    def test_never_launched_target_refused(self):
         sim, mesh = mk_world()
         with pytest.raises(att.MeasurementMismatch):
-            mesh.attest(sim, "iface", GOOD, identity("svc", measurement=EVIL))
-        assert "attest_mismatch" in sim.log.text()
+            mesh.attest(sim, "iface", GOOD, "ghost")
+        assert list(sim.log.lines) == [
+            "t=0.000000 actor=iface kind=attest_mismatch target=ghost"]
 
     def test_killed_target_unreachable(self):
         sim, mesh = mk_world()
         sim.net.kill_enclave("svc", at_time=0.0)
         sim.run()
         with pytest.raises(att.Unreachable):
-            mesh.attest(sim, "iface", GOOD, identity("svc"))
+            mesh.attest(sim, "iface", GOOD, "svc")
 
 
 class TestEnlist:
-    def test_enlist_records_key(self):
+    def test_enlist_attests_both_ways(self):
         sim, mesh = mk_world()
-        rec = mesh.enlist(sim, identity("iface", "interface"), identity("pay", "payment"))
-        assert rec.public_key == "pk:pay"
+        mesh.enlist(sim, "iface", "pay")
         assert mesh.is_enlisted("iface", "pay")
+        assert not mesh.is_enlisted("pay", "iface")
+        assert list(sim.log.lines) == [
+            "t=0.000000 actor=iface kind=attested target=pay session=sess1",
+            "t=0.000000 actor=pay kind=attested target=iface session=sess2",
+            "t=0.000000 actor=iface kind=enlisted enclave=pay",
+        ]
 
     def test_enlist_idempotent(self):
         sim, mesh = mk_world()
-        iface, pay = identity("iface", "interface"), identity("pay", "payment")
-        assert mesh.enlist(sim, iface, pay) is mesh.enlist(sim, iface, pay)
+        mesh.enlist(sim, "iface", "pay")
+        lines = list(sim.log.lines)
+        mesh.enlist(sim, "iface", "pay")
+        assert list(sim.log.lines) == lines
+        assert mesh.enlisted == {"iface": {"pay"}}
 
-    def test_unknown_measurement_cannot_enlist(self):
-        sim, mesh = mk_world()
+    @pytest.mark.parametrize("evil", ["pay", "iface"])
+    def test_unknown_measurement_cannot_enlist(self, evil):
+        sim, mesh = mk_world(evil=(evil,))
         with pytest.raises(att.MeasurementMismatch):
-            mesh.enlist(sim, identity("iface", "interface"),
-                        identity("pay", "payment", measurement=EVIL))
+            mesh.enlist(sim, "iface", "pay")
         assert not mesh.is_enlisted("iface", "pay")
+        assert list(sim.log.lines) == [
+            f"t=0.000000 actor=iface kind=attest_mismatch target={evil}"]
 
 
 class TestEscrow:
     def setup_escrow(self):
         sim, mesh = mk_world()
-        iface, pay = identity("iface", "interface"), identity("pay", "payment")
-        mesh.enlist(sim, iface, pay)
-        receipt = mesh.backup_keys(sim, pay, iface, key_handle="addr:share1")
+        mesh.enlist(sim, "iface", "pay")
+        receipt = mesh.backup_keys(sim, "pay", "iface", key_handle="addr:share1")
         return sim, mesh, receipt
 
     def test_backup_requires_enlistment(self):
         sim, mesh = mk_world()
         with pytest.raises(att.NotEnlisted):
-            mesh.backup_keys(sim, identity("pay", "payment"),
-                             identity("iface", "interface"), "addr:x")
+            mesh.backup_keys(sim, "pay", "iface", "addr:x")
+
+    def test_backup_names_both_sides(self):
+        sim, mesh, receipt = self.setup_escrow()
+        assert (receipt.payment_id, receipt.interface_id, receipt.used) == ("pay", "iface", False)
+        assert mesh.escrows == {"addr:share1": receipt}
+        assert list(sim.log.lines)[-1] == "t=0.000000 actor=iface kind=keys_escrowed payment=pay"
 
     def test_recovery_refused_while_alive(self):
         sim, mesh, _ = self.setup_escrow()
@@ -107,8 +128,7 @@ class TestEscrow:
 
     def test_each_share_of_one_enclave_recovers_once(self):
         sim, mesh, _ = self.setup_escrow()
-        iface, pay = identity("iface", "interface"), identity("pay", "payment")
-        mesh.backup_keys(sim, pay, iface, key_handle="addr:share2")
+        mesh.backup_keys(sim, "pay", "iface", key_handle="addr:share2")
         sim.net.kill_enclave("pay", at_time=1.0)
         sim.run()
         first = mesh.authorize_recovery(sim, "iface", "addr:share1")

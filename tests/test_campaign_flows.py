@@ -717,9 +717,8 @@ class TestPerSlotWork:
         monkeypatch.setattr(ledger, "check_consistency", counting)
         spec = parse_scenario(ladder_shape(slots, 2, 2))
         world = build_world(spec)
-        for group in world.groups.values():
-            for enc in group.payment_encs:
-                enc.queue = _UnreadQueue()
+        for enc in world.payment_encs:
+            enc.queue = _UnreadQueue()
         world.sim.run(until=spec.timing.horizon)
         campaign = only_campaign(world)
         assert len(sizes) == slots
@@ -938,7 +937,7 @@ class TestDistributed:
         assert slot_statuses(campaign) == ["confirmed"] * 3
         assert "gossip_owner" in world.sim.log.text()
         # records enrolled at b became selectable at a
-        assert {"o1", "o2", "o3"} <= set(world.groups["a"].enclave.owners)
+        assert {"o1", "o2", "o3"} <= set(world.ifaces["iface:a"].owners)
 
     def test_gossip_stops_with_slot_selection(self, monkeypatch):
         """No gossip tick runs after the first one that finds mining stopped
@@ -968,6 +967,55 @@ class TestDistributed:
         ]
 
     @staticmethod
+    def ring() -> dict:
+        """``distributed`` on a ring of four interfaces, one owner homed at
+        each, and a campaign that needs all four."""
+        raw = bundled_raw("distributed")
+        names = ["a", "b", "c", "d"]
+        raw["topology"]["interfaces"] = names
+        raw["topology"]["edges"] = [[name, names[i - 1]] for i, name in enumerate(names)]
+        template = raw["owners"][0]
+        raw["owners"] = [
+            {**template, "id": f"o{i}", "home_interface": name,
+             "services": [{**template["services"][0], "username": f"user{i}",
+                           "password": f"pw-{i}"}]}
+            for i, name in enumerate(names, 1)]
+        raw["renters"][0]["campaigns"][0]["count"] = 4
+        return raw
+
+    @pytest.mark.parametrize("shape", ["distributed", "ring"])
+    def test_gossip_reaches_everyone_without_echo(self, monkeypatch, shape):
+        """Every owner is learned at every interface, and no batch carries a
+        record back to the interface the sender took it from."""
+        took: dict[tuple[str, str, float], str] = {}  # (iface, owner, last_poll) -> from
+        echoes, batches = [], []
+        on_batch, send_gossip = InterfaceEnclave._on_gossip_batch, InterfaceEnclave.send_gossip
+
+        def receiving(iface, msg, sim):
+            before = {owner_id: r.last_poll for owner_id, r in iface.owners.items()}
+            on_batch(iface, msg, sim)
+            for owner_id, record in iface.owners.items():
+                if before.get(owner_id) != record.last_poll:
+                    took[(iface.actor_id, owner_id, record.last_poll)] = msg.src
+
+        def sending(iface, sim, peer, records):
+            batches.append(records)
+            echoes.extend((iface.actor_id, peer, owner_id) for owner_id, record in records.items()
+                          if took.get((iface.actor_id, owner_id, record.last_poll)) == peer)
+            send_gossip(iface, sim, peer, records)
+
+        monkeypatch.setattr(InterfaceEnclave, "_on_gossip_batch", receiving)
+        monkeypatch.setattr(InterfaceEnclave, "send_gossip", sending)
+        raw = self.ring() if shape == "ring" else bundled_raw(shape)
+        world = run_scenario(parse_scenario(raw))
+        owners = {o["id"] for o in raw["owners"]}
+        assert len(world.ifaces) == len(raw["topology"]["interfaces"])
+        for iface in world.ifaces.values():
+            assert set(iface.owners) == owners
+        assert slot_statuses(only_campaign(world)) == ["confirmed"] * len(owners)
+        assert took and all(batches) and echoes == []
+
+    @staticmethod
     def run_with_host(host: dict):
         """Run ``distributed`` under a host script."""
         path = resources.files("leasim") / "scenarios" / "distributed.yaml"
@@ -978,8 +1026,8 @@ class TestDistributed:
     def test_cut_gossip_edge_hides_remote_owners(self):
         world = self.run_with_host(
             {"cuts": [{"kind": "gossip_batch", "src": "iface:b", "dst": "iface:a"}]})
-        assert set(world.groups["a"].enclave.owners) == {"o1"}
-        assert set(world.groups["b"].enclave.owners) == {"o1", "o2", "o3"}
+        assert set(world.ifaces["iface:a"].owners) == {"o1"}
+        assert set(world.ifaces["iface:b"].owners) == {"o1", "o2", "o3"}
         campaign = only_campaign(world)
         assert [(s.owner_id, s.status) for s in campaign.slots.values()] == [("o1", "confirmed")]
         report = build_report(world)
@@ -991,7 +1039,7 @@ class TestDistributed:
         # killed at t=0, iface:b never finishes an enrollment: it has nothing
         # to send, and iface:a's batches die at its door
         world = self.run_with_host({"kills": [{"actor": "iface:b", "at": 0.0}]})
-        assert set(world.groups["a"].enclave.owners) == {"o1"}
+        assert set(world.ifaces["iface:a"].owners) == {"o1"}
         assert TestSecretTaint.fates(world, "gossip_batch")[:2] == ["send", "drop_dead"]
         # killed after the first round, it still holds changed records
         world = self.run_with_host({"kills": [{"actor": "iface:b", "at": 0.3}]})
@@ -1014,6 +1062,15 @@ class TestP2P:
         assert (world.sim.now, world.node.chain.height) == (105.0, 7)
         assert list(world.sim.log.lines)[-1] == (
             "t=105.000000 actor=node:main kind=mining_stopped height=7")
+
+    def test_only_the_chain_node_is_built(self):
+        """Registration, flood and slots run while the world is built, so no
+        interface, enclave, owner, renter or service actor exists, and
+        nothing attests."""
+        world = world_for("p2p")
+        assert list(world.sim.actors) == ["node:main"]
+        assert not world.ifaces and not world.owners and not world.renters
+        assert "kind=attested" not in world.sim.log.text()
 
     def test_cpu_flood_collapses_to_one_binding(self):
         world = world_for("p2p")
@@ -1072,8 +1129,7 @@ class TestInvariantsEverywhere:
     def test_reordered_share_chain_fails_linearity(self):
         world = run_scenario(load_scenario(
             str(resources.files("leasim") / "scenarios" / "baseline.yaml")))
-        (group,) = world.groups.values()
-        (enc,) = group.payment_encs
+        (enc,) = world.payment_encs
         (share,) = enc.shares.values()
         share.issued[:2] = share.issued[1::-1]  # the second settlement first
         assert self.failed_checks(world) == {"linear_share_chains": (
@@ -1092,6 +1148,22 @@ class TestInvariantsEverywhere:
 BUNDLED = sorted(p.name.removesuffix(".yaml")
                  for p in (resources.files("leasim") / "scenarios").iterdir()
                  if p.name.endswith(".yaml"))
+
+
+class TestNoIdleActor:
+    """A world builds only the actors its traffic reaches."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_every_actor_but_the_node_sends_or_receives(self, name):
+        """The chain node mines whether or not anyone writes to it; every
+        other registered actor takes part in at least one message."""
+        world = world_for(name)
+        talked = set()
+        for line in world.sim.log.lines:
+            _t, actor, kind = line.split(" ", 3)[:3]
+            if kind.startswith(("kind=send:", "kind=recv:")):
+                talked.add(actor.removeprefix("actor="))
+        assert sorted(set(world.sim.actors) - talked - {"node:main"}) == []
 
 
 class TestMiningStops:
@@ -1372,7 +1444,7 @@ class TestEnrollmentFailure:
         assert self.enrollment_lines(world) == [
             f"t=5.000000 enroll_failed owner={owner} error=LoginUnanswered"
             for owner in ("o1", "o2", "o3")]
-        assert world.groups["0"].enclave._pending_enroll == {}
+        assert world.ifaces["iface:0"]._pending_enroll == {}
         assert world.renters["r1"].results == [
             {"kind": "quote_failed", "error": "NoCompliantAccounts"}]
 

@@ -103,6 +103,35 @@ class TestGossipRound:
                 gossip_round(topo, state)
             assert all(state.knows(f"n{v}", "rec") for v in g.nodes)
 
+    def test_a_path_carries_a_record_once_per_edge(self):
+        topo = mesh(nx.path_graph(4))
+        state = GossipState()
+        state.enroll("n0", "rec", 1)
+        sent = []
+        while sends := gossip_round(topo, state):
+            sent += [(src, dst) for src, dst, _batch in sends]
+        assert sent == [("n0", "n1"), ("n1", "n2"), ("n2", "n3")]
+
+    def test_no_record_goes_back_where_it_came_from(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            topo = mesh(random_connected(rng, rng.randrange(2, 10)))
+            state = GossipState()
+            for i, node in enumerate(topo.nodes):
+                state.enroll(node, f"rec{i % 3}", rng.randrange(100))
+            rounds = 0
+            while True:
+                came_from = {node: dict(fresh) for node, fresh in state.fresh.items()}
+                sends = gossip_round(topo, state, prefer=lambda new, cur: new < cur)
+                if not sends:
+                    break
+                rounds += 1
+                for src, dst, batch in sends:
+                    assert all(came_from[src][record_id] != dst for record_id in batch)
+            assert rounds < 2 * len(topo.nodes)
+            for record_id in {f"rec{i % 3}" for i in range(len(topo.nodes))}:
+                assert len({state.node(n)[record_id] for n in topo.nodes}) == 1
+
     def test_partition_blocks_records(self):
         g = nx.Graph()
         g.add_edges_from([(0, 1), (1, 2), (3, 4)])

@@ -11,7 +11,8 @@ each prints the SHA-256 of the JSON report (``canonical_json``), of the text
 report (``render_report``), of the ``leasim verify`` lines and of the run's
 outcome: the verdicts with their evidence, the party balances, each
 campaign's phase marks, each slot's status and whether its settlement
-landed, and which ``verify`` checks passed. Both sides run the same scenario
+landed, which ``verify`` checks passed, and a p2p world's registrations,
+CPU bindings and flood results (``report["p2p"]``). Both sides run the same scenario
 files, so only the program differs.
 
 A change to message plumbing moves the event log, and so every report's
@@ -60,6 +61,7 @@ for path in sys.argv[1:]:
                        for s in c["slots"]]}
             for c in report["campaigns"]],
         "verify": [[name, ok] for name, ok, _why in results],
+        "p2p": report.get("p2p"),
     }
     print(sha(canonical_json(report)), sha(render_report(report)), sha(checks),
           sha(canonical_json(outcome)), flush=True)
